@@ -25,7 +25,6 @@ from .noise import (
     PsdSegment,
     SpectrumEstimate,
     estimate_psd,
-    eval_psd,
     freq_noise_to_phase_noise,
     ssb_phase_noise,
     synthesize_phase_noise,
@@ -46,9 +45,7 @@ from .link import (
     LinkTrace,
     NoiseInputs,
     ServoConfig,
-    apply_actuator,
     atmosphere_from_psd,
-    error_signal,
     fractional_delay,
     make_link,
     run_link,

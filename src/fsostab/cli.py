@@ -33,8 +33,9 @@ from .experiment import (
     run_three_modes,
     write_manifest,
     write_spectrum_csv,
+    write_table_csv,
 )
-from .link import NoiseInputs, run_link
+from .link import MODES, NoiseInputs, run_link
 from .noise import estimate_psd, ssb_phase_noise
 from .spectral import (
     LOW_F_ATM_RATIO_DB,
@@ -70,7 +71,7 @@ def _add_common(p):
         help=f"use the scaled-delay validation geometry (T = {SCALED_DELAY_T_S:g} s)",
     )
     p.add_argument("--t-one-way-s", type=float, default=None, help="explicit one-way delay")
-    p.add_argument("--mode", default=None, choices=["unstabilized", "doppler", "group-delay"])
+    p.add_argument("--mode", default=None, choices=MODES)
 
 
 def _build(args):
@@ -109,19 +110,11 @@ def _cmd_predict(args):
     db = dbc_curves(curves)
     path = out / "predicted_curves.csv"
     cols = ["primary", "secondary", "atm_printed", "atm_derived", "total"]
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(
-            ["freq_hz"]
-            + [f"s_meas_{c}" for c in cols]
-            + [f"l_meas_{c}_dbc_per_hz" for c in cols]
-        )
-        for i, fi in enumerate(f):
-            wr.writerow(
-                [f"{fi:.10g}"]
-                + [f"{curves[c][i]:.10g}" for c in cols]
-                + [f"{db[c][i]:.10g}" for c in cols]
-            )
+    write_table_csv(
+        path,
+        ["freq_hz"] + [f"s_meas_{c}" for c in cols] + [f"l_meas_{c}_dbc_per_hz" for c in cols],
+        [f] + [curves[c] for c in cols] + [db[c] for c in cols],
+    )
     if f[0] <= 10.0 <= f[-1]:
         at10 = float(np.interp(np.log(10.0), np.log(f), db["total"]))
         print(f"predicted total at 10 Hz: {at10:.2f} dBc/Hz")
@@ -133,7 +126,7 @@ def _cmd_simulate(args):
     config, models, experiment = _build(args)
     out = _out_dir(args, "simulate")
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
-    modes = (args.mode,) if args.mode else ("unstabilized", "doppler", "group-delay")
+    modes = (args.mode,) if args.mode else MODES
     res = run_three_modes(config, models, seed, modes=modes)
     outputs = []
     for mode, est in res.spectra.items():
@@ -146,12 +139,12 @@ def _cmd_simulate(args):
         for mode in modes:
             meas, trace = run_link(config, inputs, mode=mode)
             path = out / f"trace_{mode}.csv"
-            with open(path, "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(["t_s", "error_rad", "actuator_cmd", "meas_phase_rad"])
-                t = trace.t0_s + np.arange(trace.error_rad.size) / trace.fs_hz
-                for row in zip(t, trace.error_rad, trace.act_phase_rad, meas.samples):
-                    wr.writerow([f"{v:.10g}" for v in row])
+            t = trace.t0_s + np.arange(trace.error_rad.size) / trace.fs_hz
+            write_table_csv(
+                path,
+                ["t_s", "error_rad", "actuator_cmd", "meas_phase_rad"],
+                [t, trace.error_rad, trace.act_phase_rad, meas.samples],
+            )
             outputs.append(path)
     lines = [f"channel {config.nu_s_hz / 1e12:.1f} THz, spot 10 Hz"]
     for mode, spot in res.spots_dbc.items():
@@ -204,11 +197,11 @@ def _cmd_identity_check(args):
     f = np.geomspace(1e-4 / config.t_one_way, 2.0 / config.t_one_way, 400)
     rep = atm_variant_report(config.t_one_way, f)
     eq_path = out / "atm_variants.csv"
-    with open(eq_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["freq_hz", "printed", "derived", "ratio_db"])
-        for row in zip(rep["freqs"], rep["printed"], rep["derived"], rep["ratio_db"]):
-            wr.writerow([f"{v:.10g}" for v in row])
+    write_table_csv(
+        eq_path,
+        ["freq_hz", "printed", "derived", "ratio_db"],
+        [rep["freqs"], rep["printed"], rep["derived"], rep["ratio_db"]],
+    )
     worst = min(r["frac_within_tol"] for r in report)
     print(f"identity oracle: {len(report)} combinations, worst in-tolerance fraction {worst:.3f}")
     print(
@@ -239,11 +232,7 @@ def _cmd_compare(args):
     _, simb = log_band_medians(fr, ssb_phase_noise(est.psd[mask][keep]))
     _, predb = log_band_medians(fr, ssb_phase_noise(pred[keep]))
     path = out / "compare.csv"
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["band_center_hz", "sim_dbc_per_hz", "pred_dbc_per_hz", "dev_db"])
-        for row in zip(fb, simb, predb, devb):
-            wr.writerow([f"{v:.10g}" for v in row])
+    write_table_csv(path, ["band_center_hz", "sim_dbc_per_hz", "pred_dbc_per_hz", "dev_db"], [fb, simb, predb, devb])
     print(f"compare[{mode}]: max |deviation| {np.max(np.abs(devb)):.2f} dB over {fb.size} bands")
     write_manifest(out, resolved_dict(config, models, experiment), experiment["base_seed"], [path])
     return EXIT_FLAGGED if trace.flagged else EXIT_OK

@@ -11,29 +11,35 @@ passed back in as the config: its resolved snapshot is used verbatim.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .errors import ConfigError
 from .link import LinkConfig, ServoConfig
 from .noise import PsdModel, PsdSegment
 
-_LINK_KEYS = {
-    "nu_p_hz",
-    "nu_s_hz",
-    "nu_lo_hz",
-    "nu_rm_hz",
-    "link_length_m",
-    "t_one_way_s",
-    "actuator",
-    "servo",
-    "fs_hz",
-    "n_samples",
-    "duration_s",
-    "approximate_roundtrip",
-    "models",
-    "experiment",
+#: JSON key -> (field name, type) of the fields mapped one-to-one; this
+#: table drives unknown-key rejection and both directions of the mapping.
+_LINK_FIELDS = {
+    "nu_p_hz": ("nu_p_hz", float),
+    "nu_s_hz": ("nu_s_hz", float),
+    "nu_lo_hz": ("nu_lo_hz", float),
+    "nu_rm_hz": ("nu_rm_hz", float),
+    "link_length_m": ("link_length_m", float),
+    "t_one_way_s": ("t_one_way_s", float),
+    "actuator": ("actuator", str),
+    "fs_hz": ("fs_hz", float),
+    "n_samples": ("n_samples", int),
+    "approximate_roundtrip": ("approximate_roundtrip", bool),
 }
-_SERVO_KEYS = {"kp", "ki_per_s", "kii_per_s2", "bandwidth_hint_hz", "enabled"}
+_SERVO_FIELDS = {
+    "kp": ("kp", float),
+    "ki_per_s": ("ki", float),
+    "kii_per_s2": ("kii", float),
+    "enabled": ("enabled", bool),
+}
+_LINK_KEYS = set(_LINK_FIELDS) | {"servo", "duration_s", "models", "experiment"}
+_SERVO_KEYS = set(_SERVO_FIELDS) | {"bandwidth_hint_hz"}
 _MODEL_KEYS = {"kind", "ref_freq_hz", "segments", "f_min_hz", "f_max_hz"}
 _SEGMENT_KEYS = {"f_break_hz", "exponent", "level"}
 _EXPERIMENT_KEYS = {"base_seed", "channels_thz", "nperseg"}
@@ -79,76 +85,45 @@ def psd_model_to_dict(model: PsdModel) -> dict:
     }
 
 
+def _fields_from_dict(d: dict, table: dict) -> dict:
+    return {name: kind(d[key]) for key, (name, kind) in table.items() if key in d}
+
+
+def _fields_to_dict(obj, table: dict) -> dict:
+    return {key: getattr(obj, name) for key, (name, _) in table.items()}
+
+
 def _servo_from_dict(d: dict) -> ServoConfig:
     _reject_unknown(d, _SERVO_KEYS, "servo")
-    kwargs = {}
-    if "kp" in d:
-        kwargs["kp"] = float(d["kp"])
-    if "ki_per_s" in d:
-        kwargs["ki"] = float(d["ki_per_s"])
-    if "kii_per_s2" in d:
-        kwargs["kii"] = float(d["kii_per_s2"])
-    if "bandwidth_hint_hz" in d:
-        kwargs["bandwidth_hint_hz"] = float(d["bandwidth_hint_hz"])
-        if "ki_per_s" not in d:
-            # hint maps to the closed-loop pole ki (rad/s) of the default loop
-            kwargs["ki"] = 2.0 * 3.141592653589793 * kwargs["bandwidth_hint_hz"]
-    if "enabled" in d:
-        kwargs["enabled"] = bool(d["enabled"])
+    kwargs = _fields_from_dict(d, _SERVO_FIELDS)
+    if "bandwidth_hint_hz" in d and "ki_per_s" not in d:
+        # hint maps to the closed-loop pole ki (rad/s) of the default loop
+        kwargs["ki"] = 2.0 * math.pi * float(d["bandwidth_hint_hz"])
     return ServoConfig(**kwargs)
 
 
 def link_config_from_dict(d: dict) -> LinkConfig:
     _reject_unknown(d, _LINK_KEYS, "config")
-    kwargs = {}
-    for key in ("nu_p_hz", "nu_s_hz", "nu_lo_hz", "nu_rm_hz", "fs_hz"):
-        if key in d:
-            kwargs[key] = float(d[key])
     if "link_length_m" in d and "t_one_way_s" in d:
         raise ConfigError("link_length_m and t_one_way_s are mutually exclusive")
-    if "t_one_way_s" in d:
-        kwargs["t_one_way_s"] = float(d["t_one_way_s"])
-        kwargs["link_length_m"] = None
-    elif "link_length_m" in d:
-        kwargs["link_length_m"] = float(d["link_length_m"])
-    if "actuator" in d:
-        kwargs["actuator"] = d["actuator"]
-    if "servo" in d:
-        kwargs["servo"] = _servo_from_dict(d["servo"])
     if "n_samples" in d and "duration_s" in d:
         raise ConfigError("n_samples and duration_s are mutually exclusive")
-    if "n_samples" in d:
-        kwargs["n_samples"] = int(d["n_samples"])
-    elif "duration_s" in d:
+    kwargs = _fields_from_dict(d, _LINK_FIELDS)
+    if "t_one_way_s" in d:
+        kwargs["link_length_m"] = None
+    if "duration_s" in d:
         fs = kwargs.get("fs_hz", LinkConfig().fs_hz)
         kwargs["n_samples"] = int(round(float(d["duration_s"]) * fs))
-    if "approximate_roundtrip" in d:
-        kwargs["approximate_roundtrip"] = bool(d["approximate_roundtrip"])
+    if "servo" in d:
+        kwargs["servo"] = _servo_from_dict(d["servo"])
     return LinkConfig(**kwargs)
 
 
 def link_config_to_dict(config: LinkConfig) -> dict:
-    servo = {
-        "kp": config.servo.kp,
-        "ki_per_s": config.servo.ki,
-        "kii_per_s2": config.servo.kii,
-        "enabled": config.servo.enabled,
-    }
-    out = {
-        "nu_p_hz": config.nu_p_hz,
-        "nu_s_hz": config.nu_s_hz,
-        "nu_lo_hz": config.nu_lo_hz,
-        "nu_rm_hz": config.nu_rm_hz,
-        "actuator": config.actuator,
-        "servo": servo,
-        "fs_hz": config.fs_hz,
-        "n_samples": config.n_samples,
-        "approximate_roundtrip": config.approximate_roundtrip,
-    }
-    if config.t_one_way_s is not None:
-        out["t_one_way_s"] = config.t_one_way_s
-    else:
-        out["link_length_m"] = config.link_length_m
+    out = _fields_to_dict(config, _LINK_FIELDS)
+    out["servo"] = _fields_to_dict(config.servo, _SERVO_FIELDS)
+    # exactly one delay spec is set; the other is None and stays out
+    del out["t_one_way_s" if config.t_one_way_s is None else "link_length_m"]
     return out
 
 

@@ -20,12 +20,10 @@ import numpy as np
 
 from . import __version__ as _version
 from .errors import OutOfRangeError
-from .link import LinkConfig, NoiseInputs, run_link
+from .link import MODES, LinkConfig, NoiseInputs, run_link
 from .noise import PHASE_NOISE, PsdModel, SpectrumEstimate, estimate_psd, ssb_phase_noise
 
 _log = logging.getLogger(__name__)
-
-MODES = ("unstabilized", "doppler", "group-delay")
 
 #: WDM channel grid: 190.0..197.2 THz every 0.4 THz (19 channels).
 CHANNEL_GRID_THZ = tuple(np.round(np.arange(190.0, 197.2001, 0.4), 4))
@@ -260,18 +258,29 @@ def channel_sweep(
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+#: The one number format of every CSV output.
+_NUMBER = "{:.10g}"
+_fmt = _NUMBER.format
+
+
+def write_table_csv(path: Path, header: list, columns):
+    """CSV of a header row and equal-length numeric columns, every value in ``_NUMBER``.
+
+    One format string per row, not a call per value: trace tables hold millions of values.
+    """
+    row = ",".join([_NUMBER] * len(header)) + "\r\n"  # csv.writer's line end
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(row.format(*values) for values in zip(*columns))
 
 
 def write_spectrum_csv(path: Path, freqs, psd):
     """Spectrum CSV: freq_hz, s_phi_rad2_per_hz, l_dbc_per_hz (positive bins)."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["freq_hz", "s_phi_rad2_per_hz", "l_dbc_per_hz"])
-        for f, p in zip(np.asarray(freqs), np.asarray(psd)):
-            if f > 0 and p > 0:
-                wr.writerow([_fmt(f), _fmt(p), _fmt(ssb_phase_noise(p))])
+    f, p = np.asarray(freqs), np.asarray(psd)
+    keep = (f > 0) & (p > 0)
+    write_table_csv(
+        path, ["freq_hz", "s_phi_rad2_per_hz", "l_dbc_per_hz"], [f[keep], p[keep], ssb_phase_noise(p[keep])]
+    )
 
 
 def config_digest(resolved: dict) -> str:

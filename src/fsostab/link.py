@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import signal as _signal
@@ -56,12 +57,61 @@ class ServoConfig:
     kp: float = 0.2
     ki: float = 1.0e4
     kii: float = 0.0
-    bandwidth_hint_hz: float | None = None
     enabled: bool = True
 
     def __post_init__(self):
         if self.kp < 0 or self.ki < 0 or self.kii < 0:
             raise ConfigError("servo gains must be >= 0")
+
+
+def _schur_stable(a: np.ndarray) -> bool:
+    """True when every root of a(z) = a0 + a1 z^-1 + ... lies inside |z| < 1.
+
+    Schur-Cohn (Jury) step-down: every reflection coefficient it strips
+    must stay below 1 in magnitude. O(len(a)^2), with no eigenvalue solve.
+    """
+    a = np.asarray(a, dtype=float) / a[0]
+    for p in range(a.size - 1, 0, -1):
+        refl = a[p]
+        if not abs(refl) < 1.0:
+            return False
+        a = (a[:p] - refl * a[p:0:-1]) / (1.0 - refl * refl)
+    return True
+
+
+@dataclass(frozen=True, eq=False)
+class Loop:
+    """The closed servo loop, theta/d, as one LTI recursion.
+
+    e[n] = d[n] + theta[n-1] + theta[n-K]; S1 += e dt; S2 += S1 dt;
+    theta[n] = -(kp e[n] + ki S1[n] + kii S2[n]) / 2, the per-sample
+    recursion of the reference engine. With m integrators in use the
+    servo is N(z)/(1 - z^-1)^m, so (b, a) = (-N, (1 - z^-1)^m +
+    N (z^-1 + z^-K)); a gain of zero removes its integrator and with it
+    the common (1 - z^-1) factor, leaving no pole at z = 1.
+    """
+
+    b: np.ndarray
+    a: np.ndarray
+    k: int
+    stable: bool
+
+    @classmethod
+    def from_servo(cls, servo: ServoConfig, dt: float, k: int) -> Loop:
+        m = 2 if servo.kii > 0 else 1 if servo.ki > 0 else 0
+        num = np.zeros(m + 1)
+        for j, gain in enumerate((servo.kp, servo.ki * dt, servo.kii * dt * dt)[: m + 1]):
+            num[: m + 1 - j] += gain * np.poly(np.ones(m - j))  # (1 - z^-1)^(m-j)
+        n = 0.5 * num
+        a = np.zeros(k + m + 1)
+        a[: m + 1] = np.poly(np.ones(m))
+        a[1 : m + 2] += n
+        a[k : k + m + 1] += n
+        return cls(-n, a, k, _schur_stable(a))
+
+    def error(self, d: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Round-trip servo error: the forcing plus both passes of the correction."""
+        return d + _int_shift(theta, 1) + _int_shift(theta, self.k)
 
 
 @dataclass(frozen=True)
@@ -104,8 +154,11 @@ class LinkConfig:
                 "explicit t_one_way_s is sub-sample at this fs_hz; "
                 "use link_length_m for physical sub-sample delays"
             )
-        if self.servo.enabled and self.servo.ki * self.dt_s >= 2.0:
-            raise ConfigError("servo ki too large for fs_hz (discrete loop unstable)")
+        if self.servo.enabled and not self.loop.stable:
+            raise ConfigError(
+                f"servo loop unstable: kp={self.servo.kp:g}, ki={self.servo.ki:g}/s, kii={self.servo.kii:g}/s^2 "
+                f"at fs_hz={self.fs_hz:g} with a {self.loop.k}-sample round trip"
+            )
 
     @property
     def t_one_way(self) -> float:
@@ -124,6 +177,22 @@ class LinkConfig:
     @property
     def beat_hz(self) -> float:
         return self.nu_lo_hz + self.nu_rm_hz
+
+    @cached_property
+    def loop(self) -> Loop:
+        """The servo loop; its round-trip term lags K samples (K = 1 when approximated)."""
+        k = 1 if self.approximate_roundtrip else max(1, int(round(2.0 * self.t_one_way * self.fs_hz)))
+        return Loop.from_servo(self.servo, self.dt_s, k)
+
+    @property
+    def carrier_scale(self) -> float:
+        """Correction seen at nu_s per rad the actuator applies at nu_p.
+
+        A doppler (AOM) correction is an integrated frequency offset, the
+        same phase at every carrier; a group-delay (stretcher) correction
+        is a delay, whose phase scales as nu_s/nu_p; "none" corrects nothing.
+        """
+        return {"doppler": 1.0, "group-delay": self.nu_s_hz / self.nu_p_hz}.get(self.actuator, 0.0)
 
 
 @dataclass
@@ -175,16 +244,11 @@ class NoiseInputs:
 class LinkState:
     """Mutable per-run state: delay bookkeeping, servo and actuator."""
 
-    config: LinkConfig
     t_samples: float
-    k_roundtrip: int
     warmup_samples: int
     integ1: float = 0.0
     integ2: float = 0.0
     act_phase_rad: float = 0.0
-    dnu_lo_hz: float = 0.0
-    tau_c_s: float = 0.0
-    idx: int = 0
     clamped: bool = False
     fault: bool = False
     flags: list = field(default_factory=list)
@@ -202,7 +266,6 @@ class LinkTrace:
     t0_s: float
     error_rad: np.ndarray
     act_phase_rad: np.ndarray
-    dnu_lo_hz: np.ndarray
     warmup_samples: int
     mode: str
     engine: str
@@ -213,8 +276,6 @@ class LinkTrace:
 def make_link(config: LinkConfig) -> LinkState:
     """Initialize run state; reports delay representation and warm-up."""
     t_samples = config.t_one_way * config.fs_hz
-    k_exact = max(1, int(round(2.0 * t_samples)))
-    k = 1 if config.approximate_roundtrip else k_exact
     settle = 0
     if config.servo.enabled and config.servo.ki > 0:
         tau = 1.0 / config.servo.ki
@@ -230,30 +291,20 @@ def make_link(config: LinkConfig) -> LinkState:
         "link state: T=%.6g s (%.4g samples), roundtrip_delay=%d samples, warmup=%d",
         config.t_one_way,
         t_samples,
-        k,
+        config.loop.k,
         warmup,
     )
-    return LinkState(config, t_samples, k, warmup)
-
-
-def error_signal(phi_p_now, phi_p_roundtrip, atm_now, atm_roundtrip, act_now, act_roundtrip):
-    """Round-trip servo error in rad.
-
-    Mixing the returned primary beat with the 2*nu_lo + 2*nu_rm local
-    oscillator cancels all nominal carriers, leaving the primary
-    self-delay term plus both passes of the actuator and of the
-    atmospheric piston phase.
-    """
-    return (phi_p_roundtrip - phi_p_now) + (act_now + act_roundtrip) + (atm_now + atm_roundtrip)
+    return LinkState(t_samples, warmup)
 
 
 def servo_update(servo: ServoConfig, error: float, dt: float, state: LinkState) -> float:
     """Advance the PI(+I^2) controller one step; returns the phase command.
 
-    The command opposes the error and carries the 1/2 factor that
-    accounts for the correction being seen twice per round trip. A
-    non-finite error opens the loop (command frozen) and flags the run;
-    integral contributions clamp at +-ANTI_WINDUP_RAD with a flag.
+    The command is the actuator phase at nu_p and is kept in
+    ``state.act_phase_rad``. It opposes the error and carries the 1/2
+    factor that accounts for the correction being seen twice per round
+    trip. A non-finite error opens the loop (command frozen) and flags
+    the run; integral contributions clamp at +-ANTI_WINDUP_RAD with a flag.
     """
     if not servo.enabled:
         raise ConfigError("servo_update called with a disabled servo")
@@ -277,31 +328,8 @@ def servo_update(servo: ServoConfig, error: float, dt: float, state: LinkState) 
             state.integ2 = math.copysign(lim, state.integ2)
             state.clamped = True
             state.flag("integrator-clamp")
-    return -0.5 * (servo.kp * error + servo.ki * state.integ1 + servo.kii * state.integ2)
-
-
-def apply_actuator(state: LinkState, command: float, carrier_hz: float) -> float:
-    """Apply a phase command (at nu_p) and return the correction at ``carrier_hz``.
-
-    doppler     : the AOM integrates a frequency offset; the accumulated
-                  phase 2*pi*int(dnu_lo) is identical at every optical
-                  carrier.
-    group-delay : the stretcher realizes the command as a correction
-                  delay tau_c, so the phase scales with the carrier,
-                  2*pi*carrier*tau_c.
-    """
-    if carrier_hz <= 0:
-        raise ValueError("carrier_hz must be > 0")
-    mode = state.config.actuator
-    if mode == "none":
-        return 0.0
-    dt = state.config.dt_s
-    state.dnu_lo_hz = (command - state.act_phase_rad) / (2.0 * np.pi * dt)
-    state.act_phase_rad = command
-    if mode == "doppler":
-        return command
-    state.tau_c_s = command / (2.0 * np.pi * state.config.nu_p_hz)
-    return 2.0 * np.pi * carrier_hz * state.tau_c_s
+    state.act_phase_rad = -0.5 * (servo.kp * error + servo.ki * state.integ1 + servo.kii * state.integ2)
+    return state.act_phase_rad
 
 
 def fractional_delay(x: np.ndarray, delay_samples: float, fill: str = "hold") -> np.ndarray:
@@ -341,30 +369,6 @@ def _int_shift(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _loop_coefficients(servo: ServoConfig, dt: float, k_roundtrip: int):
-    """Transfer function theta/d of the closed loop as lfilter (b, a).
-
-    Derived from the per-sample recursion used by the reference engine:
-    e_n = d_n + theta_{n-1} + theta_{n-K}; S1 += e dt; S2 += S1 dt;
-    theta_n = -(kp e_n + ki S1_n + kii S2_n)/2.
-    """
-    n0 = 0.5 * (servo.kp + servo.ki * dt + servo.kii * dt * dt)
-    n1 = 0.5 * (-2.0 * servo.kp - servo.ki * dt)
-    n2 = 0.5 * servo.kp
-    b = np.array([-n0, -n1, -n2])
-    a = np.zeros(k_roundtrip + 3)
-    a[0] = 1.0
-    a[1] -= 2.0
-    a[2] += 1.0
-    a[1] += n0
-    a[2] += n1
-    a[3] += n2
-    a[k_roundtrip] += n0
-    a[k_roundtrip + 1] += n1
-    a[k_roundtrip + 2] += n2
-    return b, a
-
-
 def _forcing_and_measurement_parts(config: LinkConfig, inputs: NoiseInputs):
     """Precompute the delayed noise combinations feeding error and measurement."""
     ts = config.t_one_way * config.fs_hz
@@ -376,21 +380,12 @@ def _forcing_and_measurement_parts(config: LinkConfig, inputs: NoiseInputs):
     return d, m_base, ts
 
 
-def _assemble_outputs(config, mode, d, m_base, ts, theta, state, engine):
+def _assemble_outputs(config, mode, m_base, ts, theta, err, state, engine):
     dt = config.dt_s
-    k = state.k_roundtrip
-    err = d + _int_shift(theta, 1) + _int_shift(theta, k)
-    if mode == "doppler":
-        scale = 1.0
-    elif mode == "group-delay":
-        scale = config.nu_s_hz / config.nu_p_hz
-    else:
-        scale = 0.0
     # theta[n] takes effect at sample n+1 (the same convention the error
     # path uses), so the correction seen at transmission time t-T is
     # theta delayed by T plus that one sample.
-    m = m_base + scale * fractional_delay(theta, ts + 1.0, fill="zero")
-    dnu = np.diff(theta, prepend=0.0) / (2.0 * np.pi * dt)
+    m = m_base + config.carrier_scale * fractional_delay(theta, ts + 1.0, fill="zero")
     w = state.warmup_samples
     flagged = bool(state.flags)
     if flagged:
@@ -401,7 +396,6 @@ def _assemble_outputs(config, mode, d, m_base, ts, theta, state, engine):
         t0_s=w * dt,
         error_rad=err[w:],
         act_phase_rad=theta[w:],
-        dnu_lo_hz=dnu[w:],
         warmup_samples=w,
         mode=mode,
         engine=engine,
@@ -412,53 +406,45 @@ def _assemble_outputs(config, mode, d, m_base, ts, theta, state, engine):
 
 
 def _run_reference(config, mode, d, state):
-    """Per-sample loop composed of the public op functions (slow, clamping)."""
+    """Per-sample loop through the public servo_update (slow, clamping)."""
     n = d.size
     dt = config.dt_s
-    k = state.k_roundtrip
-    servo_on = mode != "unstabilized" and config.servo.enabled
+    k = config.loop.k
+    servo_on = mode != "unstabilized"
     theta = np.zeros(n)
+    err = np.empty(n)
     for i in range(n):
-        a_now = theta[i - 1] if i >= 1 else 0.0
-        a_rt = a_now if config.approximate_roundtrip else (theta[i - k] if i >= k else 0.0)
-        e = d[i] + a_now + a_rt
+        # theta is written in order, so theta[i - 1] and theta[i - k]
+        # before t=0 wrap to not-yet-written zeros at the array's end
+        e = d[i] + theta[i - 1] + theta[i - k]
         if abs(e) > ERROR_DIVERGENCE_RAD or not np.isfinite(e):
             state.flag("error-divergence" if np.isfinite(e) else "non-finite")
         if servo_on:
-            cmd = servo_update(config.servo, e, dt, state)
-            # at the primary carrier both actuator types return the command
-            theta[i] = apply_actuator(state, cmd, config.nu_p_hz)
-        state.idx = i
-    return theta
+            theta[i] = servo_update(config.servo, e, dt, state)
+        err[i] = e
+    return theta, err
 
 
 def _run_fast(config, mode, d, state):
-    """Closed-loop solution via lfilter; exact while no clamp engages."""
-    servo_on = mode != "unstabilized" and config.servo.enabled
-    n = d.size
-    if not servo_on:
-        return np.zeros(n), True
-    b, a = _loop_coefficients(config.servo, config.dt_s, state.k_roundtrip)
-    theta = _signal.lfilter(b, a, d)
-    err = d + _int_shift(theta, 1) + _int_shift(theta, state.k_roundtrip)
-    ok = True
+    """Closed-loop solution via lfilter; exact while no flag is raised."""
+    if mode == "unstabilized":
+        return np.zeros(d.size), d
+    loop = config.loop
+    theta = _signal.lfilter(loop.b, loop.a, d)
+    err = loop.error(d, theta)
     if not np.all(np.isfinite(theta)):
         state.flag("non-finite")
-        ok = False
     else:
         if np.max(np.abs(err)) > ERROR_DIVERGENCE_RAD:
             state.flag("error-divergence")
-            ok = False
         s1 = np.cumsum(err) * config.dt_s
         if config.servo.ki > 0 and np.max(np.abs(config.servo.ki * s1)) > ANTI_WINDUP_RAD:
             state.flag("integrator-clamp")
-            ok = False
         elif config.servo.kii > 0:
             s2 = np.cumsum(s1) * config.dt_s
             if np.max(np.abs(config.servo.kii * s2)) > ANTI_WINDUP_RAD:
                 state.flag("integrator-clamp")
-                ok = False
-    return theta, ok
+    return theta, err
 
 
 def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str | None = None, engine: str = "fast"):
@@ -468,8 +454,9 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str | None = None, e
     (default: the configured actuator). The fast engine solves the loop
     as an LTI recursion; whenever a clamp or fault condition fires it
     falls back to the per-sample reference engine so the nonlinear
-    clamp behavior and flags are honest. Identical config and inputs
-    give bit-identical outputs.
+    clamp behavior and flags are honest, and the trace names the
+    engine that produced the result. Identical config and inputs give
+    bit-identical outputs.
     """
     if mode is None:
         mode = "unstabilized" if config.actuator == "none" else config.actuator
@@ -480,26 +467,25 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str | None = None, e
             raise ConfigError("stabilized modes require an enabled servo")
         if config.actuator != mode:
             config = replace(config, actuator=mode)
-    if len(inputs) != inputs.dt_atm.size or len(inputs.phi_p) != len(inputs):
-        raise ValueError("inconsistent input lengths")
     state = make_link(config)
     if len(inputs) < state.warmup_samples + 16:
         raise ValueError("inputs shorter than warm-up; lengthen the run")
     d, m_base, ts = _forcing_and_measurement_parts(config, inputs)
     if engine == "reference":
-        theta = _run_reference(config, mode, d, state)
+        theta, err = _run_reference(config, mode, d, state)
     elif engine == "fast":
-        theta, ok = _run_fast(config, mode, d, state)
-        if not ok:
+        theta, err = _run_fast(config, mode, d, state)
+        if state.flags:
             _log.warning("fast path flagged (%s); re-running reference engine", state.flags)
             ref_state = make_link(config)
-            theta = _run_reference(config, mode, d, ref_state)
+            theta, err = _run_reference(config, mode, d, ref_state)
             for fl in state.flags:
                 ref_state.flag(fl)
             state = ref_state
+            engine = "reference"
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    return _assemble_outputs(config, mode, d, m_base, ts, theta, state, engine)
+    return _assemble_outputs(config, mode, m_base, ts, theta, err, state, engine)
 
 
 def atmosphere_from_psd(model: PsdModel, nu_ref_hz: float, fs_hz: float, n: int, seed) -> np.ndarray:

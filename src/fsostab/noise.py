@@ -230,11 +230,6 @@ class SpectrumEstimate:
         return float(np.sum(self.psd) * df)
 
 
-def eval_psd(model: PsdModel, f):
-    """Piecewise power-law PSD value at ``f`` (model units)."""
-    return model.eval(f)
-
-
 def freq_noise_to_phase_noise(model: PsdModel) -> PsdModel:
     """Convert a frequency-noise model to phase noise: S_phi = S_nu / f^2."""
     if model.kind != FREQUENCY_NOISE:

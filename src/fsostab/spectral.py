@@ -87,6 +87,12 @@ def meas_transfer_atm(f, t_delay_s, variant="derived"):
     raise ValueError(f"unknown atmospheric variant {variant!r}")
 
 
+def _source_psds(models: dict, f: np.ndarray):
+    """(primary, secondary, atmosphere) PSDs on ``f``; a zero model is zero at any f."""
+    names = ("primary", "secondary", "atmosphere")
+    return [np.zeros_like(f) if models[n].is_zero else models[n].eval(f) for n in names]
+
+
 def predicted_measurement_psd(models: dict, t_delay_s: float, f_grid, atm_variant="derived"):
     """Per-source predicted measurement PSD curves and their sum.
 
@@ -99,9 +105,7 @@ def predicted_measurement_psd(models: dict, t_delay_s: float, f_grid, atm_varian
     "atm_printed", "atm_derived", "total"; the total uses ``atm_variant``.
     """
     f = np.asarray(f_grid, dtype=float)
-    s_p = models["primary"].eval(f) if not models["primary"].is_zero else np.zeros_like(f)
-    s_s = models["secondary"].eval(f) if not models["secondary"].is_zero else np.zeros_like(f)
-    s_a = models["atmosphere"].eval(f) if not models["atmosphere"].is_zero else np.zeros_like(f)
+    s_p, s_s, s_a = _source_psds(models, f)
     curves = {
         "freqs": f,
         "primary": meas_transfer_primary(f, t_delay_s) * s_p,
@@ -130,9 +134,7 @@ def predicted_mode_psd(models: dict, t_delay_s: float, nu_p_hz: float, nu_s_hz: 
     """
     f = np.asarray(f_grid, dtype=float)
     ratio = nu_s_hz / nu_p_hz
-    s_p = models["primary"].eval(f) if not models["primary"].is_zero else np.zeros_like(f)
-    s_s = models["secondary"].eval(f) if not models["secondary"].is_zero else np.zeros_like(f)
-    s_a = models["atmosphere"].eval(f) if not models["atmosphere"].is_zero else np.zeros_like(f)
+    s_p, s_s, s_a = _source_psds(models, f)
     sec = meas_transfer_secondary(f, t_delay_s) * s_s
     if mode == "unstabilized":
         return sec + ratio**2 * s_a

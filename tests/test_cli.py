@@ -1,16 +1,23 @@
 """CLI subcommands, config validation, exit codes, rerun determinism."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fsostab.cli import EXIT_FLAGGED, EXIT_OK, EXIT_VALIDATION, main
-from fsostab.config import load_config, psd_model_to_dict, resolved_dict
+from fsostab.config import (
+    link_config_from_dict,
+    link_config_to_dict,
+    load_config,
+    psd_model_to_dict,
+    resolved_dict,
+)
 from fsostab.errors import ConfigError
 from fsostab.experiment import calibrate_default_models
-from fsostab.link import LinkConfig
+from fsostab.link import LinkConfig, ServoConfig
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -72,6 +79,19 @@ class TestParseConfig:
         p = write_cfg(tmp_path, {"servo": {"bandwidth_hint_hz": 100.0}, "fs_hz": 10e3})
         cfg, _, _ = load_config(p)
         assert cfg.servo.ki == pytest.approx(2 * np.pi * 100.0, rel=1e-9)
+        p = write_cfg(tmp_path, {"servo": {"bandwidth_hint_hz": 100.0, "ki_per_s": 500.0}, "fs_hz": 10e3})
+        cfg, _, _ = load_config(p)
+        assert cfg.servo.ki == 500.0
+
+    def test_config_dict_roundtrip(self):
+        for cfg in (
+            LinkConfig(nu_s_hz=197.2e12, actuator="group-delay", servo=ServoConfig(kp=0.3, ki=800.0, kii=1e4)),
+            LinkConfig(t_one_way_s=2e-3, link_length_m=None, approximate_roundtrip=False, n_samples=4096),
+            LinkConfig(actuator="none", servo=ServoConfig(enabled=False)),
+        ):
+            d = link_config_to_dict(cfg)
+            assert ("t_one_way_s" in d) != ("link_length_m" in d)
+            assert link_config_from_dict(json.loads(json.dumps(d))) == cfg
 
     def test_manifest_replay(self, tmp_path):
         cfg = LinkConfig(fs_hz=20000.0, n_samples=2**15)
@@ -145,9 +165,10 @@ class TestSubcommands:
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == EXIT_VALIDATION
 
     def test_flagged_exit_code(self, tmp_path):
-        # unstable exact-roundtrip loop must exit 3, not crash
-        cfg = write_cfg(
-            tmp_path,
+        # gains that make the closed loop unstable fail validation (exit 1)
+        # instead of running until the phase overflows
+        unstable = [
+            # exact round trip, K = 200: pole at z = 1.0036
             {
                 "t_one_way_s": 0.1,
                 "fs_hz": 1000.0,
@@ -155,9 +176,28 @@ class TestSubcommands:
                 "approximate_roundtrip": False,
                 "servo": {"kp": 0.9, "ki_per_s": 900.0},
             },
+            # proportional gain alone: pole at z = -2.87
+            {"servo": {"kp": 2.5}, "fs_hz": 20000, "n_samples": 65536},
+        ]
+        for i, data in enumerate(unstable):
+            cfg = write_cfg(tmp_path, data, name=f"unstable{i}.json")
+            rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / f"f{i}"), "--seed", "2"])
+            assert rc == EXIT_VALIDATION
+
+    def test_runtime_flag_exit_code(self, tmp_path):
+        # a stable loop under an atmosphere 1e14 x the calibrated level
+        # diverges at run time: flagged result, exit 3
+        models = calibrate_default_models()
+        atm = models["atmosphere"]
+        models["atmosphere"] = replace(atm, segments=tuple(replace(s, level=s.level * 1e14) for s in atm.segments))
+        cfg = write_cfg(
+            tmp_path,
+            {"n_samples": 32768, "models": {name: psd_model_to_dict(m) for name, m in models.items()}},
         )
-        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "f"), "--seed", "2"])
+        out = tmp_path / "f"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "2", "--mode", "doppler"])
         assert rc == EXIT_FLAGGED
+        assert (out / "manifest.json").exists()
 
     def test_compare_scaled_mode(self, tmp_path, capsys):
         out = tmp_path / "cmp"

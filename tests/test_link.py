@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from fsostab.errors import ConfigError
+from fsostab.experiment import calibrate_default_models
 from fsostab.link import (
     ANTI_WINDUP_RAD,
+    ERROR_DIVERGENCE_RAD,
     SPEED_OF_LIGHT_M_S,
     LinkConfig,
+    Loop,
     NoiseInputs,
     ServoConfig,
-    apply_actuator,
     atmosphere_from_psd,
-    error_signal,
     fractional_delay,
     make_link,
     run_link,
@@ -83,23 +86,55 @@ class TestMakeLink:
         with pytest.raises(ConfigError):
             LinkConfig(fs_hz=1000.0, servo=ServoConfig(ki=5000.0))
 
+    def test_unstable_proportional_gain_rejected(self):
+        # kp alone puts a closed-loop pole at z = -2.87; ki*dt is small
+        with pytest.raises(ConfigError, match=r"kp=2\.5.*fs_hz=20000.*1-sample"):
+            LinkConfig(servo=ServoConfig(kp=2.5), fs_hz=20000.0, n_samples=65536)
+
+    def test_stability_verdict_matches_poles(self):
+        rng = np.random.default_rng(8)
+        verdicts = set()
+        for _ in range(300):
+            servo = ServoConfig(
+                kp=rng.uniform(0, 2),
+                ki=rng.choice([0.0, rng.uniform(0, 2e3)]),
+                kii=rng.choice([0.0, rng.uniform(0, 2e5)]),
+            )
+            loop = Loop.from_servo(servo, 1e-3, int(rng.integers(1, 40)))
+            radius = np.max(np.abs(np.roots(loop.a)))
+            if abs(radius - 1.0) > 1e-6:
+                assert loop.stable == (radius < 1.0)
+                verdicts.add(loop.stable)
+        assert verdicts == {True, False}
+
+    def test_unused_integrators_leave_no_pole_at_one(self):
+        for servo in (ServoConfig(kp=0.3, ki=0.0), ServoConfig(kp=0.2, ki=1e4), ServoConfig(kii=2e7)):
+            loop = Loop.from_servo(servo, 5e-5, 3)
+            assert np.min(np.abs(np.roots(loop.a) - 1.0)) > 1e-3
+
 
 class TestErrorSignal:
+    # the error is the forcing with the loop open: unstabilized runs expose it
     def test_all_quiet(self):
-        assert error_signal(0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
+        cfg = scaled_config()
+        _, tr = run_link(cfg, quiet_inputs(cfg.n_samples, cfg.fs_hz), mode="unstabilized")
+        assert np.all(tr.error_rad == 0.0)
 
     def test_static_atmosphere_counts_twice(self):
         d = 2.0e-15
         g = 2 * np.pi * NU_P * d
-        assert error_signal(0.0, 0.0, g, g, 0.0, 0.0) == pytest.approx(2 * g, rel=1e-12)
+        cfg = scaled_config()
+        inp = quiet_inputs(cfg.n_samples, cfg.fs_hz, dt_atm=np.full(cfg.n_samples, d))
+        _, tr = run_link(cfg, inp, mode="unstabilized")
+        assert np.allclose(tr.error_rad, 2 * g, rtol=1e-12, atol=0)
 
     def test_primary_ramp(self):
         # constant frequency offset dnu: phase ramp phi(t) = 2 pi dnu t
-        dnu, t, big_t = 3.0, 1.0, 0.01
-        phi_now = 2 * np.pi * dnu * t
-        phi_rt = 2 * np.pi * dnu * (t - 2 * big_t)
-        e = error_signal(phi_now, phi_rt, 0.0, 0.0, 0.0, 0.0)
-        assert e == pytest.approx(-dnu * 2 * np.pi * 2 * big_t, rel=1e-9)
+        dnu = 3.0
+        cfg = scaled_config()
+        phi_p = 2 * np.pi * dnu * np.arange(cfg.n_samples) / cfg.fs_hz
+        _, tr = run_link(cfg, quiet_inputs(cfg.n_samples, cfg.fs_hz, phi_p=phi_p), mode="unstabilized")
+        assert np.allclose(tr.error_rad, -dnu * 2 * np.pi * 2 * cfg.t_one_way, rtol=1e-9, atol=0)
 
 
 class TestServoUpdate:
@@ -146,26 +181,20 @@ class TestServoUpdate:
 
 
 class TestApplyActuator:
+    # the actuator's only physics is the scale of its correction at nu_s
     def test_doppler_carrier_independent(self):
-        state = make_link(scaled_config())
-        p1 = apply_actuator(state, 0.7, 193.1e12)
-        state2 = make_link(scaled_config())
-        p2 = apply_actuator(state2, 0.7, 197.2e12)
-        assert p1 == p2 == 0.7
+        for nu_s in (193.1e12, 197.2e12):
+            assert scaled_config(nu_s_hz=nu_s).carrier_scale == 1.0
 
     def test_group_delay_scales_with_carrier(self):
-        cfg = scaled_config(actuator="group-delay")
-        state = make_link(cfg)
-        phi0 = 0.7
-        apply_actuator(state, phi0, cfg.nu_p_hz)
-        corr = apply_actuator(state, phi0, 197.2e12)
-        assert corr == pytest.approx(phi0 * 197.2e12 / cfg.nu_p_hz, rel=1e-12)
-        assert state.tau_c_s == pytest.approx(phi0 / (2 * np.pi * cfg.nu_p_hz), rel=1e-12)
+        cfg = scaled_config(actuator="group-delay", nu_s_hz=197.2e12)
+        assert cfg.carrier_scale == pytest.approx(197.2e12 / cfg.nu_p_hz, rel=1e-12)
+        cfg = scaled_config(actuator="none", servo=ServoConfig(enabled=False), nu_s_hz=197.2e12)
+        assert cfg.carrier_scale == 0.0
 
     def test_bad_carrier(self):
-        state = make_link(scaled_config())
-        with pytest.raises(ValueError):
-            apply_actuator(state, 0.1, 0.0)
+        with pytest.raises(ConfigError):
+            scaled_config(nu_s_hz=0.0)
 
 
 class TestFractionalDelay:
@@ -265,18 +294,40 @@ class TestRunLink:
 
     def test_instability_is_flagged_not_silent(self):
         # exact round-trip actuator with a loop delay and far too much
-        # gain: the loop diverges and the run must say so
-        cfg = scaled_config(
-            n=8192,
-            fs=1000.0,
-            t_samples=100,
-            approximate_roundtrip=False,
-            servo=ServoConfig(kp=0.9, ki=900.0),
-        )
-        inp = quiet_inputs(cfg.n_samples, cfg.fs_hz, dt_atm=np.full(cfg.n_samples, 1e-15))
+        # gain (pole at z = 1.0036): rejected before anything runs
+        with pytest.raises(ConfigError, match=r"kp=0\.9, ki=900/s.*fs_hz=1000.*200-sample"):
+            scaled_config(
+                n=8192,
+                fs=1000.0,
+                t_samples=100,
+                approximate_roundtrip=False,
+                servo=ServoConfig(kp=0.9, ki=900.0),
+            )
+
+    def test_runtime_divergence_falls_back_to_reference(self):
+        # a stable loop driven past ERROR_DIVERGENCE_RAD is flagged, and
+        # the result comes from the per-sample reference engine
+        cfg = scaled_config()
+        g = 2 * np.pi * NU_P * 1e-9
+        assert 2 * g > ERROR_DIVERGENCE_RAD
+        inp = quiet_inputs(cfg.n_samples, cfg.fs_hz, dt_atm=np.full(cfg.n_samples, 1e-9))
         m, tr = run_link(cfg, inp, mode="doppler")
-        assert tr.flagged
-        assert any("divergence" in f or "clamp" in f or "finite" in f for f in tr.flags)
+        assert tr.flagged and "error-divergence" in tr.flags
+        assert tr.engine == "reference"
+        assert np.all(np.isfinite(m.samples))
+        _, tr_fast = run_link(cfg, quiet_inputs(cfg.n_samples, cfg.fs_hz), mode="doppler")
+        assert tr_fast.engine == "fast"
+
+    def test_engines_agree_without_marginal_pole(self):
+        # kii = 0 once left a common (1 - z^-1) factor, a pole on the
+        # unit circle, in the fast engine: 1.4e-9 rad apart at 0.55 rad rms
+        cfg = LinkConfig(t_one_way_s=1e-3, link_length_m=None, fs_hz=20e3, n_samples=2**16)
+        inp = NoiseInputs.from_models(calibrate_default_models(), cfg.fs_hz, cfg.n_samples, 11, cfg.nu_p_hz)
+        m_fast, t_fast = run_link(cfg, inp, mode="doppler")
+        m_ref, t_ref = run_link(cfg, inp, mode="doppler", engine="reference")
+        assert (t_fast.engine, t_ref.engine) == ("fast", "reference")
+        assert np.max(np.abs(t_fast.error_rad - t_ref.error_rad)) < 1e-11
+        assert np.max(np.abs(m_fast.samples - m_ref.samples)) < 1e-11
 
     def test_length_mismatch_rejected(self):
         fs = 1000.0
@@ -323,6 +374,39 @@ class TestAtmosphereFromPsd:
         phase_at_p = 2 * np.pi * NU_P * dt
         phase_at_s = 2 * np.pi * 197.2e12 * dt
         assert np.allclose(phase_at_s, phase_at_p * (197.2e12 / NU_P), rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    kp=st.floats(0.0, 1.0),
+    ki_dt=st.one_of(st.just(0.0), st.floats(0.05, 0.5)),
+    kii_ratio=st.one_of(st.just(0.0), st.floats(0.02, 0.5)),
+    k=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engines_agree_on_random_stable_loops(kp, ki_dt, kii_ratio, k, seed):
+    fs, n = 1000.0, 2048
+    # kii dt^2 as a fraction of ki dt keeps the integrator settling inside the warm-up cap
+    servo = ServoConfig(kp=kp, ki=ki_dt * fs, kii=kii_ratio * max(ki_dt, 0.05) * fs * fs)
+    try:
+        cfg = scaled_config(n=n, fs=fs, t_samples=max(k, 2) / 2, approximate_roundtrip=k == 1, servo=servo)
+        make_link(cfg)
+    except ConfigError:
+        assume(False)
+    assume(np.max(np.abs(np.roots(cfg.loop.a))) < 0.999)
+    rng = np.random.default_rng(seed)
+    inp = NoiseInputs(
+        PhaseSeries(np.cumsum(rng.standard_normal(n)) * 0.01, fs),
+        PhaseSeries(np.cumsum(rng.standard_normal(n)) * 0.01, fs),
+        np.cumsum(rng.standard_normal(n)) * 1e-16,
+        fs,
+    )
+    m_fast, t_fast = run_link(cfg, inp, mode="doppler")
+    m_ref, t_ref = run_link(cfg, inp, mode="doppler", engine="reference")
+    assert not t_fast.flagged and t_fast.engine == "fast"
+    scale = 1.0 + np.max(np.abs(m_ref.samples))
+    assert np.max(np.abs(m_fast.samples - m_ref.samples)) < 1e-9 * scale
+    assert np.max(np.abs(t_fast.error_rad - t_ref.error_rad)) < 1e-9 * scale
 
 
 def _mini_models():

@@ -17,7 +17,6 @@ from fsostab.noise import (
     PsdModel,
     PsdSegment,
     estimate_psd,
-    eval_psd,
     freq_noise_to_phase_noise,
     ssb_phase_noise,
     synthesize_phase_noise,
@@ -31,24 +30,24 @@ def single_slope(level_at_10, exponent, kind=PHASE_NOISE, f_min=1e-3, f_max=1e4)
 class TestPsdModel:
     def test_anchor_value(self):
         m = single_slope(0.178, -8.0 / 3.0)
-        assert eval_psd(m, 10.0) == pytest.approx(0.178, rel=1e-12)
+        assert m.eval(10.0) == pytest.approx(0.178, rel=1e-12)
 
     def test_flat_model(self):
         m = PsdModel.flat(PHASE_NOISE, 2.5, 0.1, 100.0)
         for f in (0.1, 1.0, 42.0, 100.0):
-            assert eval_psd(m, f) == 2.5
+            assert m.eval(f) == 2.5
 
     def test_slope_scaling(self):
         m = single_slope(1.0, -2.0)
-        assert eval_psd(m, 100.0) == pytest.approx(1e-2, rel=1e-12)
-        assert eval_psd(m, 1.0) == pytest.approx(100.0, rel=1e-12)
+        assert m.eval(100.0) == pytest.approx(1e-2, rel=1e-12)
+        assert m.eval(1.0) == pytest.approx(100.0, rel=1e-12)
 
     def test_continuity_across_break(self):
         m = PsdModel.from_anchor(
             PHASE_NOISE, 10.0, 0.178, [(1e-3, -8.0 / 3.0), (80.0, -17.0 / 3.0)], 1e-3, 1e4
         )
-        below = eval_psd(m, 80.0 * (1 - 1e-9))
-        above = eval_psd(m, 80.0 * (1 + 1e-9))
+        below = m.eval(80.0 * (1 - 1e-9))
+        above = m.eval(80.0 * (1 + 1e-9))
         assert below == pytest.approx(above, rel=1e-6)
 
     def test_discontinuous_model_rejected(self):
@@ -78,9 +77,9 @@ class TestPsdModel:
     def test_out_of_range(self):
         m = single_slope(1.0, -1.0)
         with pytest.raises(OutOfRangeError):
-            eval_psd(m, 1e5)
+            m.eval(1e5)
         with pytest.raises(OutOfRangeError):
-            eval_psd(m, 1e-4)
+            m.eval(1e-4)
 
     def test_extension_follows_nearest_slope(self):
         m = single_slope(1.0, -2.0, f_min=1.0, f_max=100.0)
@@ -99,12 +98,12 @@ class TestFreqToPhase:
         m = PsdModel(FREQUENCY_NOISE, 10.0, (PsdSegment(1e-3, 0.0, 100.0),), 1e-3, 1e4)
         p = freq_noise_to_phase_noise(m)
         assert p.kind == PHASE_NOISE
-        assert eval_psd(p, 10.0) == pytest.approx(1.0, rel=1e-12)
+        assert p.eval(10.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_unit_point(self):
         m = PsdModel(FREQUENCY_NOISE, 1.0, (PsdSegment(1e-3, 0.0, 1.0),), 1e-3, 1e3)
         p = freq_noise_to_phase_noise(m)
-        assert eval_psd(p, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert p.eval(1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_white_becomes_minus_two(self):
         m = PsdModel(FREQUENCY_NOISE, 10.0, (PsdSegment(1e-3, 0.0, 7.0),), 1e-3, 1e4)
