@@ -215,7 +215,7 @@ def _cmd_identity_check(args):
 def _cmd_compare(args):
     config, models, experiment = _build(args)
     out = _out_dir(args, "compare")
-    mode = args.mode or ("unstabilized" if config.actuator == "none" else config.actuator)
+    mode = args.mode or "doppler"
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
     meas, trace = run_link(config, inputs, mode=mode)

@@ -2,10 +2,12 @@
 
 Configs are JSON with explicit unit suffixes in every key name
 (*_hz, *_m, *_s) so unit mistakes are visible at the call site. An
-empty file resolves to the experiment defaults (193.1 THz primary,
-75 MHz / -85 MHz shifters, 150 m channel, 19-channel grid). Unknown
-keys are rejected by name. A manifest written by a previous run can be
-passed back in as the config: its resolved snapshot is used verbatim.
+empty file resolves to the experiment defaults (193.1 THz primary and
+secondary, 150 m channel, 20 kHz sampling, 19-channel grid). Unknown
+keys are rejected by name. Frequency-noise models are converted to
+phase noise on load, so every model downstream is a phase PSD. A
+manifest written by a previous run can be passed back in as the
+config: its resolved snapshot is used verbatim.
 """
 
 from __future__ import annotations
@@ -16,18 +18,15 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .link import LinkConfig, ServoConfig
-from .noise import PsdModel, PsdSegment
+from .noise import FREQUENCY_NOISE, PsdModel, PsdSegment, freq_noise_to_phase_noise
 
 #: JSON key -> (field name, type) of the fields mapped one-to-one; this
 #: table drives unknown-key rejection and both directions of the mapping.
 _LINK_FIELDS = {
     "nu_p_hz": ("nu_p_hz", float),
     "nu_s_hz": ("nu_s_hz", float),
-    "nu_lo_hz": ("nu_lo_hz", float),
-    "nu_rm_hz": ("nu_rm_hz", float),
     "link_length_m": ("link_length_m", float),
     "t_one_way_s": ("t_one_way_s", float),
-    "actuator": ("actuator", str),
     "fs_hz": ("fs_hz", float),
     "n_samples": ("n_samples", int),
     "approximate_roundtrip": ("approximate_roundtrip", bool),
@@ -36,7 +35,6 @@ _SERVO_FIELDS = {
     "kp": ("kp", float),
     "ki_per_s": ("ki", float),
     "kii_per_s2": ("kii", float),
-    "enabled": ("enabled", bool),
 }
 _LINK_KEYS = set(_LINK_FIELDS) | {"servo", "duration_s", "models", "experiment"}
 _SERVO_KEYS = set(_SERVO_FIELDS) | {"bandwidth_hint_hz"}
@@ -53,6 +51,7 @@ def _reject_unknown(d: dict, allowed: set, where: str):
 
 
 def psd_model_from_dict(d: dict, where: str = "model") -> PsdModel:
+    """PsdModel from its JSON form; a frequency-noise model comes back as its phase-noise equivalent."""
     _reject_unknown(d, _MODEL_KEYS, where)
     try:
         segments = tuple(
@@ -61,7 +60,7 @@ def psd_model_from_dict(d: dict, where: str = "model") -> PsdModel:
         )
         for s in d["segments"]:
             _reject_unknown(s, _SEGMENT_KEYS, f"{where}.segments")
-        return PsdModel(
+        model = PsdModel(
             kind=d["kind"],
             ref_freq_hz=float(d["ref_freq_hz"]),
             segments=segments,
@@ -70,6 +69,7 @@ def psd_model_from_dict(d: dict, where: str = "model") -> PsdModel:
         )
     except KeyError as exc:
         raise ConfigError(f"missing key {exc} in {where}") from exc
+    return freq_noise_to_phase_noise(model) if model.kind == FREQUENCY_NOISE else model
 
 
 def psd_model_to_dict(model: PsdModel) -> dict:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .errors import OutOfRangeError
+from .errors import ConfigError, OutOfRangeError
 from .link import MODES, LinkConfig, NoiseInputs, run_link
 from .noise import PHASE_NOISE, PsdModel, SpectrumEstimate, estimate_psd, ssb_phase_noise
 
@@ -135,7 +135,6 @@ class ChannelResult:
     """One channel's three paired-mode runs."""
 
     channel_thz: float
-    seed_entropy: object
     spectra: dict  # mode -> SpectrumEstimate
     spots_dbc: dict  # mode -> float
     flags: list = field(default_factory=list)
@@ -191,8 +190,7 @@ def run_three_modes(
         spots[mode] = spot_phase_noise(est, SPOT_FREQ_HZ)
         if trace.flagged:
             flags.extend(f"{mode}:{f}" for f in trace.flags)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return ChannelResult(config.nu_s_hz / 1e12, ss.entropy, spectra, spots, flags)
+    return ChannelResult(config.nu_s_hz / 1e12, spectra, spots, flags)
 
 
 def log_bin_spectrum(est: SpectrumEstimate, points_per_decade: int = 64):
@@ -222,6 +220,8 @@ def channel_sweep(
     ``base_seed``; the three modes inside a channel share realizations.
     """
     channels = list(channels_thz) if channels_thz is not None else list(CHANNEL_GRID_THZ)
+    if not channels:
+        raise ConfigError("channels_thz is empty: a sweep needs at least one channel")
     spots, suppression, spectra, flags = {}, {}, {}, []
     mode_spots = {m: [] for m in MODES}
     for i, ch in enumerate(channels):
@@ -306,63 +306,51 @@ def write_manifest(out_dir: Path, resolved_config: dict, base_seed, outputs: lis
     return path
 
 
-def emit_outputs(result: ScenarioResult | None, out_dir, resolved_config: dict | None = None):
+def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict | None = None):
     """Write sweep CSV, compact spectra CSVs, summary text and a manifest.
 
-    An empty result still gets a manifest but returns status 1 so
-    callers can warn. All CSV content is deterministic; only the
-    manifest carries a timestamp.
+    Returns (output paths, status): status 3 when the result carries
+    flags, else 0. All CSV content is deterministic; only the manifest
+    carries a timestamp.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    status = 0
-    if result is None or not result.spots_dbc:
-        status = 1
-        _log.warning("empty scenario result: writing manifest only")
-    else:
-        sweep_path = out_dir / "sweep.csv"
-        with open(sweep_path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["channel_thz", "mode", "l10_dbc_per_hz", "suppression_db"])
-            for ch in result.channels_thz:
-                for mode in result.modes:
-                    sup = result.suppression_db.get((ch, mode), 0.0)
-                    wr.writerow(
-                        [_fmt(ch), mode, _fmt(result.spots_dbc[(ch, mode)]), _fmt(sup)]
-                    )
-        outputs.append(sweep_path)
-        spec_dir = out_dir / "spectra"
-        spec_dir.mkdir(exist_ok=True)
-        for (ch, mode), (f, p) in sorted(result.spectra.items()):
-            path = spec_dir / f"chan_{ch:.1f}_{mode}.csv"
-            write_spectrum_csv(path, f, p)
-            outputs.append(path)
-        summary_path = out_dir / "summary.txt"
-        lines = [
-            f"spot frequency: {result.spot_freq_hz:g} Hz",
-            f"channels: {len(result.channels_thz)}",
-            f"complete: {result.complete}",
-        ]
-        for mode in result.modes:
-            lines.append(f"{mode}: {result.summaries[mode]}")
-        for mode in result.modes:
-            if mode == "unstabilized":
-                continue
-            sups = [result.suppression_db[(ch, mode)] for ch in result.channels_thz]
-            lines.append(
-                f"suppression[{mode}]: min {min(sups):.2f} dB, mean {np.mean(sups):.2f} dB"
-            )
-        if result.flags:
-            lines.append("flags: " + ",".join(result.flags))
-        summary_path.write_text("\n".join(lines) + "\n")
-        outputs.append(summary_path)
-        if result.flags:
-            status = 3
+    sweep_path = out_dir / "sweep.csv"
+    with open(sweep_path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["channel_thz", "mode", "l10_dbc_per_hz", "suppression_db"])
+        for ch in result.channels_thz:
+            for mode in result.modes:
+                sup = result.suppression_db.get((ch, mode), 0.0)
+                wr.writerow([_fmt(ch), mode, _fmt(result.spots_dbc[(ch, mode)]), _fmt(sup)])
+    outputs = [sweep_path]
+    spec_dir = out_dir / "spectra"
+    spec_dir.mkdir(exist_ok=True)
+    for (ch, mode), (f, p) in sorted(result.spectra.items()):
+        path = spec_dir / f"chan_{ch:.1f}_{mode}.csv"
+        write_spectrum_csv(path, f, p)
+        outputs.append(path)
+    summary_path = out_dir / "summary.txt"
+    lines = [
+        f"spot frequency: {result.spot_freq_hz:g} Hz",
+        f"channels: {len(result.channels_thz)}",
+        f"complete: {result.complete}",
+    ]
+    for mode in result.modes:
+        lines.append(f"{mode}: {result.summaries[mode]}")
+    for mode in result.modes:
+        if mode == "unstabilized":
+            continue
+        sups = [result.suppression_db[(ch, mode)] for ch in result.channels_thz]
+        lines.append(f"suppression[{mode}]: min {min(sups):.2f} dB, mean {np.mean(sups):.2f} dB")
+    if result.flags:
+        lines.append("flags: " + ",".join(result.flags))
+    summary_path.write_text("\n".join(lines) + "\n")
+    outputs.append(summary_path)
     write_manifest(
         out_dir,
         resolved_config or {},
-        result.base_seed if result else None,
+        result.base_seed,
         outputs,
         extra={
             "anchors": {
@@ -372,4 +360,4 @@ def emit_outputs(result: ScenarioResult | None, out_dir, resolved_config: dict |
             }
         },
     )
-    return outputs, status
+    return outputs, 3 if result.flags else 0

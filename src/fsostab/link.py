@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,8 +40,9 @@ ANTI_WINDUP_RAD = 1.0e6
 #: Error magnitude beyond which a run is flagged as diverging.
 ERROR_DIVERGENCE_RAD = 1.0e6
 
+#: The three runs the experiment compares: open loop, AOM (doppler) and
+#: fiber-stretcher (group-delay) correction. The mode alone sets how the loop closes.
 MODES = ("unstabilized", "doppler", "group-delay")
-ACTUATORS = ("none", "doppler", "group-delay")
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class ServoConfig:
     kp: float = 0.2
     ki: float = 1.0e4
     kii: float = 0.0
-    enabled: bool = True
 
     def __post_init__(self):
         if self.kp < 0 or self.ki < 0 or self.kii < 0:
@@ -120,11 +120,8 @@ class LinkConfig:
 
     nu_p_hz: float = 193.1e12
     nu_s_hz: float = 193.1e12
-    nu_lo_hz: float = 75.0e6
-    nu_rm_hz: float = -85.0e6
     link_length_m: float | None = 150.0
     t_one_way_s: float | None = None
-    actuator: str = "doppler"
     servo: ServoConfig = field(default_factory=ServoConfig)
     fs_hz: float = 20.0e3
     n_samples: int = 2**21
@@ -137,14 +134,6 @@ class LinkConfig:
             raise ConfigError("link_length_m and t_one_way_s are mutually exclusive")
         if self.link_length_m is None and self.t_one_way_s is None:
             raise ConfigError("one of link_length_m or t_one_way_s is required")
-        if abs(self.nu_lo_hz + self.nu_rm_hz) <= 0.0:
-            raise ConfigError(
-                "nu_lo_hz + nu_rm_hz must give a nonzero measurement beat"
-            )
-        if self.actuator not in ACTUATORS:
-            raise ConfigError(f"unknown actuator {self.actuator!r}")
-        if self.actuator == "none" and self.servo.enabled:
-            raise ConfigError("actuator 'none' requires the servo to be disabled")
         if self.fs_hz <= 0:
             raise ConfigError("fs_hz must be > 0")
         if self.n_samples < 64:
@@ -154,7 +143,7 @@ class LinkConfig:
                 "explicit t_one_way_s is sub-sample at this fs_hz; "
                 "use link_length_m for physical sub-sample delays"
             )
-        if self.servo.enabled and not self.loop.stable:
+        if not self.loop.stable:
             raise ConfigError(
                 f"servo loop unstable: kp={self.servo.kp:g}, ki={self.servo.ki:g}/s, kii={self.servo.kii:g}/s^2 "
                 f"at fs_hz={self.fs_hz:g} with a {self.loop.k}-sample round trip"
@@ -170,29 +159,21 @@ class LinkConfig:
     def dt_s(self) -> float:
         return 1.0 / self.fs_hz
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.fs_hz
-
-    @property
-    def beat_hz(self) -> float:
-        return self.nu_lo_hz + self.nu_rm_hz
-
     @cached_property
     def loop(self) -> Loop:
         """The servo loop; its round-trip term lags K samples (K = 1 when approximated)."""
         k = 1 if self.approximate_roundtrip else max(1, int(round(2.0 * self.t_one_way * self.fs_hz)))
         return Loop.from_servo(self.servo, self.dt_s, k)
 
-    @property
-    def carrier_scale(self) -> float:
-        """Correction seen at nu_s per rad the actuator applies at nu_p.
+    def carrier_scale(self, mode: str) -> float:
+        """Correction seen at nu_s per rad the actuator applies at nu_p in ``mode``.
 
         A doppler (AOM) correction is an integrated frequency offset, the
         same phase at every carrier; a group-delay (stretcher) correction
-        is a delay, whose phase scales as nu_s/nu_p; "none" corrects nothing.
+        is a delay, whose phase scales as nu_s/nu_p; an unstabilized run
+        corrects nothing.
         """
-        return {"doppler": 1.0, "group-delay": self.nu_s_hz / self.nu_p_hz}.get(self.actuator, 0.0)
+        return {"unstabilized": 0.0, "doppler": 1.0, "group-delay": self.nu_s_hz / self.nu_p_hz}[mode]
 
 
 @dataclass
@@ -233,23 +214,19 @@ class NoiseInputs:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         s_p, s_s, s_a = ss.spawn(3)
         phi_p = synthesize_phase_noise(models["primary"], fs_hz, n, s_p)
-        phi_p.label = "primary-laser"
         phi_s = synthesize_phase_noise(models["secondary"], fs_hz, n, s_s)
-        phi_s.label = "secondary-laser"
         dt_atm = atmosphere_from_psd(models["atmosphere"], nu_ref_hz, fs_hz, n, s_a)
         return cls(phi_p, phi_s, dt_atm, fs_hz)
 
 
 @dataclass
 class LinkState:
-    """Mutable per-run state: delay bookkeeping, servo and actuator."""
+    """Mutable per-run state: warm-up, servo integrators and actuator command."""
 
-    t_samples: float
     warmup_samples: int
     integ1: float = 0.0
     integ2: float = 0.0
     act_phase_rad: float = 0.0
-    clamped: bool = False
     fault: bool = False
     flags: list = field(default_factory=list)
 
@@ -266,8 +243,6 @@ class LinkTrace:
     t0_s: float
     error_rad: np.ndarray
     act_phase_rad: np.ndarray
-    warmup_samples: int
-    mode: str
     engine: str
     flags: list
     flagged: bool
@@ -275,14 +250,14 @@ class LinkTrace:
 
 def make_link(config: LinkConfig) -> LinkState:
     """Initialize run state; reports delay representation and warm-up."""
-    t_samples = config.t_one_way * config.fs_hz
+    ts = config.t_one_way * config.fs_hz
     settle = 0
-    if config.servo.enabled and config.servo.ki > 0:
+    if config.servo.ki > 0:
         tau = 1.0 / config.servo.ki
         if config.servo.kii > 0:
             tau = max(tau, config.servo.ki / config.servo.kii)
         settle = int(math.ceil(5.0 * tau * config.fs_hz))
-    warmup = int(math.ceil(3.0 * t_samples)) + settle + 32
+    warmup = int(math.ceil(3.0 * ts)) + settle + 32
     if warmup > 0.1 * config.n_samples:
         raise ConfigError(
             f"warm-up ({warmup} samples) exceeds 10% of the run ({config.n_samples})"
@@ -290,11 +265,11 @@ def make_link(config: LinkConfig) -> LinkState:
     _log.info(
         "link state: T=%.6g s (%.4g samples), roundtrip_delay=%d samples, warmup=%d",
         config.t_one_way,
-        t_samples,
+        ts,
         config.loop.k,
         warmup,
     )
-    return LinkState(t_samples, warmup)
+    return LinkState(warmup)
 
 
 def servo_update(servo: ServoConfig, error: float, dt: float, state: LinkState) -> float:
@@ -306,8 +281,6 @@ def servo_update(servo: ServoConfig, error: float, dt: float, state: LinkState) 
     trip. A non-finite error opens the loop (command frozen) and flags
     the run; integral contributions clamp at +-ANTI_WINDUP_RAD with a flag.
     """
-    if not servo.enabled:
-        raise ConfigError("servo_update called with a disabled servo")
     if not np.isfinite(error):
         state.fault = True
         state.flag("non-finite")
@@ -319,14 +292,12 @@ def servo_update(servo: ServoConfig, error: float, dt: float, state: LinkState) 
         lim = ANTI_WINDUP_RAD / servo.ki
         if abs(state.integ1) > lim:
             state.integ1 = math.copysign(lim, state.integ1)
-            state.clamped = True
             state.flag("integrator-clamp")
     state.integ2 += state.integ1 * dt
     if servo.kii > 0:
         lim = ANTI_WINDUP_RAD / servo.kii
         if abs(state.integ2) > lim:
             state.integ2 = math.copysign(lim, state.integ2)
-            state.clamped = True
             state.flag("integrator-clamp")
     state.act_phase_rad = -0.5 * (servo.kp * error + servo.ki * state.integ1 + servo.kii * state.integ2)
     return state.act_phase_rad
@@ -385,19 +356,17 @@ def _assemble_outputs(config, mode, m_base, ts, theta, err, state, engine):
     # theta[n] takes effect at sample n+1 (the same convention the error
     # path uses), so the correction seen at transmission time t-T is
     # theta delayed by T plus that one sample.
-    m = m_base + config.carrier_scale * fractional_delay(theta, ts + 1.0, fill="zero")
+    m = m_base + config.carrier_scale(mode) * fractional_delay(theta, ts + 1.0, fill="zero")
     w = state.warmup_samples
     flagged = bool(state.flags)
     if flagged:
         _log.warning("run flagged: %s", ",".join(state.flags))
-    series = PhaseSeries(m[w:], config.fs_hz, t0_s=w * dt, label=f"meas[{mode}]")
+    series = PhaseSeries(m[w:], config.fs_hz, t0_s=w * dt)
     trace = LinkTrace(
         fs_hz=config.fs_hz,
         t0_s=w * dt,
         error_rad=err[w:],
         act_phase_rad=theta[w:],
-        warmup_samples=w,
-        mode=mode,
         engine=engine,
         flags=list(state.flags),
         flagged=flagged,
@@ -447,26 +416,18 @@ def _run_fast(config, mode, d, state):
     return theta, err
 
 
-def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str | None = None, engine: str = "fast"):
+def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "fast"):
     """Run the chain and return (measurement PhaseSeries, LinkTrace).
 
-    ``mode`` is one of "unstabilized", "doppler", "group-delay"
-    (default: the configured actuator). The fast engine solves the loop
+    ``mode`` is one of MODES and alone decides how the loop closes. The fast engine solves the loop
     as an LTI recursion; whenever a clamp or fault condition fires it
     falls back to the per-sample reference engine so the nonlinear
     clamp behavior and flags are honest, and the trace names the
     engine that produced the result. Identical config and inputs give
     bit-identical outputs.
     """
-    if mode is None:
-        mode = "unstabilized" if config.actuator == "none" else config.actuator
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode != "unstabilized":
-        if not config.servo.enabled:
-            raise ConfigError("stabilized modes require an enabled servo")
-        if config.actuator != mode:
-            config = replace(config, actuator=mode)
     state = make_link(config)
     if len(inputs) < state.warmup_samples + 16:
         raise ValueError("inputs shorter than warm-up; lengthen the run")

@@ -185,7 +185,6 @@ class PhaseSeries:
     samples: np.ndarray
     fs_hz: float
     t0_s: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -198,10 +197,6 @@ class PhaseSeries:
 
     def __len__(self):
         return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.fs_hz
 
 
 @dataclass
@@ -283,20 +278,19 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
     # Nyquist bin is real-valued and carries no conjugate partner
     bins[-1] = re[-1] * n2 * np.sqrt(psd[-1] * df)
     x = np.fft.irfft(bins, n=n2)[:n]
-    return PhaseSeries(x, fs_hz, label=f"synth[{model.kind}]")
+    return PhaseSeries(x, fs_hz)
 
 
 def estimate_psd(
     series: PhaseSeries,
     segment_len: int | None = None,
     overlap: float = 0.5,
-    window: str = "hann",
 ) -> SpectrumEstimate:
     """Welch estimate of the one-sided PSD of a phase series.
 
-    ``segment_len`` defaults to len/8 (min 16). Overlap is a fraction in
-    [0, 0.9]; the default 50% with a Hann taper follows standard
-    practice. The resolution bandwidth reported is the window's
+    ``segment_len`` defaults to len/8 (min 16). Every segment is Hann
+    tapered. Overlap is a fraction in [0, 0.9]; the default 50% follows
+    standard practice. The resolution bandwidth reported is the window's
     equivalent noise bandwidth, fs * sum(w^2) / sum(w)^2.
     """
     x = series.samples
@@ -309,7 +303,7 @@ def estimate_psd(
     if not (0.0 <= overlap <= 0.9):
         raise SegmentationError("overlap must be in [0, 0.9]")
     noverlap = int(round(overlap * segment_len))
-    w = signal.get_window(window, segment_len)
+    w = signal.get_window("hann", segment_len)
     freqs, psd = signal.welch(
         x,
         fs=series.fs_hz,

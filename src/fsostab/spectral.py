@@ -93,7 +93,7 @@ def _source_psds(models: dict, f: np.ndarray):
     return [np.zeros_like(f) if models[n].is_zero else models[n].eval(f) for n in names]
 
 
-def predicted_measurement_psd(models: dict, t_delay_s: float, f_grid, atm_variant="derived"):
+def predicted_measurement_psd(models: dict, t_delay_s: float, f_grid):
     """Per-source predicted measurement PSD curves and their sum.
 
     ``models`` maps {"primary", "secondary", "atmosphere"} to phase-noise
@@ -102,7 +102,8 @@ def predicted_measurement_psd(models: dict, t_delay_s: float, f_grid, atm_varian
     outside any model's validity raise OutOfRangeError.
 
     Returns a dict with keys "freqs", "primary", "secondary",
-    "atm_printed", "atm_derived", "total"; the total uses ``atm_variant``.
+    "atm_printed", "atm_derived", "total"; the total uses the derived
+    atmospheric variant, the one the time-domain chain reproduces.
     """
     f = np.asarray(f_grid, dtype=float)
     s_p, s_s, s_a = _source_psds(models, f)
@@ -113,8 +114,7 @@ def predicted_measurement_psd(models: dict, t_delay_s: float, f_grid, atm_varian
         "atm_printed": meas_transfer_atm(f, t_delay_s, "printed") * s_a,
         "atm_derived": meas_transfer_atm(f, t_delay_s, "derived") * s_a,
     }
-    atm_key = "atm_printed" if atm_variant == "printed" else "atm_derived"
-    curves["total"] = curves["primary"] + curves["secondary"] + curves[atm_key]
+    curves["total"] = curves["primary"] + curves["secondary"] + curves["atm_derived"]
     return curves
 
 

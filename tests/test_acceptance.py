@@ -30,13 +30,12 @@ from fsostab.experiment import (
 from fsostab.link import LinkConfig, NoiseInputs, ServoConfig, run_link
 from fsostab.noise import estimate_psd, ssb_phase_noise
 from fsostab.spectral import (
-    delayed_combination_oracle,
     atm_variant_report,
+    identity_check_suite,
     log_band_medians,
     meas_transfer_atm,
     meas_transfer_primary,
     meas_transfer_secondary,
-    random_combination,
 )
 
 SCALED_T = 1.0e-3
@@ -85,24 +84,15 @@ def find_null(est, f0, halfwidth=30.0):
 
 def test_criterion_1_delayed_copy_identity_oracle():
     """>= 20 random combinations: time-domain PSD ratio within +-1 dB of
-    the analytic factor at >= 95% of bins more than 40 dB above nulls."""
-    rng = np.random.default_rng(2026)
-    fs = 4096.0
-    worst_frac, worst_dev = 1.0, 0.0
-    for _ in range(20):
-        comb = random_combination(rng, fs)
-        freqs, ratio, factor = delayed_combination_oracle(
-            comb, fs, 2**17, seed=int(rng.integers(2**62))
-        )
-        keep = np.isfinite(ratio) & (factor > 1e-4 * factor.max())
-        keep[:3] = False
-        dev = 10.0 * np.log10(ratio[keep] / factor[keep])
-        worst_frac = min(worst_frac, float(np.mean(np.abs(dev) <= 1.0)))
-        worst_dev = max(worst_dev, float(np.max(np.abs(dev))))
+    the analytic factor at >= 95% of bins more than 40 dB above nulls.
+    Runs the same oracle suite the identity-check subcommand ships."""
+    suite = identity_check_suite(n_combos=20, seed=2026)
+    worst_frac = min(row["frac_within_tol"] for row in suite)
+    worst_dev = max(row["max_abs_dev_db"] for row in suite)
     report(
         "1",
         worst_frac >= 0.95,
-        f"20 combinations, worst in-tolerance fraction {worst_frac:.3f} "
+        f"{len(suite)} combinations, worst in-tolerance fraction {worst_frac:.3f} "
         f"(need >= 0.95), worst deviation {worst_dev:.2f} dB",
     )
 
@@ -190,6 +180,7 @@ def sweep_result(models):
     return channel_sweep(base, models, 101)
 
 
+@pytest.mark.slow
 def test_criterion_4_reference_anchors(sweep_result):
     """19-channel physical-mode sweep recovers the reference anchors:
     unstabilized mean -10.5 +- 1 dBc/Hz, stabilized means within +-2 of
@@ -222,6 +213,7 @@ def test_criterion_4_reference_anchors(sweep_result):
     )
 
 
+@pytest.mark.slow
 def test_full_sweep_outputs(sweep_result, tmp_path):
     """Companion to criterion 4: the emitted sweep CSV carries all
     19 x 3 rows and a manifest."""
@@ -234,6 +226,7 @@ def test_full_sweep_outputs(sweep_result, tmp_path):
     assert (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.slow
 def test_criterion_5_quiet_secondary_floor(models):
     """With the secondary silenced the stabilized spot reaches the
     -90 +- 3 dBc/Hz regime and the round-trip primary term dominates the

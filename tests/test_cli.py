@@ -31,10 +31,9 @@ class TestParseConfig:
         p = tmp_path / "empty.json"
         p.write_text("")
         cfg, models, exp = load_config(p)
-        assert cfg.nu_p_hz == 193.1e12
-        assert cfg.nu_lo_hz == 75e6
-        assert cfg.nu_rm_hz == -85e6
+        assert cfg.nu_p_hz == cfg.nu_s_hz == 193.1e12
         assert cfg.link_length_m == 150.0
+        assert (cfg.fs_hz, cfg.n_samples) == (20e3, 2**21)
         assert models is None and exp == {}
 
     def test_unknown_key_named(self, tmp_path):
@@ -42,10 +41,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="nu_p_thz"):
             load_config(p)
 
-    def test_beat_invariant_violation(self, tmp_path):
-        p = write_cfg(tmp_path, {"nu_lo_hz": 0.0, "nu_rm_hz": 0.0})
-        with pytest.raises(ConfigError):
-            load_config(p)
+    def test_removed_keys_rejected_by_name(self, tmp_path):
+        # the run mode (--mode) is the only switch; the shifters were never modelled
+        for data, key in (
+            ({"actuator": "doppler"}, "actuator"),
+            ({"servo": {"enabled": True}}, "enabled"),
+            ({"nu_lo_hz": 75e6}, "nu_lo_hz"),
+            ({"nu_rm_hz": -85e6}, "nu_rm_hz"),
+        ):
+            with pytest.raises(ConfigError, match=key):
+                load_config(write_cfg(tmp_path, data))
 
     def test_length_and_delay_conflict(self, tmp_path):
         p = write_cfg(tmp_path, {"link_length_m": 150.0, "t_one_way_s": 1e-3})
@@ -70,6 +75,28 @@ class TestParseConfig:
         for name in models:
             assert loaded[name] == models[name]
 
+    def test_frequency_model_converted_on_load(self, tmp_path):
+        # white frequency noise S_nu = 0.29 Hz^2/Hz is S_phi = 2.9e-3 rad^2/Hz at 10 Hz
+        freq = {"kind": "frequency", "ref_freq_hz": 10.0, "f_min_hz": 1e-3, "f_max_hz": 1e4,
+                "segments": [{"f_break_hz": 1e-3, "exponent": 0.0, "level": 0.29}]}
+        phase = dict(freq, kind="phase", segments=[{"f_break_hz": 1e-3, "exponent": -2.0, "level": 2.9e-3}])
+        models = {name: psd_model_to_dict(m) for name, m in calibrate_default_models().items()}
+        curves = {}
+        for name, primary in (("freq", freq), ("phase", phase)):
+            data = {"servo": {"ki_per_s": 800.0}, "models": dict(models, primary=primary)}
+            cfg = write_cfg(tmp_path, data, name=f"{name}.json")
+            _, loaded, _ = load_config(cfg)
+            assert loaded["primary"].kind == "phase"
+            out = tmp_path / name
+            assert main(["predict", "--config", str(cfg), "--out", str(out), "--points", "40"]) == EXIT_OK
+            curves[name] = np.loadtxt(out / "predicted_curves.csv", delimiter=",", skiprows=1)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["resolved_config"]["models"]["primary"]["kind"] == "phase"
+        np.testing.assert_allclose(curves["freq"], curves["phase"], rtol=1e-12, atol=0)
+        rc = main(["simulate", "--config", str(tmp_path / "freq.json"), "--out", str(tmp_path / "sim"),
+                   "--mode", "doppler", "--seed", "1"] + SMALL)
+        assert rc == EXIT_OK
+
     def test_servo_keys(self, tmp_path):
         p = write_cfg(tmp_path, {"servo": {"kp": 0.3, "ki_per_s": 500.0}, "fs_hz": 10e3})
         cfg, _, _ = load_config(p)
@@ -85,9 +112,9 @@ class TestParseConfig:
 
     def test_config_dict_roundtrip(self):
         for cfg in (
-            LinkConfig(nu_s_hz=197.2e12, actuator="group-delay", servo=ServoConfig(kp=0.3, ki=800.0, kii=1e4)),
+            LinkConfig(nu_s_hz=197.2e12, servo=ServoConfig(kp=0.3, ki=800.0, kii=1e4)),
             LinkConfig(t_one_way_s=2e-3, link_length_m=None, approximate_roundtrip=False, n_samples=4096),
-            LinkConfig(actuator="none", servo=ServoConfig(enabled=False)),
+            LinkConfig(servo=ServoConfig(kp=0.3, ki=0.0)),
         ):
             d = link_config_to_dict(cfg)
             assert ("t_one_way_s" in d) != ("link_length_m" in d)
@@ -241,3 +268,7 @@ class TestSubcommands:
         assert rc == EXIT_FLAGGED
         rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 * 3
+
+    def test_empty_channel_list_is_validation_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"experiment": {"channels_thz": []}})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == EXIT_VALIDATION

@@ -167,8 +167,13 @@ class TestSweepAndOutputs:
     def test_emit_and_rerun_byte_identical(self, tmp_path):
         result = self.make_result()
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        emit_outputs(result, out1, {"n": 1})
+        outputs, status = emit_outputs(result, out1, {"n": 1})
         emit_outputs(self.make_result(), out2, {"n": 1})
+        assert status == 3  # the partial grid is flagged
+        assert (out1 / "sweep.csv") in outputs
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["tool"] == "fsostab"
+        assert "config_sha256" in manifest
         sweep1 = (out1 / "sweep.csv").read_bytes()
         sweep2 = (out2 / "sweep.csv").read_bytes()
         assert sweep1 == sweep2
@@ -178,14 +183,6 @@ class TestSweepAndOutputs:
         assert len(rows) == 1 + 3 * 3
         for (ch, mode) in result.spectra:
             assert (out1 / "spectra" / f"chan_{ch:.1f}_{mode}.csv").exists()
-
-    def test_empty_result_manifest_only(self, tmp_path):
-        outputs, status = emit_outputs(None, tmp_path, {"cfg": True})
-        assert status == 1
-        assert outputs == []
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["tool"] == "fsostab"
-        assert "config_sha256" in manifest
 
     def test_log_bin_spectrum_reduces_points(self):
         x = PhaseSeries(np.random.default_rng(0).standard_normal(2**14), 1000.0)
