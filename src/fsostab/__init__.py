@@ -12,20 +12,16 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigError,
     InvalidModelError,
-    KindMismatchError,
     OutOfRangeError,
     SegmentationError,
     TooShortError,
 )
 from .noise import (
-    FREQUENCY_NOISE,
-    PHASE_NOISE,
     PhaseSeries,
     PsdModel,
     PsdSegment,
     SpectrumEstimate,
     estimate_psd,
-    freq_noise_to_phase_noise,
     ssb_phase_noise,
     synthesize_phase_noise,
 )

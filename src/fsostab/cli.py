@@ -64,14 +64,18 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="base seed")
     p.add_argument("--samples", type=int, default=None, help="override n_samples")
     p.add_argument("--fs-hz", type=float, default=None, help="override sample rate")
-    p.add_argument("--channel-thz", type=float, default=None, help="secondary carrier in THz")
     p.add_argument(
         "--scaled-delay",
         action="store_true",
         help=f"use the scaled-delay validation geometry (T = {SCALED_DELAY_T_S:g} s)",
     )
     p.add_argument("--t-one-way-s", type=float, default=None, help="explicit one-way delay")
-    p.add_argument("--mode", default=None, choices=MODES)
+
+
+def _add_channel(p, mode_default):
+    """The flags of the single-channel subcommands: carrier and run mode."""
+    p.add_argument("--channel-thz", type=float, default=None, help="secondary carrier in THz")
+    p.add_argument("--mode", default=mode_default, choices=MODES)
 
 
 def _build(args):
@@ -80,7 +84,7 @@ def _build(args):
         config = replace(config, fs_hz=args.fs_hz)
     if args.samples:
         config = replace(config, n_samples=args.samples)
-    if args.channel_thz:
+    if getattr(args, "channel_thz", None):
         config = replace(config, nu_s_hz=args.channel_thz * 1e12)
     if args.t_one_way_s is not None:
         config = replace(config, t_one_way_s=args.t_one_way_s, link_length_m=None)
@@ -215,15 +219,14 @@ def _cmd_identity_check(args):
 def _cmd_compare(args):
     config, models, experiment = _build(args)
     out = _out_dir(args, "compare")
-    mode = args.mode or "doppler"
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
-    meas, trace = run_link(config, inputs, mode=mode)
+    meas, trace = run_link(config, inputs, mode=args.mode)
     est = estimate_psd(meas, segment_len=max(64, min(2**18, meas.samples.size // 16)))
     # bins below a few resolution bandwidths are estimator-limited
     mask = est.band_mask & (est.psd > 0) & (est.freqs >= 5.0 * est.resolution_bw_hz)
     pred = predicted_mode_psd(
-        models, config.t_one_way, config.nu_p_hz, config.nu_s_hz, mode, est.freqs[mask]
+        models, config.t_one_way, config.nu_p_hz, config.nu_s_hz, args.mode, est.freqs[mask]
     )
     keep = pred > 1e-4 * pred.max()  # transfer nulls are excluded from the table
     fr = est.freqs[mask][keep]
@@ -233,7 +236,7 @@ def _cmd_compare(args):
     _, predb = log_band_medians(fr, ssb_phase_noise(pred[keep]))
     path = out / "compare.csv"
     write_table_csv(path, ["band_center_hz", "sim_dbc_per_hz", "pred_dbc_per_hz", "dev_db"], [fb, simb, predb, devb])
-    print(f"compare[{mode}]: max |deviation| {np.max(np.abs(devb)):.2f} dB over {fb.size} bands")
+    print(f"compare[{args.mode}]: max |deviation| {np.max(np.abs(devb)):.2f} dB over {fb.size} bands")
     write_manifest(out, resolved_dict(config, models, experiment), experiment["base_seed"], [path])
     return EXIT_FLAGGED if trace.flagged else EXIT_OK
 
@@ -255,6 +258,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="three paired-mode runs on one channel")
     _add_common(p)
+    _add_channel(p, None)
     p.add_argument("--emit-trace", action="store_true", help="write full per-sample trace CSVs")
     p.set_defaults(func=_cmd_simulate)
 
@@ -269,12 +273,16 @@ def build_parser():
 
     p = sub.add_parser("compare", help="simulated vs predicted spectrum overlay")
     _add_common(p)
+    _add_channel(p, "doppler")
     p.set_defaults(func=_cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 1 is the validation code
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s %(message)s",

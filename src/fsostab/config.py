@@ -4,8 +4,9 @@ Configs are JSON with explicit unit suffixes in every key name
 (*_hz, *_m, *_s) so unit mistakes are visible at the call site. An
 empty file resolves to the experiment defaults (193.1 THz primary and
 secondary, 150 m channel, 20 kHz sampling, 19-channel grid). Unknown
-keys are rejected by name. Frequency-noise models are converted to
-phase noise on load, so every model downstream is a phase PSD. A
+keys are rejected by name. A model is a phase PSD; one given as
+``"kind": "frequency"`` (S_nu in Hz^2/Hz) is converted on load by
+S_phi = S_nu / f^2, and written back as ``"kind": "phase"``. A
 manifest written by a previous run can be passed back in as the
 config: its resolved snapshot is used verbatim.
 """
@@ -13,12 +14,11 @@ config: its resolved snapshot is used verbatim.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidModelError
 from .link import LinkConfig, ServoConfig
-from .noise import FREQUENCY_NOISE, PsdModel, PsdSegment, freq_noise_to_phase_noise
+from .noise import PsdModel
 
 #: JSON key -> (field name, type) of the fields mapped one-to-one; this
 #: table drives unknown-key rejection and both directions of the mapping.
@@ -37,10 +37,14 @@ _SERVO_FIELDS = {
     "kii_per_s2": ("kii", float),
 }
 _LINK_KEYS = set(_LINK_FIELDS) | {"servo", "duration_s", "models", "experiment"}
-_SERVO_KEYS = set(_SERVO_FIELDS) | {"bandwidth_hint_hz"}
 _MODEL_KEYS = {"kind", "ref_freq_hz", "segments", "f_min_hz", "f_max_hz"}
 _SEGMENT_KEYS = {"f_break_hz", "exponent", "level"}
-_EXPERIMENT_KEYS = {"base_seed", "channels_thz", "nperseg"}
+#: experiment key -> (what its value must be, the test); type(), not isinstance: JSON true is no int
+_EXPERIMENT_KEYS = {
+    "base_seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "nperseg": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "channels_thz": ("a list of numbers", lambda v: type(v) is list and all(type(c) in (int, float) for c in v)),
+}
 _MODEL_NAMES = {"primary", "secondary", "atmosphere"}
 
 
@@ -51,30 +55,31 @@ def _reject_unknown(d: dict, allowed: set, where: str):
 
 
 def psd_model_from_dict(d: dict, where: str = "model") -> PsdModel:
-    """PsdModel from its JSON form; a frequency-noise model comes back as its phase-noise equivalent."""
+    """Phase-noise PsdModel from its JSON form; a ``"frequency"`` model (f_min_hz > 0) is converted.
+
+    Each S_nu segment becomes its S_phi = S_nu / f^2 law: exponent - 2, level / ref_freq_hz^2.
+    """
     _reject_unknown(d, _MODEL_KEYS, where)
     try:
-        segments = tuple(
-            PsdSegment(s["f_break_hz"], s["exponent"], s["level"])
-            for s in d["segments"]
-        )
+        kind, ref = d["kind"], float(d["ref_freq_hz"])
+        f_min_hz, f_max_hz = float(d["f_min_hz"]), float(d["f_max_hz"])
         for s in d["segments"]:
             _reject_unknown(s, _SEGMENT_KEYS, f"{where}.segments")
-        model = PsdModel(
-            kind=d["kind"],
-            ref_freq_hz=float(d["ref_freq_hz"]),
-            segments=segments,
-            f_min_hz=float(d["f_min_hz"]),
-            f_max_hz=float(d["f_max_hz"]),
-        )
+        segments = [(s["f_break_hz"], s["exponent"], s["level"]) for s in d["segments"]]
     except KeyError as exc:
         raise ConfigError(f"missing key {exc} in {where}") from exc
-    return freq_noise_to_phase_noise(model) if model.kind == FREQUENCY_NOISE else model
+    if kind == "frequency":
+        if f_min_hz <= 0:
+            raise InvalidModelError(f"{where}: a frequency-noise model must exclude f = 0 (f_min_hz > 0)")
+        segments = [(f, e - 2.0, level / ref**2) for f, e, level in segments]
+    elif kind != "phase":
+        raise InvalidModelError(f"{where}: unknown PSD kind {kind!r} (phase or frequency)")
+    return PsdModel(ref, tuple(segments), f_min_hz, f_max_hz)
 
 
 def psd_model_to_dict(model: PsdModel) -> dict:
     return {
-        "kind": model.kind,
+        "kind": "phase",
         "ref_freq_hz": model.ref_freq_hz,
         "segments": [
             {"f_break_hz": s.f_break_hz, "exponent": s.exponent, "level": s.level}
@@ -94,12 +99,18 @@ def _fields_to_dict(obj, table: dict) -> dict:
 
 
 def _servo_from_dict(d: dict) -> ServoConfig:
-    _reject_unknown(d, _SERVO_KEYS, "servo")
-    kwargs = _fields_from_dict(d, _SERVO_FIELDS)
-    if "bandwidth_hint_hz" in d and "ki_per_s" not in d:
-        # hint maps to the closed-loop pole ki (rad/s) of the default loop
-        kwargs["ki"] = 2.0 * math.pi * float(d["bandwidth_hint_hz"])
-    return ServoConfig(**kwargs)
+    _reject_unknown(d, set(_SERVO_FIELDS), "servo")
+    return ServoConfig(**_fields_from_dict(d, _SERVO_FIELDS))
+
+
+def _check_experiment(d: dict):
+    """Reject an experiment block of the wrong shape before anything runs."""
+    if not isinstance(d, dict):
+        raise ConfigError("experiment must be a JSON object")
+    _reject_unknown(d, set(_EXPERIMENT_KEYS), "experiment")
+    for key, (want, ok) in _EXPERIMENT_KEYS.items():
+        if key in d and not ok(d[key]):
+            raise ConfigError(f"experiment.{key} must be {want}, got {d[key]!r}")
 
 
 def link_config_from_dict(d: dict) -> LinkConfig:
@@ -156,11 +167,9 @@ def load_config(path: str | Path | None):
             if isinstance(entry, str):
                 entry = json.loads(Path(entry).read_text())
             models[name] = psd_model_from_dict(entry, where=f"models.{name}")
-    experiment = {}
-    if "experiment" in data:
-        _reject_unknown(data["experiment"], _EXPERIMENT_KEYS, "experiment")
-        experiment = dict(data["experiment"])
-    return config, models, experiment
+    experiment = data.get("experiment", {})
+    _check_experiment(experiment)
+    return config, models, dict(experiment)
 
 
 def resolved_dict(config: LinkConfig, models: dict, experiment: dict) -> dict:

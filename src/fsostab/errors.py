@@ -9,10 +9,6 @@ class InvalidModelError(ValueError):
     """A PSD model violates its structural invariants."""
 
 
-class KindMismatchError(TypeError):
-    """An operation received a PSD model of the wrong kind."""
-
-
 class TooShortError(ValueError):
     """A requested or supplied series is too short."""
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__ as _version
 from .errors import ConfigError, OutOfRangeError
 from .link import MODES, LinkConfig, NoiseInputs, run_link
-from .noise import PHASE_NOISE, PsdModel, SpectrumEstimate, estimate_psd, ssb_phase_noise
+from .noise import PsdModel, SpectrumEstimate, estimate_psd, ssb_phase_noise
 
 _log = logging.getLogger(__name__)
 
@@ -61,7 +61,6 @@ def calibrate_default_models(t_one_way_s: float | None = None) -> dict:
     f0 = SPOT_FREQ_HZ
     atm_level = 2.0 * 10.0 ** (UNSTABILIZED_ANCHOR_DBC / 10.0)
     atm = PsdModel.from_anchor(
-        PHASE_NOISE,
         f0,
         atm_level,
         [(MODEL_F_MIN_HZ, -8.0 / 3.0), (ATM_KNEE_HZ, -17.0 / 3.0)],
@@ -71,19 +70,19 @@ def calibrate_default_models(t_one_way_s: float | None = None) -> dict:
     sec_factor = 2.0 - 2.0 * np.cos(2.0 * np.pi * f0 * t_one_way_s)
     sec_level = 2.0 * 10.0 ** (STABILIZED_FLOOR_DBC / 10.0) / sec_factor
     secondary = PsdModel.from_anchor(
-        PHASE_NOISE, f0, sec_level, [(MODEL_F_MIN_HZ, -2.0)], MODEL_F_MIN_HZ, MODEL_F_MAX_HZ
+        f0, sec_level, [(MODEL_F_MIN_HZ, -2.0)], MODEL_F_MIN_HZ, MODEL_F_MAX_HZ
     )
     pri_factor = 0.5 - 0.5 * np.cos(4.0 * np.pi * f0 * t_one_way_s)
     pri_level = PRIMARY_MEAS_ANCHOR_RAD2 / pri_factor
     primary = PsdModel.from_anchor(
-        PHASE_NOISE, f0, pri_level, [(MODEL_F_MIN_HZ, -2.0)], MODEL_F_MIN_HZ, MODEL_F_MAX_HZ
+        f0, pri_level, [(MODEL_F_MIN_HZ, -2.0)], MODEL_F_MIN_HZ, MODEL_F_MAX_HZ
     )
     return {"primary": primary, "secondary": secondary, "atmosphere": atm}
 
 
 def zero_model() -> PsdModel:
     """Degenerate quiet source (all-zero PSD)."""
-    return PsdModel.flat(PHASE_NOISE, 0.0, MODEL_F_MIN_HZ, MODEL_F_MAX_HZ)
+    return PsdModel.flat(0.0, MODEL_F_MIN_HZ, MODEL_F_MAX_HZ)
 
 
 def spot_phase_noise(spectrum: SpectrumEstimate, f_target_hz: float, band_octaves: float = 0.5) -> float:
@@ -134,7 +133,6 @@ def summarize_spots(spots: list[float]) -> SummaryStats:
 class ChannelResult:
     """One channel's three paired-mode runs."""
 
-    channel_thz: float
     spectra: dict  # mode -> SpectrumEstimate
     spots_dbc: dict  # mode -> float
     flags: list = field(default_factory=list)
@@ -149,18 +147,24 @@ class ChannelResult:
 
 @dataclass
 class ScenarioResult:
-    """Per-channel, per-mode spectra, spot values and summary statistics."""
+    """Per-channel, per-mode spot values and spectra of a sweep over every mode in MODES."""
 
     channels_thz: list
-    modes: tuple
     spots_dbc: dict  # (channel, mode) -> float
-    suppression_db: dict  # (channel, mode) -> float, stabilized modes only
     spectra: dict  # (channel, mode) -> (freqs, psd) compact log-binned
-    summaries: dict  # mode -> SummaryStats
-    spot_freq_hz: float
     base_seed: int | None
-    complete: bool
     flags: list = field(default_factory=list)
+
+    @property
+    def suppression_db(self) -> dict:
+        """(channel, mode) -> unstabilized minus ``mode`` spot in dB, stabilized modes only."""
+        spots = self.spots_dbc
+        return {(ch, m): spots[(ch, "unstabilized")] - v for (ch, m), v in spots.items() if m != "unstabilized"}
+
+    @property
+    def summaries(self) -> dict:
+        """mode -> SummaryStats of its spots over the channels."""
+        return {m: summarize_spots([self.spots_dbc[(ch, m)] for ch in self.channels_thz]) for m in MODES}
 
 
 def _default_nperseg(n: int) -> int:
@@ -190,7 +194,7 @@ def run_three_modes(
         spots[mode] = spot_phase_noise(est, SPOT_FREQ_HZ)
         if trace.flagged:
             flags.extend(f"{mode}:{f}" for f in trace.flags)
-    return ChannelResult(config.nu_s_hz / 1e12, spectra, spots, flags)
+    return ChannelResult(spectra, spots, flags)
 
 
 def log_bin_spectrum(est: SpectrumEstimate, points_per_decade: int = 64):
@@ -220,13 +224,17 @@ def channel_sweep(
     ``base_seed``; the three modes inside a channel share realizations.
     """
     channels = list(channels_thz) if channels_thz is not None else list(CHANNEL_GRID_THZ)
-    if not channels:
-        raise ConfigError("channels_thz is empty: a sweep needs at least one channel")
-    spots, suppression, spectra, flags = {}, {}, {}, []
-    mode_spots = {m: [] for m in MODES}
-    for i, ch in enumerate(channels):
+    if not channels or len(set(channels)) < len(channels):
+        raise ConfigError(f"channels_thz {channels} must name at least one channel, each once")
+    # every check that can fail runs before the first synthesis
+    configs = [replace(base_config, nu_s_hz=ch * 1e12) for ch in channels]
+    nperseg = nperseg or _default_nperseg(base_config.n_samples)
+    lo, hi = base_config.fs_hz / SPOT_FREQ_HZ, base_config.n_samples - base_config.warmup_samples
+    if not lo <= nperseg <= hi:
+        raise ConfigError(f"nperseg {nperseg} outside [{lo:g}, {hi}]: bins must resolve the spot, segments fit after warm-up")
+    spots, spectra, flags = {}, {}, []
+    for i, (ch, cfg) in enumerate(zip(channels, configs)):
         seed = np.random.SeedSequence(base_seed, spawn_key=(i,))
-        cfg = replace(base_config, nu_s_hz=ch * 1e12)
         res = run_three_modes(cfg, models, seed, nperseg=nperseg)
         _log.info(
             "channel %.1f THz: spots %s",
@@ -236,26 +244,10 @@ def channel_sweep(
         for mode in MODES:
             spots[(ch, mode)] = res.spots_dbc[mode]
             spectra[(ch, mode)] = log_bin_spectrum(res.spectra[mode])
-            mode_spots[mode].append(res.spots_dbc[mode])
-        for mode, sup in res.suppression_db.items():
-            suppression[(ch, mode)] = sup
         flags.extend(f"ch{ch}:{f}" for f in res.flags)
-    summaries = {m: summarize_spots(v) for m, v in mode_spots.items()}
-    complete = len(channels) == len(CHANNEL_GRID_THZ) and not flags
     if len(channels) != len(CHANNEL_GRID_THZ):
         flags.append("incomplete-grid")
-    return ScenarioResult(
-        channels_thz=channels,
-        modes=MODES,
-        spots_dbc=spots,
-        suppression_db=suppression,
-        spectra=spectra,
-        summaries=summaries,
-        spot_freq_hz=SPOT_FREQ_HZ,
-        base_seed=base_seed,
-        complete=complete,
-        flags=flags,
-    )
+    return ScenarioResult(channels, spots, spectra, base_seed, flags)
 
 
 #: The one number format of every CSV output.
@@ -315,13 +307,14 @@ def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict | None =
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    suppression = result.suppression_db
     sweep_path = out_dir / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["channel_thz", "mode", "l10_dbc_per_hz", "suppression_db"])
         for ch in result.channels_thz:
-            for mode in result.modes:
-                sup = result.suppression_db.get((ch, mode), 0.0)
+            for mode in MODES:
+                sup = suppression.get((ch, mode), 0.0)
                 wr.writerow([_fmt(ch), mode, _fmt(result.spots_dbc[(ch, mode)]), _fmt(sup)])
     outputs = [sweep_path]
     spec_dir = out_dir / "spectra"
@@ -332,16 +325,15 @@ def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict | None =
         outputs.append(path)
     summary_path = out_dir / "summary.txt"
     lines = [
-        f"spot frequency: {result.spot_freq_hz:g} Hz",
+        f"spot frequency: {SPOT_FREQ_HZ:g} Hz",
         f"channels: {len(result.channels_thz)}",
-        f"complete: {result.complete}",
+        f"complete: {not result.flags}",
     ]
-    for mode in result.modes:
-        lines.append(f"{mode}: {result.summaries[mode]}")
-    for mode in result.modes:
+    lines += [f"{mode}: {stats}" for mode, stats in result.summaries.items()]
+    for mode in MODES:
         if mode == "unstabilized":
             continue
-        sups = [result.suppression_db[(ch, mode)] for ch in result.channels_thz]
+        sups = [suppression[(ch, mode)] for ch in result.channels_thz]
         lines.append(f"suppression[{mode}]: min {min(sups):.2f} dB, mean {np.mean(sups):.2f} dB")
     if result.flags:
         lines.append("flags: " + ",".join(result.flags))

@@ -128,7 +128,7 @@ class LinkConfig:
     approximate_roundtrip: bool = True
 
     def __post_init__(self):
-        if self.nu_p_hz <= 0 or self.nu_s_hz <= 0:
+        if not (self.nu_p_hz > 0 and self.nu_s_hz > 0):  # also rejects NaN
             raise ConfigError("optical carriers must be > 0")
         if self.link_length_m is not None and self.t_one_way_s is not None:
             raise ConfigError("link_length_m and t_one_way_s are mutually exclusive")
@@ -164,6 +164,20 @@ class LinkConfig:
         """The servo loop; its round-trip term lags K samples (K = 1 when approximated)."""
         k = 1 if self.approximate_roundtrip else max(1, int(round(2.0 * self.t_one_way * self.fs_hz)))
         return Loop.from_servo(self.servo, self.dt_s, k)
+
+    @property
+    def warmup_samples(self) -> int:
+        """Samples dropped before the outputs (3 T + 5 servo time constants + 32), at most 10% of the run."""
+        settle = 0
+        if self.servo.ki > 0:
+            tau = 1.0 / self.servo.ki
+            if self.servo.kii > 0:
+                tau = max(tau, self.servo.ki / self.servo.kii)
+            settle = int(math.ceil(5.0 * tau * self.fs_hz))
+        warmup = int(math.ceil(3.0 * (self.t_one_way * self.fs_hz))) + settle + 32
+        if warmup > 0.1 * self.n_samples:
+            raise ConfigError(f"warm-up ({warmup} samples) exceeds 10% of the run ({self.n_samples})")
+        return warmup
 
     def carrier_scale(self, mode: str) -> float:
         """Correction seen at nu_s per rad the actuator applies at nu_p in ``mode``.
@@ -245,31 +259,22 @@ class LinkTrace:
     act_phase_rad: np.ndarray
     engine: str
     flags: list
-    flagged: bool
+
+    @property
+    def flagged(self) -> bool:
+        return bool(self.flags)
 
 
 def make_link(config: LinkConfig) -> LinkState:
     """Initialize run state; reports delay representation and warm-up."""
-    ts = config.t_one_way * config.fs_hz
-    settle = 0
-    if config.servo.ki > 0:
-        tau = 1.0 / config.servo.ki
-        if config.servo.kii > 0:
-            tau = max(tau, config.servo.ki / config.servo.kii)
-        settle = int(math.ceil(5.0 * tau * config.fs_hz))
-    warmup = int(math.ceil(3.0 * ts)) + settle + 32
-    if warmup > 0.1 * config.n_samples:
-        raise ConfigError(
-            f"warm-up ({warmup} samples) exceeds 10% of the run ({config.n_samples})"
-        )
     _log.info(
         "link state: T=%.6g s (%.4g samples), roundtrip_delay=%d samples, warmup=%d",
         config.t_one_way,
-        ts,
+        config.t_one_way * config.fs_hz,
         config.loop.k,
-        warmup,
+        config.warmup_samples,
     )
-    return LinkState(warmup)
+    return LinkState(config.warmup_samples)
 
 
 def servo_update(servo: ServoConfig, error: float, dt: float, state: LinkState) -> float:
@@ -358,10 +363,9 @@ def _assemble_outputs(config, mode, m_base, ts, theta, err, state, engine):
     # theta delayed by T plus that one sample.
     m = m_base + config.carrier_scale(mode) * fractional_delay(theta, ts + 1.0, fill="zero")
     w = state.warmup_samples
-    flagged = bool(state.flags)
-    if flagged:
+    if state.flags:
         _log.warning("run flagged: %s", ",".join(state.flags))
-    series = PhaseSeries(m[w:], config.fs_hz, t0_s=w * dt)
+    series = PhaseSeries(m[w:], config.fs_hz)
     trace = LinkTrace(
         fs_hz=config.fs_hz,
         t0_s=w * dt,
@@ -369,7 +373,6 @@ def _assemble_outputs(config, mode, m_base, ts, theta, err, state, engine):
         act_phase_rad=theta[w:],
         engine=engine,
         flags=list(state.flags),
-        flagged=flagged,
     )
     return series, trace
 

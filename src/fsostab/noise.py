@@ -2,8 +2,10 @@
 
 Conventions used throughout:
 
-* PSDs are one-sided. Phase noise is in rad^2/Hz, frequency noise in
-  Hz^2/Hz, related pointwise by S_phi(f) = S_nu(f) / f^2.
+* PSDs are one-sided phase-noise densities S_phi in rad^2/Hz; every
+  model is one. Frequency-noise specs S_nu (Hz^2/Hz) are an input format
+  only: the config loader converts them by S_phi(f) = S_nu(f) / f^2
+  (Rutman, Proc. IEEE 66, 1978).
 * Single-sideband phase noise is L(f) = S_phi(f)/2, reported as
   10*log10 in dBc/Hz (standard metrology convention for phase-noise
   probes; see ``ssb_phase_noise``).
@@ -19,19 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .errors import (
-    InvalidModelError,
-    KindMismatchError,
-    OutOfRangeError,
-    SegmentationError,
-    TooShortError,
-)
+from .errors import InvalidModelError, OutOfRangeError, SegmentationError, TooShortError
 
 _log = logging.getLogger(__name__)
-
-PHASE_NOISE = "phase"
-FREQUENCY_NOISE = "frequency"
-_KINDS = (PHASE_NOISE, FREQUENCY_NOISE)
 
 #: Relative mismatch allowed at segment boundaries before a model is
 #: rejected as discontinuous.
@@ -56,12 +48,10 @@ class PsdSegment:
 
 @dataclass(frozen=True)
 class PsdModel:
-    """Piecewise power-law one-sided PSD of a noise process.
+    """Piecewise power-law one-sided phase-noise PSD (rad^2/Hz).
 
     Parameters
     ----------
-    kind : str
-        ``"phase"`` (rad^2/Hz) or ``"frequency"`` (Hz^2/Hz).
     ref_freq_hz : float
         Reference frequency at which segment levels are quoted.
     segments : tuple of PsdSegment
@@ -74,15 +64,12 @@ class PsdModel:
         segment's slope and logs a warning).
     """
 
-    kind: str
     ref_freq_hz: float
     segments: tuple[PsdSegment, ...]
     f_min_hz: float
     f_max_hz: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidModelError(f"unknown PSD kind {self.kind!r}")
         if not self.segments:
             raise InvalidModelError("PSD model has no segments")
         segs = tuple(
@@ -93,8 +80,6 @@ class PsdModel:
             raise InvalidModelError("ref_freq_hz must be > 0")
         if not (0 <= self.f_min_hz < self.f_max_hz):
             raise InvalidModelError("need 0 <= f_min_hz < f_max_hz")
-        if self.kind == FREQUENCY_NOISE and self.f_min_hz <= 0:
-            raise InvalidModelError("frequency-noise models must exclude f = 0")
         breaks = [s.f_break_hz for s in segs]
         if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
             raise InvalidModelError("segment breaks must be strictly increasing")
@@ -149,12 +134,12 @@ class PsdModel:
         return float(out[0]) if scalar else out
 
     @classmethod
-    def flat(cls, kind, level, f_min_hz=1e-3, f_max_hz=1e6, ref_freq_hz=1.0):
+    def flat(cls, level, f_min_hz=1e-3, f_max_hz=1e6, ref_freq_hz=1.0):
         """Single flat segment at ``level`` over the whole range."""
-        return cls(kind, ref_freq_hz, (PsdSegment(f_min_hz, 0.0, level),), f_min_hz, f_max_hz)
+        return cls(ref_freq_hz, (PsdSegment(f_min_hz, 0.0, level),), f_min_hz, f_max_hz)
 
     @classmethod
-    def from_anchor(cls, kind, ref_freq_hz, anchor_level, pieces, f_min_hz, f_max_hz):
+    def from_anchor(cls, ref_freq_hz, anchor_level, pieces, f_min_hz, f_max_hz):
         """Build a continuous piecewise model through one anchor point.
 
         ``pieces`` is a sorted list of (f_break_hz, exponent). The curve
@@ -175,7 +160,7 @@ class PsdModel:
             fb = breaks[k] / ref_freq_hz
             levels[k - 1] = levels[k] * fb ** (exps[k] - exps[k - 1])
         segs = tuple(PsdSegment(b, e, l) for b, e, l in zip(breaks, exps, levels))
-        return cls(kind, ref_freq_hz, segs, f_min_hz, f_max_hz)
+        return cls(ref_freq_hz, segs, f_min_hz, f_max_hz)
 
 
 @dataclass
@@ -184,7 +169,6 @@ class PhaseSeries:
 
     samples: np.ndarray
     fs_hz: float
-    t0_s: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -219,22 +203,6 @@ class SpectrumEstimate:
         mask[-1] = False  # rfft grid ends at Nyquist
         return mask
 
-    def integral(self) -> float:
-        """Total power (variance) carried by the estimate."""
-        df = np.diff(self.freqs).mean()
-        return float(np.sum(self.psd) * df)
-
-
-def freq_noise_to_phase_noise(model: PsdModel) -> PsdModel:
-    """Convert a frequency-noise model to phase noise: S_phi = S_nu / f^2."""
-    if model.kind != FREQUENCY_NOISE:
-        raise KindMismatchError("expected a frequency-noise model")
-    segs = tuple(
-        PsdSegment(s.f_break_hz, s.exponent - 2.0, s.level / model.ref_freq_hz**2)
-        for s in model.segments
-    )
-    return PsdModel(PHASE_NOISE, model.ref_freq_hz, segs, model.f_min_hz, model.f_max_hz)
-
 
 def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> PhaseSeries:
     """Synthesize a stationary Gaussian phase series with the model's PSD.
@@ -248,7 +216,7 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
     Parameters
     ----------
     model : PsdModel
-        Must be of phase-noise kind.
+        The target phase-noise PSD.
     fs_hz : float
         Sample rate.
     n : int
@@ -257,8 +225,6 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
         Determines the realization; identical inputs give bit-identical
         output.
     """
-    if model.kind != PHASE_NOISE:
-        raise KindMismatchError("synthesis expects a phase-noise model")
     if n < 16:
         raise TooShortError("synthesis needs n >= 16")
     if fs_hz <= 0:
@@ -281,17 +247,13 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
     return PhaseSeries(x, fs_hz)
 
 
-def estimate_psd(
-    series: PhaseSeries,
-    segment_len: int | None = None,
-    overlap: float = 0.5,
-) -> SpectrumEstimate:
+def estimate_psd(series: PhaseSeries, segment_len: int | None = None) -> SpectrumEstimate:
     """Welch estimate of the one-sided PSD of a phase series.
 
     ``segment_len`` defaults to len/8 (min 16). Every segment is Hann
-    tapered. Overlap is a fraction in [0, 0.9]; the default 50% follows
-    standard practice. The resolution bandwidth reported is the window's
-    equivalent noise bandwidth, fs * sum(w^2) / sum(w)^2.
+    tapered, and segments overlap by half, the standard practice. The
+    resolution bandwidth reported is the window's equivalent noise
+    bandwidth, fs * sum(w^2) / sum(w)^2.
     """
     x = series.samples
     n = x.size
@@ -300,9 +262,7 @@ def estimate_psd(
     segment_len = int(segment_len)
     if segment_len > n:
         raise SegmentationError(f"segment_len {segment_len} exceeds series length {n}")
-    if not (0.0 <= overlap <= 0.9):
-        raise SegmentationError("overlap must be in [0, 0.9]")
-    noverlap = int(round(overlap * segment_len))
+    noverlap = round(segment_len / 2)
     w = signal.get_window("hann", segment_len)
     freqs, psd = signal.welch(
         x,

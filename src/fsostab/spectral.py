@@ -15,12 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModelError
-from .noise import PHASE_NOISE, PhaseSeries, PsdModel, estimate_psd, ssb_phase_noise, synthesize_phase_noise
+from .noise import PhaseSeries, PsdModel, estimate_psd, ssb_phase_noise, synthesize_phase_noise
 
 #: Low-frequency power ratio of the two atmospheric residual variants,
 #: 10*log10(4 / 2.25): the chain-derived combination opens as 4*(2 pi f T)^2
 #: while the printed closed form opens as 2.25*(2 pi f T)^2.
 LOW_F_ATM_RATIO_DB = 10.0 * np.log10(16.0 / 9.0)
+
+#: Identity oracle suite: 2..ORACLE_MAX_TERMS copies, 0..ORACLE_MAX_DELAY samples apart, of
+#: ORACLE_N samples of white noise at ORACLE_FS_HZ; each bin is judged within ORACLE_TOL_DB.
+ORACLE_FS_HZ = 4096.0
+ORACLE_N = 2**17
+ORACLE_TOL_DB = 1.0
+ORACLE_MAX_DELAY = 64
+ORACLE_MAX_TERMS = 5
 
 
 @dataclass(frozen=True)
@@ -205,7 +213,7 @@ def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, s
             raise ValueError("oracle needs delays that are integer multiples of 1/fs")
         delays.append(int(round(m)))
     m_max = max(delays)
-    model = PsdModel.flat(PHASE_NOISE, 1.0, f_min_hz=0.0, f_max_hz=fs_hz, ref_freq_hz=1.0)
+    model = PsdModel.flat(1.0, f_min_hz=0.0, f_max_hz=fs_hz, ref_freq_hz=1.0)
     x = synthesize_phase_noise(model, fs_hz, n + m_max, seed).samples
     y = np.zeros(n)
     for (c, _), m in zip(comb.terms, delays):
@@ -219,27 +227,27 @@ def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, s
     return ex.freqs, ratio, factor
 
 
-def random_combination(rng: np.random.Generator, fs_hz: float, max_delay_samples: int = 64, max_terms: int = 5) -> DelayedCombination:
+def random_combination(rng: np.random.Generator, fs_hz: float) -> DelayedCombination:
     """Random integer-sample DelayedCombination for oracle suites."""
-    n_terms = int(rng.integers(2, max_terms + 1))
-    delays = rng.choice(max_delay_samples + 1, size=n_terms, replace=False)
+    n_terms = int(rng.integers(2, ORACLE_MAX_TERMS + 1))
+    delays = rng.choice(ORACLE_MAX_DELAY + 1, size=n_terms, replace=False)
     coeffs = rng.uniform(0.3, 2.0, size=n_terms) * rng.choice([-1.0, 1.0], size=n_terms)
     return DelayedCombination(tuple((c, m / fs_hz) for c, m in zip(coeffs, delays)))
 
 
-def identity_check_suite(n_combos: int = 20, seed: int = 0, fs_hz: float = 4096.0, n: int = 2**17, tol_db: float = 1.0):
+def identity_check_suite(n_combos: int = 20, seed: int = 0):
     """Run the delayed-copy identity oracle on random combinations.
 
     For each combination, bins whose analytic factor sits less than
     40 dB below its in-band maximum are compared; the report carries the
-    fraction within ``tol_db`` and the worst deviation. Skips the two
+    fraction within ORACLE_TOL_DB and the worst deviation. Skips the two
     lowest bins where detrending bites.
     """
     rng = np.random.default_rng(seed)
     report = []
     for k in range(n_combos):
-        comb = random_combination(rng, fs_hz)
-        freqs, ratio, factor = delayed_combination_oracle(comb, fs_hz, n, rng.integers(2**63))
+        comb = random_combination(rng, ORACLE_FS_HZ)
+        freqs, ratio, factor = delayed_combination_oracle(comb, ORACLE_FS_HZ, ORACLE_N, rng.integers(2**63))
         keep = np.isfinite(ratio) & (factor > 1e-4 * factor.max())
         keep[:3] = False
         dev = 10.0 * np.log10(ratio[keep] / factor[keep])
@@ -247,7 +255,7 @@ def identity_check_suite(n_combos: int = 20, seed: int = 0, fs_hz: float = 4096.
             {
                 "combo": comb,
                 "n_bins": int(dev.size),
-                "frac_within_tol": float(np.mean(np.abs(dev) <= tol_db)),
+                "frac_within_tol": float(np.mean(np.abs(dev) <= ORACLE_TOL_DB)),
                 "max_abs_dev_db": float(np.max(np.abs(dev))),
             }
         )

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fsostab import experiment
 from fsostab.cli import EXIT_FLAGGED, EXIT_OK, EXIT_VALIDATION, main
 from fsostab.config import (
     link_config_from_dict,
@@ -42,12 +43,14 @@ class TestParseConfig:
             load_config(p)
 
     def test_removed_keys_rejected_by_name(self, tmp_path):
-        # the run mode (--mode) is the only switch; the shifters were never modelled
+        # the run mode (--mode) is the only switch; the shifters were never modelled;
+        # ki_per_s is the only way to set the integral gain
         for data, key in (
             ({"actuator": "doppler"}, "actuator"),
             ({"servo": {"enabled": True}}, "enabled"),
             ({"nu_lo_hz": 75e6}, "nu_lo_hz"),
             ({"nu_rm_hz": -85e6}, "nu_rm_hz"),
+            ({"servo": {"bandwidth_hint_hz": 100.0}}, "bandwidth_hint_hz"),
         ):
             with pytest.raises(ConfigError, match=key):
                 load_config(write_cfg(tmp_path, data))
@@ -86,7 +89,6 @@ class TestParseConfig:
             data = {"servo": {"ki_per_s": 800.0}, "models": dict(models, primary=primary)}
             cfg = write_cfg(tmp_path, data, name=f"{name}.json")
             _, loaded, _ = load_config(cfg)
-            assert loaded["primary"].kind == "phase"
             out = tmp_path / name
             assert main(["predict", "--config", str(cfg), "--out", str(out), "--points", "40"]) == EXIT_OK
             curves[name] = np.loadtxt(out / "predicted_curves.csv", delimiter=",", skiprows=1)
@@ -101,14 +103,6 @@ class TestParseConfig:
         p = write_cfg(tmp_path, {"servo": {"kp": 0.3, "ki_per_s": 500.0}, "fs_hz": 10e3})
         cfg, _, _ = load_config(p)
         assert cfg.servo.kp == 0.3 and cfg.servo.ki == 500.0
-
-    def test_bandwidth_hint_maps_to_ki(self, tmp_path):
-        p = write_cfg(tmp_path, {"servo": {"bandwidth_hint_hz": 100.0}, "fs_hz": 10e3})
-        cfg, _, _ = load_config(p)
-        assert cfg.servo.ki == pytest.approx(2 * np.pi * 100.0, rel=1e-9)
-        p = write_cfg(tmp_path, {"servo": {"bandwidth_hint_hz": 100.0, "ki_per_s": 500.0}, "fs_hz": 10e3})
-        cfg, _, _ = load_config(p)
-        assert cfg.servo.ki == 500.0
 
     def test_config_dict_roundtrip(self):
         for cfg in (
@@ -149,7 +143,9 @@ class TestSubcommands:
             "s_meas_total",
         ):
             assert col in header
-        assert (out / "manifest.json").exists()
+        # the resolved default config, and so its hash, is the one older manifests carry
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == "9bdb7a0ba34071ab0bfaf1d9a075f5fe2602056f9d60fe53d845adef41164212"
 
     def test_identity_check(self, tmp_path, capsys):
         out = tmp_path / "idc"
@@ -272,3 +268,43 @@ class TestSubcommands:
     def test_empty_channel_list_is_validation_error(self, tmp_path):
         cfg = write_cfg(tmp_path, {"experiment": {"channels_thz": []}})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"nperseg": 1_000_000_000, "channels_thz": [193.2]},  # longer than the measurement
+            {"nperseg": 8, "channels_thz": [193.2]},  # bins too wide for the 10 Hz spot
+            {"base_seed": -1},
+            {"channels_thz": "193.2"},
+            {"channels_thz": [193.2, -5.0]},
+            {"channels_thz": [193.2, float("nan")]},
+            {"channels_thz": [193.2, 193.2]},
+        ],
+    )
+    def test_bad_experiment_block_rejected_before_any_run(self, tmp_path, monkeypatch, block):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a channel ran before validation finished")
+
+        monkeypatch.setattr(experiment, "run_three_modes", no_run)
+        cfg = write_cfg(tmp_path, {"experiment": block})
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--samples", "65536"])
+        assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--mode", "doppler"],
+            ["sweep", "--channel-thz", "190.0"],
+            ["predict", "--mode", "doppler"],
+            ["identity-check", "--channel-thz", "190.0"],
+            ["compare", "--mode", "none"],
+            [],
+        ],
+    )
+    def test_usage_error_is_validation_error(self, argv):
+        # --mode and --channel-thz belong to simulate and compare, the commands that read them
+        assert main(argv) == EXIT_VALIDATION
+
+    def test_help_exits_ok(self):
+        assert main(["--help"]) == EXIT_OK
+        assert main(["compare", "--help"]) == EXIT_OK

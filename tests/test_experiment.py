@@ -1,7 +1,7 @@
 """Calibration, spot extraction, scenario plumbing and output files."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ from fsostab.errors import OutOfRangeError
 from fsostab.experiment import (
     CHANNEL_GRID_THZ,
     PRIMARY_MEAS_ANCHOR_RAD2,
+    ScenarioResult,
     STABILIZED_FLOOR_DBC,
     UNSTABILIZED_ANCHOR_DBC,
     calibrate_default_models,
@@ -22,7 +23,7 @@ from fsostab.experiment import (
     summarize_spots,
     zero_model,
 )
-from fsostab.link import LinkConfig, ServoConfig
+from fsostab.link import MODES, LinkConfig, ServoConfig
 from fsostab.noise import PhaseSeries, SpectrumEstimate, estimate_psd, ssb_phase_noise
 from fsostab.spectral import meas_transfer_primary, meas_transfer_secondary
 
@@ -154,9 +155,19 @@ class TestSweepAndOutputs:
 
     def test_partial_sweep_flagged_incomplete(self):
         result = self.make_result()
-        assert not result.complete
         assert "incomplete-grid" in result.flags
         assert len(result.spots_dbc) == 9
+        # the spots are the one stored fact; suppression and summaries derive from them
+        assert [f.name for f in fields(ScenarioResult)] == ["channels_thz", "spots_dbc", "spectra", "base_seed", "flags"]
+        spots = result.spots_dbc
+        assert result.suppression_db == {
+            (ch, m): spots[(ch, "unstabilized")] - spots[(ch, m)]
+            for ch in result.channels_thz
+            for m in ("doppler", "group-delay")
+        }
+        for mode in MODES:
+            mean = np.mean([spots[(ch, mode)] for ch in result.channels_thz])
+            assert result.summaries[mode].mean_dbc == pytest.approx(mean, rel=1e-12)
 
     def test_stabilized_never_worse(self):
         result = self.make_result()

@@ -21,7 +21,7 @@ from fsostab.link import (
     run_link,
     servo_update,
 )
-from fsostab.noise import PHASE_NOISE, PhaseSeries, PsdModel, estimate_psd, synthesize_phase_noise
+from fsostab.noise import PhaseSeries, PsdModel, estimate_psd, synthesize_phase_noise
 from fsostab.spectral import log_band_medians, meas_transfer_secondary
 
 NU_P = 193.1e12
@@ -245,7 +245,7 @@ class TestRunLink:
         # one-way self-delay factor [2 - 2 cos(2 pi f T)] on the secondary
         fs, n = 4000.0, 2**16
         cfg = scaled_config(n=n, fs=fs, t_samples=40)
-        model = PsdModel(PHASE_NOISE, 10.0, ((1e-3, -2.0, 10.0),), 1e-3, 2e3)
+        model = PsdModel(10.0, ((1e-3, -2.0, 10.0),), 1e-3, 2e3)
         phi_s = synthesize_phase_noise(model, fs, n, 21)
         inp = quiet_inputs(n, fs, phi_s=phi_s.samples)
         m, _ = run_link(cfg, inp, mode="doppler")
@@ -352,7 +352,7 @@ class TestRunLink:
 
 class TestAtmosphereFromPsd:
     def test_sigma_scaling(self):
-        model = PsdModel(PHASE_NOISE, 10.0, ((1e-3, -2.0, 1.0),), 1e-3, 1e3)
+        model = PsdModel(10.0, ((1e-3, -2.0, 1.0),), 1e-3, 1e3)
         phase = synthesize_phase_noise(model, 1000.0, 4096, 9)
         dt = atmosphere_from_psd(model, NU_P, 1000.0, 4096, 9)
         assert np.std(dt) == pytest.approx(np.std(phase.samples) / (2 * np.pi * NU_P), rel=1e-12)
@@ -360,7 +360,7 @@ class TestAtmosphereFromPsd:
         assert 1.0 / (2 * np.pi * NU_P) == pytest.approx(8.242e-16, rel=1e-3)
 
     def test_carrier_proportionality(self):
-        model = PsdModel(PHASE_NOISE, 10.0, ((1e-3, -2.0, 1.0),), 1e-3, 1e3)
+        model = PsdModel(10.0, ((1e-3, -2.0, 1.0),), 1e-3, 1e3)
         dt = atmosphere_from_psd(model, NU_P, 1000.0, 2048, 1)
         phase_at_p = 2 * np.pi * NU_P * dt
         phase_at_s = 2 * np.pi * 197.2e12 * dt
@@ -402,6 +402,6 @@ def test_engines_agree_on_random_stable_loops(kp, ki_dt, kii_ratio, k, seed):
 
 def _mini_models():
     def m(level, exp):
-        return PsdModel(PHASE_NOISE, 10.0, ((1e-3, exp, level),), 1e-3, 1e3)
+        return PsdModel(10.0, ((1e-3, exp, level),), 1e-3, 1e3)
 
     return {"primary": m(1e-4, -2.0), "secondary": m(1e-3, -2.0), "atmosphere": m(1e-2, -2.0)}

@@ -3,28 +3,30 @@
 import numpy as np
 import pytest
 
-from fsostab.errors import (
-    InvalidModelError,
-    KindMismatchError,
-    OutOfRangeError,
-    SegmentationError,
-    TooShortError,
-)
+from fsostab.config import psd_model_from_dict, psd_model_to_dict
+from fsostab.errors import InvalidModelError, OutOfRangeError, SegmentationError, TooShortError
 from fsostab.noise import (
-    FREQUENCY_NOISE,
-    PHASE_NOISE,
     PhaseSeries,
     PsdModel,
     PsdSegment,
     estimate_psd,
-    freq_noise_to_phase_noise,
     ssb_phase_noise,
     synthesize_phase_noise,
 )
 
 
-def single_slope(level_at_10, exponent, kind=PHASE_NOISE, f_min=1e-3, f_max=1e4):
-    return PsdModel(kind, 10.0, (PsdSegment(f_min, exponent, level_at_10),), f_min, f_max)
+def single_slope(level_at_10, exponent, f_min=1e-3, f_max=1e4):
+    return PsdModel(10.0, (PsdSegment(f_min, exponent, level_at_10),), f_min, f_max)
+
+
+def model_json(ref, segments, kind="frequency", f_min=1e-3, f_max=1e4):
+    return {
+        "kind": kind,
+        "ref_freq_hz": ref,
+        "segments": [{"f_break_hz": f, "exponent": e, "level": level} for f, e, level in segments],
+        "f_min_hz": f_min,
+        "f_max_hz": f_max,
+    }
 
 
 class TestPsdModel:
@@ -33,7 +35,7 @@ class TestPsdModel:
         assert m.eval(10.0) == pytest.approx(0.178, rel=1e-12)
 
     def test_flat_model(self):
-        m = PsdModel.flat(PHASE_NOISE, 2.5, 0.1, 100.0)
+        m = PsdModel.flat(2.5, 0.1, 100.0)
         for f in (0.1, 1.0, 42.0, 100.0):
             assert m.eval(f) == 2.5
 
@@ -43,9 +45,7 @@ class TestPsdModel:
         assert m.eval(1.0) == pytest.approx(100.0, rel=1e-12)
 
     def test_continuity_across_break(self):
-        m = PsdModel.from_anchor(
-            PHASE_NOISE, 10.0, 0.178, [(1e-3, -8.0 / 3.0), (80.0, -17.0 / 3.0)], 1e-3, 1e4
-        )
+        m = PsdModel.from_anchor(10.0, 0.178, [(1e-3, -8.0 / 3.0), (80.0, -17.0 / 3.0)], 1e-3, 1e4)
         below = m.eval(80.0 * (1 - 1e-9))
         above = m.eval(80.0 * (1 + 1e-9))
         assert below == pytest.approx(above, rel=1e-6)
@@ -53,7 +53,6 @@ class TestPsdModel:
     def test_discontinuous_model_rejected(self):
         with pytest.raises(InvalidModelError):
             PsdModel(
-                PHASE_NOISE,
                 10.0,
                 (PsdSegment(1e-3, 0.0, 1.0), PsdSegment(1.0, 0.0, 2.0)),
                 1e-3,
@@ -62,12 +61,11 @@ class TestPsdModel:
 
     def test_empty_segments_rejected(self):
         with pytest.raises(InvalidModelError):
-            PsdModel(PHASE_NOISE, 10.0, (), 1e-3, 1e3)
+            PsdModel(10.0, (), 1e-3, 1e3)
 
     def test_unsorted_breaks_rejected(self):
         with pytest.raises(InvalidModelError):
             PsdModel(
-                PHASE_NOISE,
                 10.0,
                 (PsdSegment(1.0, 0.0, 1.0), PsdSegment(1.0, 0.0, 1.0)),
                 1.0,
@@ -86,50 +84,53 @@ class TestPsdModel:
         assert m.eval(1000.0, extend=True) == pytest.approx(1e-4, rel=1e-12)
 
     def test_positive_in_range(self):
-        m = PsdModel.from_anchor(
-            PHASE_NOISE, 10.0, 0.5, [(1e-3, -1.0), (5.0, -3.0), (200.0, 0.0)], 1e-3, 1e4
-        )
+        m = PsdModel.from_anchor(10.0, 0.5, [(1e-3, -1.0), (5.0, -3.0), (200.0, 0.0)], 1e-3, 1e4)
         f = np.geomspace(1e-3, 1e4, 300)
         assert np.all(m.eval(f) > 0)
 
 
 class TestFreqToPhase:
+    """Frequency-noise JSON (S_nu, Hz^2/Hz) loads as the phase PSD S_phi = S_nu / f^2."""
+
     def test_division_by_f_squared(self):
-        m = PsdModel(FREQUENCY_NOISE, 10.0, (PsdSegment(1e-3, 0.0, 100.0),), 1e-3, 1e4)
-        p = freq_noise_to_phase_noise(m)
-        assert p.kind == PHASE_NOISE
+        p = psd_model_from_dict(model_json(10.0, [(1e-3, 0.0, 100.0)]))
         assert p.eval(10.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_unit_point(self):
-        m = PsdModel(FREQUENCY_NOISE, 1.0, (PsdSegment(1e-3, 0.0, 1.0),), 1e-3, 1e3)
-        p = freq_noise_to_phase_noise(m)
+        p = psd_model_from_dict(model_json(1.0, [(1e-3, 0.0, 1.0)], f_max=1e3))
         assert p.eval(1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_white_becomes_minus_two(self):
-        m = PsdModel(FREQUENCY_NOISE, 10.0, (PsdSegment(1e-3, 0.0, 7.0),), 1e-3, 1e4)
-        p = freq_noise_to_phase_noise(m)
+        p = psd_model_from_dict(model_json(10.0, [(1e-3, 0.0, 7.0)]))
+        assert p.segments[0].exponent == -2.0
         f = np.geomspace(0.01, 1e3, 50)
-        assert np.allclose(p.eval(f), m.eval(f) / f**2, rtol=1e-12)
+        assert np.allclose(p.eval(f), 7.0 / f**2, rtol=1e-12)
 
     def test_kind_mismatch(self):
-        with pytest.raises(KindMismatchError):
-            freq_noise_to_phase_noise(single_slope(1.0, -2.0))
+        # the kind alone decides the reading: phase segments load as given,
+        # and a kind that is neither phase nor frequency is rejected by name
+        segments = [(1e-3, -2.0, 3.0)]
+        assert psd_model_from_dict(model_json(10.0, segments, kind="phase")) == single_slope(3.0, -2.0)
+        with pytest.raises(InvalidModelError, match="velocity"):
+            psd_model_from_dict(model_json(10.0, segments, kind="velocity"))
+
+    def test_frequency_model_excludes_f_zero(self):
+        flat = [(0.0, 0.0, 1.0)]
+        with pytest.raises(InvalidModelError, match="f_min_hz"):
+            psd_model_from_dict(model_json(10.0, flat, f_min=0.0))
+        assert psd_model_from_dict(model_json(10.0, flat, kind="phase", f_min=0.0)).f_min_hz == 0.0
 
     def test_pointwise_equivalence_random_models(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             exps = rng.uniform(-3, 1, size=2)
-            m = PsdModel.from_anchor(
-                FREQUENCY_NOISE,
-                10.0,
-                rng.uniform(0.1, 10),
-                [(1e-2, exps[0]), (rng.uniform(1, 100), exps[1])],
-                1e-2,
-                1e4,
+            # a PsdModel used only as the two-segment S_nu power law
+            s_nu = PsdModel.from_anchor(
+                10.0, rng.uniform(0.1, 10), [(1e-2, exps[0]), (rng.uniform(1, 100), exps[1])], 1e-2, 1e4
             )
-            p = freq_noise_to_phase_noise(m)
+            p = psd_model_from_dict(dict(psd_model_to_dict(s_nu), kind="frequency"))
             f = np.geomspace(1e-2, 1e4, 64)
-            assert np.allclose(p.eval(f), m.eval(f) / f**2, rtol=1e-10)
+            assert np.allclose(p.eval(f), s_nu.eval(f) / f**2, rtol=1e-10)
 
 
 class TestSsb:
@@ -170,7 +171,7 @@ class TestSynthesis:
         assert not np.array_equal(a.samples, b.samples)
 
     def test_zero_model_gives_zeros(self):
-        m = PsdModel.flat(PHASE_NOISE, 0.0, 1e-3, 1e3)
+        m = PsdModel.flat(0.0, 1e-3, 1e3)
         s = synthesize_phase_noise(m, 100.0, 1024, 0)
         assert np.all(s.samples == 0.0)
 
@@ -182,7 +183,7 @@ class TestSynthesis:
         # one-sided Parseval: var = h0 * fs / 2, checked against the
         # direct summation of the target PSD over the synthesis grid
         h0, fs, n = 0.3, 500.0, 2**16
-        m = PsdModel.flat(PHASE_NOISE, h0, 1e-3, 1e3)
+        m = PsdModel.flat(h0, 1e-3, 1e3)
         s = synthesize_phase_noise(m, fs, n, 3)
         n2 = 2 * n
         df = fs / n2
@@ -238,21 +239,17 @@ class TestEstimatePsd:
     def test_parseval_consistency(self):
         s = PhaseSeries(np.random.default_rng(11).standard_normal(2**15), 100.0)
         est = estimate_psd(s, segment_len=1024)
-        assert est.integral() == pytest.approx(np.var(s.samples), rel=0.05)
+        df = est.freqs[1] - est.freqs[0]
+        assert np.sum(est.psd) * df == pytest.approx(np.var(s.samples), rel=0.05)
 
     def test_segment_too_long(self):
         s = PhaseSeries(np.zeros(100), 10.0)
         with pytest.raises(SegmentationError):
             estimate_psd(s, segment_len=200)
 
-    def test_overlap_validation(self):
-        s = PhaseSeries(np.zeros(1000), 10.0)
-        with pytest.raises(SegmentationError):
-            estimate_psd(s, segment_len=100, overlap=0.95)
-
     def test_metadata(self):
         s = PhaseSeries(np.zeros(4096), 100.0)
-        est = estimate_psd(s, segment_len=512, overlap=0.5)
+        est = estimate_psd(s, segment_len=512)
         assert est.n_averages == 15
         # hann equivalent noise bandwidth is 1.5 bins
         assert est.resolution_bw_hz == pytest.approx(1.5 * 100.0 / 512, rel=1e-6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fsostab.errors import InvalidModelError, OutOfRangeError
-from fsostab.noise import PHASE_NOISE, PsdModel, PsdSegment
+from fsostab.noise import PsdModel, PsdSegment
 from fsostab.spectral import (
     LOW_F_ATM_RATIO_DB,
     DelayedCombination,
@@ -162,14 +162,14 @@ class TestOracle:
 class TestPredictedPsd:
     def make_models(self):
         def flat(level):
-            return PsdModel(PHASE_NOISE, 10.0, (PsdSegment(1e-3, 0.0, level),), 1e-3, 1e4)
+            return PsdModel(10.0, (PsdSegment(1e-3, 0.0, level),), 1e-3, 1e4)
 
         return {"primary": flat(1.0), "secondary": flat(2.0), "atmosphere": flat(3.0)}
 
     def test_additivity_quiet_others(self):
         models = self.make_models()
-        models["secondary"] = PsdModel.flat(PHASE_NOISE, 0.0, 1e-3, 1e4)
-        models["atmosphere"] = PsdModel.flat(PHASE_NOISE, 0.0, 1e-3, 1e4)
+        models["secondary"] = PsdModel.flat(0.0, 1e-3, 1e4)
+        models["atmosphere"] = PsdModel.flat(0.0, 1e-3, 1e4)
         f = np.geomspace(0.01, 100.0, 20)
         curves = predicted_measurement_psd(models, T, f)
         assert np.allclose(curves["total"], curves["primary"], rtol=1e-12)
