@@ -17,7 +17,6 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +24,6 @@ import numpy as np
 from .config import load_config, resolved_dict
 from .errors import ConfigError, InvalidModelError, OutOfRangeError
 from .experiment import (
-    CHANNEL_GRID_THZ,
-    calibrate_default_models,
     channel_sweep,
     emit_outputs,
     log_bin_spectrum,
@@ -54,61 +51,39 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_FLAGGED = 3
 
-DEFAULT_SEED = 101
 SCALED_DELAY_T_S = 1.0e-3
+
+#: flag -> the config key it sets; load_config lays each given one (not None, so a 0 too) over the file and checks it
+_FLAG_KEYS = {
+    "samples": "n_samples",
+    "fs_hz": "fs_hz",
+    "scaled_delay": "t_one_way_s",
+    "channel_hz": "nu_s_hz",
+    "seed": "experiment.base_seed",
+}
+
+
+def thz(text: str) -> float:
+    """A carrier given in THz, in Hz."""
+    return float(text) * 1e12
 
 
 def _add_common(p):
     p.add_argument("--config", type=Path, default=None, help="JSON config (or a previous manifest.json)")
     p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="base seed")
-    p.add_argument("--samples", type=int, default=None, help="override n_samples")
-    p.add_argument("--fs-hz", type=float, default=None, help="override sample rate")
-    p.add_argument(
-        "--scaled-delay",
-        action="store_true",
-        help=f"use the scaled-delay validation geometry (T = {SCALED_DELAY_T_S:g} s)",
-    )
-    p.add_argument("--t-one-way-s", type=float, default=None, help="explicit one-way delay")
+    p.add_argument("--seed", type=int, help="experiment.base_seed")
+    p.add_argument("--samples", type=int, help="n_samples")
+    p.add_argument("--fs-hz", type=float, help="fs_hz")
+    p.add_argument("--scaled-delay", action="store_const", const=SCALED_DELAY_T_S, help=f"t_one_way_s = {SCALED_DELAY_T_S:g}")
 
 
 def _add_channel(p, mode_default):
     """The flags of the single-channel subcommands: carrier and run mode."""
-    p.add_argument("--channel-thz", type=float, default=None, help="secondary carrier in THz")
+    p.add_argument("--channel-thz", dest="channel_hz", type=thz, help="nu_s_hz, given in THz")
     p.add_argument("--mode", default=mode_default, choices=MODES)
 
 
-def _build(args):
-    config, models, experiment = load_config(args.config)
-    if args.fs_hz:
-        config = replace(config, fs_hz=args.fs_hz)
-    if args.samples:
-        config = replace(config, n_samples=args.samples)
-    if getattr(args, "channel_thz", None):
-        config = replace(config, nu_s_hz=args.channel_thz * 1e12)
-    if args.t_one_way_s is not None:
-        config = replace(config, t_one_way_s=args.t_one_way_s, link_length_m=None)
-    elif args.scaled_delay:
-        config = replace(config, t_one_way_s=SCALED_DELAY_T_S, link_length_m=None)
-    if models is None:
-        # anchors describe the emulated hardware (150 m channel), also
-        # when the run itself uses a scaled validation geometry
-        models = calibrate_default_models()
-    if args.seed is not None:
-        experiment["base_seed"] = args.seed
-    experiment.setdefault("base_seed", DEFAULT_SEED)
-    return config, models, experiment
-
-
-def _out_dir(args, sub: str) -> Path:
-    out = args.out if args.out else Path("runs") / sub
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _cmd_predict(args):
-    config, models, experiment = _build(args)
-    out = _out_dir(args, "predict")
+def _cmd_predict(args, config, models, experiment, out: Path):
     f = np.geomspace(args.f_min_hz, args.f_max_hz, args.points)
     curves = predicted_measurement_psd(models, config.t_one_way, f)
     db = dbc_curves(curves)
@@ -126,9 +101,7 @@ def _cmd_predict(args):
     return EXIT_OK
 
 
-def _cmd_simulate(args):
-    config, models, experiment = _build(args)
-    out = _out_dir(args, "simulate")
+def _cmd_simulate(args, config, models, experiment, out: Path):
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
     modes = (args.mode,) if args.mode else MODES
     res = run_three_modes(config, models, seed, modes=modes)
@@ -163,15 +136,12 @@ def _cmd_simulate(args):
     return EXIT_FLAGGED if res.flags else EXIT_OK
 
 
-def _cmd_sweep(args):
-    config, models, experiment = _build(args)
-    out = _out_dir(args, "sweep")
-    channels = experiment.get("channels_thz", list(CHANNEL_GRID_THZ))
+def _cmd_sweep(args, config, models, experiment, out: Path):
     result = channel_sweep(
         config,
         models,
         experiment["base_seed"],
-        channels_thz=channels,
+        channels_thz=experiment.get("channels_thz"),
         nperseg=experiment.get("nperseg"),
     )
     _, status = emit_outputs(result, out, resolved_dict(config, models, experiment))
@@ -180,9 +150,7 @@ def _cmd_sweep(args):
     return EXIT_FLAGGED if status == 3 else EXIT_OK
 
 
-def _cmd_identity_check(args):
-    config, models, experiment = _build(args)
-    out = _out_dir(args, "identity-check")
+def _cmd_identity_check(args, config, models, experiment, out: Path):
     report = identity_check_suite(n_combos=args.combos, seed=experiment["base_seed"])
     combo_path = out / "identity_combos.csv"
     with open(combo_path, "w", newline="") as fh:
@@ -216,9 +184,7 @@ def _cmd_identity_check(args):
     return EXIT_OK if worst >= 0.95 else EXIT_FLAGGED
 
 
-def _cmd_compare(args):
-    config, models, experiment = _build(args)
-    out = _out_dir(args, "compare")
+def _cmd_compare(args, config, models, experiment, out: Path):
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
     meas, trace = run_link(config, inputs, mode=args.mode)
@@ -288,8 +254,12 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s %(message)s",
         stream=sys.stderr,
     )
+    overrides = {key: v for flag, key in _FLAG_KEYS.items() if (v := getattr(args, flag, None)) is not None}
     try:
-        return args.func(args)
+        config, models, experiment = load_config(args.config, overrides)
+        out = args.out or Path("runs") / args.command
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, config, models, experiment, out)
     except (ConfigError, InvalidModelError, OutOfRangeError, FileNotFoundError, json.JSONDecodeError) as exc:
         _log.error("validation: %s", exc)
         return EXIT_VALIDATION

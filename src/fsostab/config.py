@@ -3,12 +3,17 @@
 Configs are JSON with explicit unit suffixes in every key name
 (*_hz, *_m, *_s) so unit mistakes are visible at the call site. An
 empty file resolves to the experiment defaults (193.1 THz primary and
-secondary, 150 m channel, 20 kHz sampling, 19-channel grid). Unknown
-keys are rejected by name. A model is a phase PSD; one given as
-``"kind": "frequency"`` (S_nu in Hz^2/Hz) is converted on load by
-S_phi = S_nu / f^2, and written back as ``"kind": "phase"``. A
-manifest written by a previous run can be passed back in as the
-config: its resolved snapshot is used verbatim.
+secondary, 150 m channel, 20 kHz sampling, 19-channel grid, calibrated
+models, base seed 101). Unknown keys are rejected by name. A model is a
+phase PSD; one given as ``"kind": "frequency"`` (S_nu in Hz^2/Hz) is
+converted on load by S_phi = S_nu / f^2, and written back as
+``"kind": "phase"``. A manifest written by a previous run can be passed
+back in as the config: its resolved snapshot is used verbatim.
+
+Command-line flags are config keys, laid over the file before any check
+and checked like it; a flag replaces the file key stating the same fact
+(``n_samples`` drops ``duration_s``, ``t_one_way_s`` drops
+``link_length_m``), and ``duration_s`` converts at the effective fs_hz.
 """
 
 from __future__ import annotations
@@ -17,8 +22,11 @@ import json
 from pathlib import Path
 
 from .errors import ConfigError, InvalidModelError
+from .experiment import calibrate_default_models
 from .link import LinkConfig, ServoConfig
 from .noise import PsdModel
+
+DEFAULT_SEED = 101
 
 #: JSON key -> (field name, type) of the fields mapped one-to-one; this
 #: table drives unknown-key rejection and both directions of the mapping.
@@ -46,6 +54,8 @@ _EXPERIMENT_KEYS = {
     "channels_thz": ("a list of numbers", lambda v: type(v) is list and all(type(c) in (int, float) for c in v)),
 }
 _MODEL_NAMES = {"primary", "secondary", "atmosphere"}
+#: key an override sets -> the file key stating the same fact, which it drops
+_SAME_FACT = {"n_samples": "duration_s", "t_one_way_s": "link_length_m"}
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -59,6 +69,8 @@ def psd_model_from_dict(d: dict, where: str = "model") -> PsdModel:
 
     Each S_nu segment becomes its S_phi = S_nu / f^2 law: exponent - 2, level / ref_freq_hz^2.
     """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     _reject_unknown(d, _MODEL_KEYS, where)
     try:
         kind, ref = d["kind"], float(d["ref_freq_hz"])
@@ -115,13 +127,11 @@ def _check_experiment(d: dict):
 
 def link_config_from_dict(d: dict) -> LinkConfig:
     _reject_unknown(d, _LINK_KEYS, "config")
-    if "link_length_m" in d and "t_one_way_s" in d:
-        raise ConfigError("link_length_m and t_one_way_s are mutually exclusive")
     if "n_samples" in d and "duration_s" in d:
         raise ConfigError("n_samples and duration_s are mutually exclusive")
     kwargs = _fields_from_dict(d, _LINK_FIELDS)
     if "t_one_way_s" in d:
-        kwargs["link_length_m"] = None
+        kwargs.setdefault("link_length_m", None)  # both given: LinkConfig rejects the pair
     if "duration_s" in d:
         fs = kwargs.get("fs_hz", LinkConfig().fs_hz)
         kwargs["n_samples"] = int(round(float(d["duration_s"]) * fs))
@@ -138,44 +148,46 @@ def link_config_to_dict(config: LinkConfig) -> dict:
     return out
 
 
-def load_config(path: str | Path | None):
-    """Load and validate a run config.
+def load_config(path: str | Path | None, overrides: dict | None = None):
+    """Load a run config, lay ``overrides`` over it, validate and resolve it.
 
-    Returns (LinkConfig, models-or-None, experiment-settings dict).
-    ``models`` is None when the file does not override them (callers use
-    the calibrated defaults). Accepts a manifest.json from a previous
-    run and replays its resolved snapshot.
+    ``overrides`` maps config keys (``"experiment.base_seed"`` for a key
+    of a block) to values; each replaces the file's value and drops the
+    file key stating the same fact before anything is checked. Accepts a
+    manifest.json from a previous run and replays its resolved snapshot.
+    Returns (LinkConfig, models, experiment settings), with the calibrated
+    models and base seed DEFAULT_SEED wherever the config sets none.
     """
-    if path is None:
-        return LinkConfig(), None, {}
-    raw = Path(path).read_text()
+    raw = "" if path is None else Path(path).read_text()
     data = json.loads(raw) if raw.strip() else {}
+    if isinstance(data, dict) and "resolved_config" in data:
+        data = data["resolved_config"]
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    if "resolved_config" in data:
-        data = dict(data["resolved_config"])
-        data.pop("modes", None)
+    for key, value in (overrides or {}).items():
+        block, _, name = key.rpartition(".")
+        target = data.setdefault(block, {}) if block else data
+        if not isinstance(target, dict):
+            raise ConfigError(f"{block} must be a JSON object")
+        target[name] = value
+        target.pop(_SAME_FACT.get(name), None)
     config = link_config_from_dict(data)
-    models = None
     if "models" in data:
         mdl = data["models"]
         _reject_unknown(mdl, _MODEL_NAMES, "models")
         if set(mdl) != _MODEL_NAMES:
             raise ConfigError(f"models must define exactly {sorted(_MODEL_NAMES)}")
-        models = {}
-        for name, entry in mdl.items():
-            if isinstance(entry, str):
-                entry = json.loads(Path(entry).read_text())
-            models[name] = psd_model_from_dict(entry, where=f"models.{name}")
+        models = {name: psd_model_from_dict(entry, where=f"models.{name}") for name, entry in mdl.items()}
+    else:
+        models = calibrate_default_models()
     experiment = data.get("experiment", {})
     _check_experiment(experiment)
-    return config, models, dict(experiment)
+    return config, models, {"base_seed": DEFAULT_SEED, **experiment}
 
 
 def resolved_dict(config: LinkConfig, models: dict, experiment: dict) -> dict:
     """Snapshot that fully determines a rerun (goes into the manifest)."""
     out = link_config_to_dict(config)
     out["models"] = {name: psd_model_to_dict(m) for name, m in models.items()}
-    if experiment:
-        out["experiment"] = dict(experiment)
+    out["experiment"] = dict(experiment)
     return out

@@ -42,7 +42,7 @@ MODEL_F_MIN_HZ = 1.0e-3
 MODEL_F_MAX_HZ = 1.0e4
 
 
-def calibrate_default_models(t_one_way_s: float | None = None) -> dict:
+def calibrate_default_models() -> dict:
     """Default {primary, secondary, atmosphere} phase-noise models.
 
     atmosphere : -8/3 power law anchored so the unstabilized spot at the
@@ -55,9 +55,11 @@ def calibrate_default_models(t_one_way_s: float | None = None) -> dict:
     primary    : -2 slope sized so the round-trip factor puts the
         quiet-secondary floor near -90 dBc/Hz (3e-9 rad^2/Hz measured
         term at 10 Hz).
+
+    T is the one-way delay of the default 150 m channel: the anchors
+    describe the emulated hardware, whatever geometry a run uses.
     """
-    if t_one_way_s is None:
-        t_one_way_s = LinkConfig().t_one_way
+    t_one_way_s = LinkConfig().t_one_way
     f0 = SPOT_FREQ_HZ
     atm_level = 2.0 * 10.0 ** (UNSTABILIZED_ANCHOR_DBC / 10.0)
     atm = PsdModel.from_anchor(

@@ -434,6 +434,8 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
     state = make_link(config)
     if len(inputs) < state.warmup_samples + 16:
         raise ValueError("inputs shorter than warm-up; lengthen the run")
+    if inputs.fs_hz != config.fs_hz:
+        raise ValueError(f"inputs sampled at {inputs.fs_hz:g} Hz, config at {config.fs_hz:g} Hz")
     d, m_base, ts = _forcing_and_measurement_parts(config, inputs)
     if engine == "reference":
         theta, err = _run_reference(config, mode, d, state)

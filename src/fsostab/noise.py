@@ -134,9 +134,9 @@ class PsdModel:
         return float(out[0]) if scalar else out
 
     @classmethod
-    def flat(cls, level, f_min_hz=1e-3, f_max_hz=1e6, ref_freq_hz=1.0):
-        """Single flat segment at ``level`` over the whole range."""
-        return cls(ref_freq_hz, (PsdSegment(f_min_hz, 0.0, level),), f_min_hz, f_max_hz)
+    def flat(cls, level, f_min_hz, f_max_hz):
+        """Single flat segment at ``level`` over the whole range (any reference frequency quotes it)."""
+        return cls(1.0, (PsdSegment(f_min_hz, 0.0, level),), f_min_hz, f_max_hz)
 
     @classmethod
     def from_anchor(cls, ref_freq_hz, anchor_level, pieces, f_min_hz, f_max_hz):
@@ -189,7 +189,6 @@ class SpectrumEstimate:
 
     freqs: np.ndarray
     psd: np.ndarray
-    n_averages: int
     resolution_bw_hz: float
 
     def __post_init__(self):
@@ -247,18 +246,15 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
     return PhaseSeries(x, fs_hz)
 
 
-def estimate_psd(series: PhaseSeries, segment_len: int | None = None) -> SpectrumEstimate:
+def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
     """Welch estimate of the one-sided PSD of a phase series.
 
-    ``segment_len`` defaults to len/8 (min 16). Every segment is Hann
-    tapered, and segments overlap by half, the standard practice. The
-    resolution bandwidth reported is the window's equivalent noise
-    bandwidth, fs * sum(w^2) / sum(w)^2.
+    Every ``segment_len`` segment is Hann tapered, and segments overlap
+    by half, the standard practice. The resolution bandwidth reported is
+    the window's equivalent noise bandwidth, fs * sum(w^2) / sum(w)^2.
     """
     x = series.samples
     n = x.size
-    if segment_len is None:
-        segment_len = max(16, n // 8)
     segment_len = int(segment_len)
     if segment_len > n:
         raise SegmentationError(f"segment_len {segment_len} exceeds series length {n}")
@@ -274,10 +270,8 @@ def estimate_psd(series: PhaseSeries, segment_len: int | None = None) -> Spectru
         return_onesided=True,
         scaling="density",
     )
-    step = segment_len - noverlap
-    n_avg = 1 + (n - segment_len) // step
     rbw = series.fs_hz * float(np.sum(w**2) / np.sum(w) ** 2)
-    return SpectrumEstimate(freqs, psd, n_avg, rbw)
+    return SpectrumEstimate(freqs, psd, rbw)
 
 
 def ssb_phase_noise(psd_value):

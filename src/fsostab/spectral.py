@@ -23,11 +23,13 @@ from .noise import PhaseSeries, PsdModel, estimate_psd, ssb_phase_noise, synthes
 LOW_F_ATM_RATIO_DB = 10.0 * np.log10(16.0 / 9.0)
 
 #: Identity oracle suite: 2..ORACLE_MAX_TERMS copies, 0..ORACLE_MAX_DELAY samples apart, of
-#: ORACLE_N samples of white noise at ORACLE_FS_HZ; each bin is judged within ORACLE_TOL_DB.
+#: ORACLE_N samples of white noise at ORACLE_FS_HZ, Welch segments of ORACLE_NPERSEG samples;
+#: each bin is judged within ORACLE_TOL_DB.
 ORACLE_FS_HZ = 4096.0
 ORACLE_N = 2**17
 ORACLE_TOL_DB = 1.0
 ORACLE_MAX_DELAY = 64
+ORACLE_NPERSEG = 4096
 ORACLE_MAX_TERMS = 5
 
 
@@ -198,7 +200,7 @@ def log_band_medians(freqs, values, bands_per_decade: int = 12):
     return np.array(centers), np.array(medians)
 
 
-def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, seed, nperseg: int = 4096):
+def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, seed):
     """Time-domain check of combination_factor against synthesized noise.
 
     Synthesizes white phase noise, forms the delayed combination with
@@ -213,13 +215,13 @@ def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, s
             raise ValueError("oracle needs delays that are integer multiples of 1/fs")
         delays.append(int(round(m)))
     m_max = max(delays)
-    model = PsdModel.flat(1.0, f_min_hz=0.0, f_max_hz=fs_hz, ref_freq_hz=1.0)
+    model = PsdModel.flat(1.0, 0.0, fs_hz)
     x = synthesize_phase_noise(model, fs_hz, n + m_max, seed).samples
     y = np.zeros(n)
     for (c, _), m in zip(comb.terms, delays):
         y += c * x[m_max - m : m_max - m + n]
-    ex = estimate_psd(PhaseSeries(x[m_max:], fs_hz), segment_len=nperseg)
-    ey = estimate_psd(PhaseSeries(y, fs_hz), segment_len=nperseg)
+    ex = estimate_psd(PhaseSeries(x[m_max:], fs_hz), segment_len=ORACLE_NPERSEG)
+    ey = estimate_psd(PhaseSeries(y, fs_hz), segment_len=ORACLE_NPERSEG)
     mask = ex.band_mask & (ex.psd > 0)
     ratio = np.full(ex.freqs.shape, np.nan)
     ratio[mask] = ey.psd[mask] / ex.psd[mask]
@@ -227,12 +229,12 @@ def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, s
     return ex.freqs, ratio, factor
 
 
-def random_combination(rng: np.random.Generator, fs_hz: float) -> DelayedCombination:
+def random_combination(rng: np.random.Generator) -> DelayedCombination:
     """Random integer-sample DelayedCombination for oracle suites."""
     n_terms = int(rng.integers(2, ORACLE_MAX_TERMS + 1))
     delays = rng.choice(ORACLE_MAX_DELAY + 1, size=n_terms, replace=False)
     coeffs = rng.uniform(0.3, 2.0, size=n_terms) * rng.choice([-1.0, 1.0], size=n_terms)
-    return DelayedCombination(tuple((c, m / fs_hz) for c, m in zip(coeffs, delays)))
+    return DelayedCombination(tuple((c, m / ORACLE_FS_HZ) for c, m in zip(coeffs, delays)))
 
 
 def identity_check_suite(n_combos: int = 20, seed: int = 0):
@@ -246,7 +248,7 @@ def identity_check_suite(n_combos: int = 20, seed: int = 0):
     rng = np.random.default_rng(seed)
     report = []
     for k in range(n_combos):
-        comb = random_combination(rng, ORACLE_FS_HZ)
+        comb = random_combination(rng)
         freqs, ratio, factor = delayed_combination_oracle(comb, ORACLE_FS_HZ, ORACLE_N, rng.integers(2**63))
         keep = np.isfinite(ratio) & (factor > 1e-4 * factor.max())
         keep[:3] = False

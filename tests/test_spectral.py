@@ -7,6 +7,7 @@ from fsostab.errors import InvalidModelError, OutOfRangeError
 from fsostab.noise import PsdModel, PsdSegment
 from fsostab.spectral import (
     LOW_F_ATM_RATIO_DB,
+    ORACLE_FS_HZ,
     DelayedCombination,
     combination_factor,
     delayed_combination_oracle,
@@ -142,9 +143,9 @@ class TestOracle:
         # time-domain brute-force check: the PSD ratio of the delayed
         # combination of white noise reproduces the analytic factor
         rng = np.random.default_rng(12)
-        fs = 4096.0
+        fs = ORACLE_FS_HZ  # the rate random_combination's delays are whole samples of
         for k in range(5):
-            comb = random_combination(rng, fs)
+            comb = random_combination(rng)
             freqs, ratio, factor = delayed_combination_oracle(
                 comb, fs, 2**16, seed=int(rng.integers(2**62))
             )
