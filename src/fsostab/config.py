@@ -4,7 +4,8 @@ Configs are JSON with explicit unit suffixes in every key name
 (*_hz, *_m, *_s) so unit mistakes are visible at the call site. An
 empty file resolves to the experiment defaults (193.1 THz primary and
 secondary, 150 m channel, 20 kHz sampling, 19-channel grid, calibrated
-models, base seed 101). Unknown keys are rejected by name. A model is a
+models, base seed 101). Unknown keys are rejected by name, and a value
+of the wrong JSON type is rejected, not coerced. A model is a
 phase PSD; one given as ``"kind": "frequency"`` (S_nu in Hz^2/Hz) is
 converted on load by S_phi = S_nu / f^2, and written back as
 ``"kind": "phase"``. A manifest written by a previous run can be passed
@@ -44,6 +45,8 @@ _SERVO_FIELDS = {
     "ki_per_s": ("ki", float),
     "kii_per_s2": ("kii", float),
 }
+#: field type -> (what its JSON value must be, the JSON types it takes); a number is no bool or string
+_JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", (int,)), bool: ("true or false", (bool,))}
 _LINK_KEYS = set(_LINK_FIELDS) | {"servo", "duration_s", "models", "experiment"}
 _MODEL_KEYS = {"kind", "ref_freq_hz", "segments", "f_min_hz", "f_max_hz"}
 _SEGMENT_KEYS = {"f_break_hz", "exponent", "level"}
@@ -102,8 +105,20 @@ def psd_model_to_dict(model: PsdModel) -> dict:
     }
 
 
-def _fields_from_dict(d: dict, table: dict) -> dict:
-    return {name: kind(d[key]) for key, (name, kind) in table.items() if key in d}
+def _check_type(value, kind: type, where: str):
+    """Reject a JSON value of the wrong type by name, instead of coercing it; type(), not isinstance: JSON true is no int."""
+    want, types = _JSON_TYPES[kind]
+    if type(value) not in types:
+        raise ConfigError(f"{where} must be {want}, got {value!r}")
+
+
+def _fields_from_dict(d: dict, table: dict, where: str = "") -> dict:
+    fields = {}
+    for key, (name, kind) in table.items():
+        if key in d:
+            _check_type(d[key], kind, where + key)
+            fields[name] = kind(d[key])  # a JSON int given for a float field becomes a float
+    return fields
 
 
 def _fields_to_dict(obj, table: dict) -> dict:
@@ -111,8 +126,10 @@ def _fields_to_dict(obj, table: dict) -> dict:
 
 
 def _servo_from_dict(d: dict) -> ServoConfig:
+    if not isinstance(d, dict):
+        raise ConfigError(f"servo must be a JSON object, got {d!r}")
     _reject_unknown(d, set(_SERVO_FIELDS), "servo")
-    return ServoConfig(**_fields_from_dict(d, _SERVO_FIELDS))
+    return ServoConfig(**_fields_from_dict(d, _SERVO_FIELDS, "servo."))
 
 
 def _check_experiment(d: dict):
@@ -133,6 +150,7 @@ def link_config_from_dict(d: dict) -> LinkConfig:
     if "t_one_way_s" in d:
         kwargs.setdefault("link_length_m", None)  # both given: LinkConfig rejects the pair
     if "duration_s" in d:
+        _check_type(d["duration_s"], float, "duration_s")
         fs = kwargs.get("fs_hz", LinkConfig().fs_hz)
         kwargs["n_samples"] = int(round(float(d["duration_s"]) * fs))
     if "servo" in d:
@@ -174,6 +192,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None):
     config = link_config_from_dict(data)
     if "models" in data:
         mdl = data["models"]
+        if not isinstance(mdl, dict):
+            raise ConfigError(f"models must be a JSON object, got {mdl!r}")
         _reject_unknown(mdl, _MODEL_NAMES, "models")
         if set(mdl) != _MODEL_NAMES:
             raise ConfigError(f"models must define exactly {sorted(_MODEL_NAMES)}")

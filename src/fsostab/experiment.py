@@ -183,7 +183,9 @@ def run_three_modes(
     """Run the mode set on one channel with shared noise realizations.
 
     All modes consume the same synthesized inputs (paired comparison),
-    so suppression estimates are free of realization variance.
+    so suppression estimates are free of realization variance. The
+    inputs form the mode-independent forcing on the first run and keep
+    it for the others; it is freed with them when the channel is done.
     """
     n = config.n_samples
     inputs = NoiseInputs.from_models(models, config.fs_hz, n, seed, config.nu_p_hz)

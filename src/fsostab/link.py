@@ -203,6 +203,7 @@ class NoiseInputs:
     phi_s: PhaseSeries
     dt_atm: np.ndarray
     fs_hz: float
+    _forcing: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.dt_atm = np.asarray(self.dt_atm, dtype=float)
@@ -217,6 +218,20 @@ class NoiseInputs:
 
     def __len__(self):
         return self.dt_atm.size
+
+    def forcing(self, config: LinkConfig):
+        """(d, m_base, T in samples) of ``config`` on these inputs; see ``_forcing_and_measurement_parts``.
+
+        The forcing does not depend on the run mode, so it is formed once
+        and kept, for the last link geometry asked for, as long as the
+        inputs live; the series must not be changed in place after a run.
+        """
+        key = (config.t_one_way * config.fs_hz, config.nu_p_hz, config.nu_s_hz)
+        if self._forcing is None or self._forcing[0] != key:
+            d, m_base, ts = _forcing_and_measurement_parts(config, self)
+            d.flags.writeable = m_base.flags.writeable = False  # shared by every mode's run
+            self._forcing = (key, (d, m_base, ts))
+        return self._forcing[1]
 
     @classmethod
     def from_models(cls, models: dict, fs_hz: float, n: int, seed, nu_ref_hz: float):
@@ -361,7 +376,8 @@ def _assemble_outputs(config, mode, m_base, ts, theta, err, state, engine):
     # theta[n] takes effect at sample n+1 (the same convention the error
     # path uses), so the correction seen at transmission time t-T is
     # theta delayed by T plus that one sample.
-    m = m_base + config.carrier_scale(mode) * fractional_delay(theta, ts + 1.0, fill="zero")
+    scale = config.carrier_scale(mode)
+    m = m_base.copy() if scale == 0.0 else m_base + scale * fractional_delay(theta, ts + 1.0, fill="zero")
     w = state.warmup_samples
     if state.flags:
         _log.warning("run flagged: %s", ",".join(state.flags))
@@ -400,7 +416,7 @@ def _run_reference(config, mode, d, state):
 def _run_fast(config, mode, d, state):
     """Closed-loop solution via lfilter; exact while no flag is raised."""
     if mode == "unstabilized":
-        return np.zeros(d.size), d
+        return np.zeros(d.size), d.copy()
     loop = config.loop
     theta = _signal.lfilter(loop.b, loop.a, d)
     err = loop.error(d, theta)
@@ -436,7 +452,7 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
         raise ValueError("inputs shorter than warm-up; lengthen the run")
     if inputs.fs_hz != config.fs_hz:
         raise ValueError(f"inputs sampled at {inputs.fs_hz:g} Hz, config at {config.fs_hz:g} Hz")
-    d, m_base, ts = _forcing_and_measurement_parts(config, inputs)
+    d, m_base, ts = inputs.forcing(config)
     if engine == "reference":
         theta, err = _run_reference(config, mode, d, state)
     elif engine == "fast":
@@ -464,5 +480,6 @@ def atmosphere_from_psd(model: PsdModel, nu_ref_hz: float, fs_hz: float, n: int,
     """
     if nu_ref_hz <= 0:
         raise ValueError("nu_ref_hz must be > 0")
-    phase = synthesize_phase_noise(model, fs_hz, n, seed)
-    return phase.samples / (2.0 * np.pi * nu_ref_hz)
+    samples = synthesize_phase_noise(model, fs_hz, n, seed).samples
+    samples /= 2.0 * np.pi * nu_ref_hz
+    return samples

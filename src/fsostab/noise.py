@@ -123,14 +123,26 @@ class PsdModel:
                 self.f_min_hz,
                 self.f_max_hz,
             )
-        breaks = np.array([s.f_break_hz for s in self.segments])
-        exps = np.array([s.exponent for s in self.segments])
-        lvls = np.array([s.level for s in self.segments])
-        idx = np.clip(np.searchsorted(breaks, f_arr, side="right") - 1, 0, len(breaks) - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = lvls[idx] * (f_arr / self.ref_freq_hz) ** exps[idx]
-        # f = 0 is only reachable via extension; a negative slope diverges there
-        out = np.where(f_arr == 0, np.where(exps[idx] > 0, 0.0, np.where(lvls[idx] == 0, 0.0, np.inf)), out)
+        # each segment is a contiguous run of the sorted frequencies; below
+        # the second break every frequency takes the first segment's law
+        order = None if np.all(f_arr[1:] >= f_arr[:-1]) else np.argsort(f_arr, kind="stable")
+        f_sorted = f_arr if order is None else f_arr[order]
+        starts = np.searchsorted(f_sorted, [s.f_break_hz for s in self.segments[1:]], side="left")
+        bounds = [0, *starts, f_sorted.size]
+        out = np.empty_like(f_sorted)
+        for seg, lo, hi in zip(self.segments, bounds, bounds[1:]):
+            f_seg, out_seg = f_sorted[lo:hi], out[lo:hi]
+            # the exponent goes in as an array: numpy swaps a scalar 2, -1 or 0.5
+            # for square, reciprocal or sqrt, which can differ from pow in the last bit
+            out_seg.fill(seg.exponent)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.power(f_seg / self.ref_freq_hz, out_seg, out=out_seg)
+                out_seg *= seg.level
+            # f = 0 is only reachable via extension; a negative slope diverges there
+            if hi > lo and f_seg[0] <= 0.0:
+                out_seg[f_seg == 0] = 0.0 if seg.exponent > 0 or seg.level == 0 else np.inf
+        if order is not None:
+            out[order] = out.copy()  # back to the caller's order
         return float(out[0]) if scalar else out
 
     @classmethod
@@ -206,11 +218,15 @@ class SpectrumEstimate:
 def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> PhaseSeries:
     """Synthesize a stationary Gaussian phase series with the model's PSD.
 
-    Frequency-domain shaping of white Gaussian noise: independent
-    complex-normal rFFT bins are scaled to the target one-sided PSD and
-    inverse-transformed. Circular correlation is mitigated by shaping a
-    2x-length series and keeping the first half. The DC bin is zeroed
-    (series is mean-free); fractional slopes are realized exactly.
+    Frequency-domain shaping of white Gaussian noise (Timmer & Koenig,
+    A&A 300, 707, 1995): independent complex-normal rFFT bins are
+    scaled to sqrt(S(f) df) and inverse-transformed. Circular
+    correlation is mitigated by shaping a 2x-length series and keeping
+    a copy of the first half, so the 2n-point transform is freed on
+    return. The DC bin is zeroed (series is mean-free); fractional
+    slopes are realized exactly. The shaping runs in place: one
+    amplitude array, one draw buffer and the complex bins. An all-zero
+    model gives zeros without drawing or transforming anything.
 
     Parameters
     ----------
@@ -222,54 +238,79 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
         Output length (powers of two recommended). Must be >= 16.
     seed : int or numpy.random.SeedSequence
         Determines the realization; identical inputs give bit-identical
-        output.
+        output. The real parts of all n + 1 bins are drawn first, then
+        the imaginary parts.
     """
     if n < 16:
         raise TooShortError("synthesis needs n >= 16")
     if fs_hz <= 0:
         raise ValueError("fs_hz must be > 0")
+    if model.is_zero:
+        return PhaseSeries(np.zeros(int(n)), fs_hz)
     n2 = 2 * int(n)
-    freqs = np.fft.rfftfreq(n2, d=1.0 / fs_hz)
-    psd = np.zeros_like(freqs)
-    if not model.is_zero:
-        psd[1:] = model.eval(freqs[1:], extend=True)
     df = fs_hz / n2
+    # amplitude (n2 / 2) sqrt(S df) of bins 1..n; bin 0 (DC) stays zero
+    amp = model.eval(np.fft.rfftfreq(n2, d=1.0 / fs_hz)[1:], extend=True)
+    psd_nyquist = amp[-1]
+    amp *= df
+    np.sqrt(amp, out=amp)
+    amp *= n2 / 2.0
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal(freqs.size)
-    im = rng.standard_normal(freqs.size)
-    amp = (n2 / 2.0) * np.sqrt(psd * df)
-    bins = amp * (re + 1j * im)
-    bins[0] = 0.0
+    bins = np.empty(amp.size + 1, dtype=complex)
+    draws = rng.standard_normal(bins.size)
+    np.multiply(amp, draws[1:], out=bins.real[1:])
     # Nyquist bin is real-valued and carries no conjugate partner
-    bins[-1] = re[-1] * n2 * np.sqrt(psd[-1] * df)
-    x = np.fft.irfft(bins, n=n2)[:n]
-    return PhaseSeries(x, fs_hz)
+    nyquist = draws[-1] * n2 * np.sqrt(psd_nyquist * df)
+    rng.standard_normal(out=draws)
+    np.multiply(amp, draws[1:], out=bins.imag[1:])
+    del amp, draws  # freed before the transform, which needs the bins and its own 2n points
+    bins[0] = 0.0
+    bins[-1] = nyquist
+    x = np.fft.irfft(bins, n=n2)
+    return PhaseSeries(x[:n].copy(), fs_hz)
+
+
+#: Samples per batch of Welch segments (8 MB of float64), so long segments
+#: are transformed a few at a time instead of all at once.
+_WELCH_BATCH_SAMPLES = 2**20
 
 
 def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
-    """Welch estimate of the one-sided PSD of a phase series.
+    """Welch estimate of the one-sided PSD of a phase series (Welch 1967).
 
-    Every ``segment_len`` segment is Hann tapered, and segments overlap
-    by half, the standard practice. The resolution bandwidth reported is
-    the window's equivalent noise bandwidth, fs * sum(w^2) / sum(w)^2.
+    Every ``segment_len`` segment, stepped by segment_len - round(segment_len / 2)
+    (half overlap), has its mean removed, is Hann tapered and goes
+    through one batched rFFT; the density-scaled periodograms are
+    averaged. This is ``scipy.signal.welch`` with detrend="constant"
+    and no padding, to within rounding; segments are transformed in
+    batches of about 2^20 samples, so no copy of the whole segmented
+    series is made. The resolution bandwidth reported is the window's
+    equivalent noise bandwidth, fs * sum(w^2) / sum(w)^2.
     """
     x = series.samples
     n = x.size
     segment_len = int(segment_len)
     if segment_len > n:
         raise SegmentationError(f"segment_len {segment_len} exceeds series length {n}")
-    noverlap = round(segment_len / 2)
+    if segment_len < 1:
+        raise SegmentationError(f"segment_len {segment_len} must be >= 1")
+    step = segment_len - round(segment_len / 2)
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
     w = signal.get_window("hann", segment_len)
-    freqs, psd = signal.welch(
-        x,
-        fs=series.fs_hz,
-        window=w,
-        nperseg=segment_len,
-        noverlap=noverlap,
-        detrend="constant",
-        return_onesided=True,
-        scaling="density",
-    )
+    # the window carries the density scale 1 / sqrt(fs sum(w^2)), summed in
+    # order, as scipy.signal.welch scales it, so the transforms match its own
+    w_psd = w * (1.0 / np.sqrt(np.cumsum(w * w)[-1] / (1.0 / series.fs_hz)))
+    batch = max(1, _WELCH_BATCH_SAMPLES // segment_len)
+    power = np.zeros(segment_len // 2 + 1)
+    for i in range(0, len(segments), batch):
+        seg = segments[i : i + batch]
+        seg = seg - seg.mean(axis=1, keepdims=True)
+        seg *= w_psd
+        spec = np.fft.rfft(seg, axis=1)
+        power += (spec.real**2 + spec.imag**2).sum(axis=0)
+    psd = power / len(segments)
+    psd[1 : (segment_len + 1) // 2] *= 2.0  # one-sided: every bin but DC and an even length's Nyquist
+    freqs = np.fft.rfftfreq(segment_len, d=1.0 / series.fs_hz)
     rbw = series.fs_hz * float(np.sum(w**2) / np.sum(w) ** 2)
     return SpectrumEstimate(freqs, psd, rbw)
 

@@ -79,6 +79,26 @@ class TestParseConfig:
             load_config(p)
         assert main(["predict", "--config", str(p), "--out", str(tmp_path / "pred")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"approximate_roundtrip": "no"}, "approximate_roundtrip"),  # bool("no") would be True
+            ({"n_samples": 65536.7}, "n_samples"),  # int() would drop the fraction
+            ({"n_samples": "abc"}, "n_samples"),
+            ({"servo": 5}, "servo"),
+            ({"models": 5}, "models"),
+            ({"servo": {"kp": True}}, "servo.kp"),
+            ({"fs_hz": "20000"}, "fs_hz"),
+            ({"duration_s": "4"}, "duration_s"),
+        ],
+    )
+    def test_json_value_types_checked_not_coerced(self, tmp_path, caplog, data, key):
+        p = write_cfg(tmp_path, data)
+        with pytest.raises(ConfigError, match=key):
+            load_config(p)
+        assert main(["predict", "--config", str(p), "--out", str(tmp_path / "pred")]) == EXIT_VALIDATION
+        assert f"validation: {key} must be" in caplog.text
+
     def test_models_roundtrip(self, tmp_path):
         models = calibrate_default_models()
         p = write_cfg(

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fsostab import link
 from fsostab.errors import OutOfRangeError
 from fsostab.experiment import (
     CHANNEL_GRID_THZ,
@@ -23,7 +24,7 @@ from fsostab.experiment import (
     summarize_spots,
     zero_model,
 )
-from fsostab.link import MODES, LinkConfig, ServoConfig
+from fsostab.link import MODES, LinkConfig, NoiseInputs, ServoConfig, run_link
 from fsostab.noise import PhaseSeries, SpectrumEstimate, estimate_psd, ssb_phase_noise
 from fsostab.spectral import meas_transfer_primary, meas_transfer_secondary
 
@@ -136,6 +137,39 @@ class TestRunThreeModes:
         a = run_three_modes(small_config(), models, 3)
         b = run_three_modes(small_config(), models, 3)
         assert a.spots_dbc == b.spots_dbc
+
+    def test_shared_forcing_matches_separate_runs(self):
+        # the modes share one forcing; each mode run alone on fresh inputs of the same seed gives the same bits
+        cfg, models, nperseg = small_config(), calibrate_default_models(), 2**13
+        res = run_three_modes(cfg, models, 8, nperseg=nperseg)
+        for mode in MODES:
+            inputs = NoiseInputs.from_models(models, cfg.fs_hz, cfg.n_samples, 8, cfg.nu_p_hz)
+            meas, trace = run_link(cfg, inputs, mode=mode)
+            est = estimate_psd(meas, segment_len=nperseg)
+            assert np.array_equal(res.spectra[mode].freqs, est.freqs)
+            assert np.array_equal(res.spectra[mode].psd, est.psd)
+            assert res.spots_dbc[mode] == spot_phase_noise(est, 10.0)
+            assert not trace.flagged
+        assert res.flags == []
+
+    def test_fallback_flags_only_its_mode(self, monkeypatch):
+        # a doppler run that falls back to the reference engine leaves the other modes, which share its forcing, as they were
+        cfg, models, nperseg = small_config(), calibrate_default_models(), 2**13
+        plain = run_three_modes(cfg, models, 4, nperseg=nperseg)
+        fast = link._run_fast
+
+        def clamp_doppler(config, mode, d, state):
+            out = fast(config, mode, d, state)
+            if mode == "doppler":
+                state.flag("integrator-clamp")
+            return out
+
+        monkeypatch.setattr(link, "_run_fast", clamp_doppler)
+        res = run_three_modes(cfg, models, 4, nperseg=nperseg)
+        assert res.flags == ["doppler:integrator-clamp"]
+        for mode in ("unstabilized", "group-delay"):
+            assert np.array_equal(res.spectra[mode].psd, plain.spectra[mode].psd)
+        assert res.spots_dbc["doppler"] == pytest.approx(plain.spots_dbc["doppler"], abs=1e-9)
 
     def test_actuator_choice_insignificant_on_secondary_floor(self):
         # near the primary carrier the floor is secondary-noise limited,

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from fsostab.config import psd_model_from_dict, psd_model_to_dict
 from fsostab.errors import InvalidModelError, OutOfRangeError, SegmentationError, TooShortError
+from fsostab.experiment import calibrate_default_models, zero_model
 from fsostab.noise import (
     PhaseSeries,
     PsdModel,
@@ -29,7 +31,60 @@ def model_json(ref, segments, kind="frequency", f_min=1e-3, f_max=1e4):
     }
 
 
+def gather_eval(model, f):
+    """PsdModel.eval by the direct formula: each bin's level and exponent gathered by index."""
+    f_arr = np.atleast_1d(np.asarray(f, dtype=float))
+    breaks = np.array([s.f_break_hz for s in model.segments])
+    exps = np.array([s.exponent for s in model.segments])
+    lvls = np.array([s.level for s in model.segments])
+    idx = np.clip(np.searchsorted(breaks, f_arr, side="right") - 1, 0, len(breaks) - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = lvls[idx] * (f_arr / model.ref_freq_hz) ** exps[idx]
+    out = np.where(f_arr == 0, np.where(exps[idx] > 0, 0.0, np.where(lvls[idx] == 0, 0.0, np.inf)), out)
+    return float(out[0]) if np.ndim(f) == 0 else out
+
+
+def direct_synthesis(model, fs_hz, n, seed):
+    """synthesize_phase_noise by the direct formula: every array built whole, the first half a view."""
+    n2 = 2 * n
+    freqs = np.fft.rfftfreq(n2, d=1.0 / fs_hz)
+    psd = np.zeros_like(freqs)
+    if not model.is_zero:
+        psd[1:] = gather_eval(model, freqs[1:])
+    df = fs_hz / n2
+    rng = np.random.default_rng(seed)
+    re = rng.standard_normal(freqs.size)
+    im = rng.standard_normal(freqs.size)
+    amp = (n2 / 2.0) * np.sqrt(psd * df)
+    bins = amp * (re + 1j * im)
+    bins[0] = 0.0
+    bins[-1] = re[-1] * n2 * np.sqrt(psd[-1] * df)
+    return np.fft.irfft(bins, n=n2)[:n]
+
+
+def kernel_models():
+    """The calibrated models, a flat and a zero one, and one whose exponents numpy would special-case."""
+    models = dict(calibrate_default_models())
+    models["flat"] = PsdModel.flat(3e-4, 1e-3, 1e4)
+    models["zero"] = zero_model()
+    models["square-reciprocal-sqrt"] = PsdModel.from_anchor(
+        10.0, 1e-6, [(1e-3, 2.0), (1.0, -1.0), (100.0, 0.5)], 1e-3, 1e4
+    )
+    return models
+
+
 class TestPsdModel:
+    @pytest.mark.parametrize("name", sorted(kernel_models()))
+    def test_eval_matches_gather_formula(self, name):
+        # per-segment evaluation is bit for bit the per-bin gather, in any order
+        m = kernel_models()[name]
+        f = np.fft.rfftfreq(2**13, d=1.0 / 20e3)  # sorted, from f = 0
+        shuffled = np.random.default_rng(4).permutation(f)
+        for arg in (f, f[::-1].copy(), shuffled, f[1:], 0.0, 12.5, 1e5):
+            got, want = m.eval(arg, extend=True), gather_eval(m, arg)
+            assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+        assert type(m.eval(12.5)) is float
+
     def test_anchor_value(self):
         m = single_slope(0.178, -8.0 / 3.0)
         assert m.eval(10.0) == pytest.approx(0.178, rel=1e-12)
@@ -170,6 +225,16 @@ class TestSynthesis:
         b = synthesize_phase_noise(m, 1000.0, 4096, 2)
         assert not np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("name", sorted(kernel_models()))
+    @pytest.mark.parametrize("n", [4096, 4097])
+    def test_matches_direct_formula(self, name, n):
+        # the in-place shaping draws and rounds exactly as the direct formula
+        m = kernel_models()[name]
+        seed = np.random.SeedSequence(5, spawn_key=(1,))
+        s = synthesize_phase_noise(m, 20e3, n, seed)
+        assert np.array_equal(s.samples, direct_synthesis(m, 20e3, n, seed))
+        assert s.samples.base is None  # a copy: the 2n-point transform is not kept alive
+
     def test_zero_model_gives_zeros(self):
         m = PsdModel.flat(0.0, 1e-3, 1e3)
         s = synthesize_phase_noise(m, 100.0, 1024, 0)
@@ -241,6 +306,29 @@ class TestEstimatePsd:
         est = estimate_psd(s, segment_len=1024)
         df = est.freqs[1] - est.freqs[0]
         assert np.sum(est.psd) * df == pytest.approx(np.var(s.samples), rel=0.05)
+
+    @pytest.mark.parametrize(
+        "n, segment_len",
+        [
+            (2**14, 2048),  # even length, 15 segments
+            (2**14, 2047),  # odd length: no Nyquist bin
+            (5200, 1000),  # the last 200 samples make no full segment and are dropped
+            (3000, 3000),  # one segment, the whole series
+            (2**13 + 3, 2**13),  # one segment, three samples left over
+            (2**20, 2**18),  # 7 segments, transformed in batches of 4
+        ],
+    )
+    def test_matches_scipy_welch(self, n, segment_len):
+        fs = 250.0
+        x = np.cumsum(np.random.default_rng(n).standard_normal(n))  # red: 60+ dB of dynamic range
+        est = estimate_psd(PhaseSeries(x, fs), segment_len=segment_len)
+        w = signal.get_window("hann", segment_len)
+        freqs, psd = signal.welch(
+            x, fs=fs, window=w, nperseg=segment_len, noverlap=round(segment_len / 2),
+            detrend="constant", return_onesided=True, scaling="density",
+        )
+        assert np.array_equal(est.freqs, freqs)
+        np.testing.assert_allclose(est.psd, psd, rtol=1e-10, atol=0)
 
     def test_segment_too_long(self):
         s = PhaseSeries(np.zeros(100), 10.0)
