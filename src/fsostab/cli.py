@@ -112,6 +112,8 @@ def _cmd_simulate(args, config, models, experiment, out: Path):
         write_spectrum_csv(path, fb, pb)
         outputs.append(path)
     if args.emit_trace:
+        # spawning advanced ``seed``; a fresh one redraws the realization the spectra came from
+        seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
         inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
         for mode in modes:
             meas, trace = run_link(config, inputs, mode=mode)

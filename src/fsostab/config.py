@@ -4,12 +4,19 @@ Configs are JSON with explicit unit suffixes in every key name
 (*_hz, *_m, *_s) so unit mistakes are visible at the call site. An
 empty file resolves to the experiment defaults (193.1 THz primary and
 secondary, 150 m channel, 20 kHz sampling, 19-channel grid, calibrated
-models, base seed 101). Unknown keys are rejected by name, and a value
-of the wrong JSON type is rejected, not coerced. A model is a
-phase PSD; one given as ``"kind": "frequency"`` (S_nu in Hz^2/Hz) is
-converted on load by S_phi = S_nu / f^2, and written back as
-``"kind": "phase"``. A manifest written by a previous run can be passed
-back in as the config: its resolved snapshot is used verbatim.
+models, base seed 101). A manifest written by a previous run can be
+passed back in as the config: its resolved snapshot is used verbatim.
+
+Every block (root, ``servo``, ``experiment``, ``models``, each model
+and each segment) is checked by one function against one table of value
+kinds. Unknown keys are rejected by name, and so are missing model and
+segment keys. Nothing is coerced: a number is a JSON int or float, never
+a string or ``true``, and finite (the ``NaN`` and ``Infinity`` that
+Python's json reads are no JSON numbers, RFC 8259); it is read as a
+float. ``LinkConfig`` and ``PsdModel`` check the ranges, a negative
+``link_length_m`` among them. A model is a phase PSD; one given as
+``"kind": "frequency"`` (S_nu in Hz^2/Hz) is converted on load by
+S_phi = S_nu / f^2, and written back as ``"kind": "phase"``.
 
 Command-line flags are config keys, laid over the file before any check
 and checked like it; a flag replaces the file key stating the same fact
@@ -20,51 +27,69 @@ and checked like it; a flag replaces the file key stating the same fact
 from __future__ import annotations
 
 import json
+import math
+import sys
 from pathlib import Path
 
 from .errors import ConfigError, InvalidModelError
 from .experiment import calibrate_default_models
 from .link import LinkConfig, ServoConfig
-from .noise import PsdModel
+from .noise import PsdModel, PsdSegment
 
 DEFAULT_SEED = 101
 
-#: JSON key -> (field name, type) of the fields mapped one-to-one; this
-#: table drives unknown-key rejection and both directions of the mapping.
-_LINK_FIELDS = {
-    "nu_p_hz": ("nu_p_hz", float),
-    "nu_s_hz": ("nu_s_hz", float),
-    "link_length_m": ("link_length_m", float),
-    "t_one_way_s": ("t_one_way_s", float),
-    "fs_hz": ("fs_hz", float),
-    "n_samples": ("n_samples", int),
-    "approximate_roundtrip": ("approximate_roundtrip", bool),
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is no 1
+
+
+def _number(v) -> bool:
+    return (_integer(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max  # no NaN, no Infinity
+
+
+#: value kind -> (what its JSON value must be, the test)
+_KINDS = {
+    "number": ("a finite number", _number),
+    "integer": ("an integer", _integer),
+    "seed": ("an integer >= 0", lambda v: _integer(v) and v >= 0),
+    "nperseg": ("an integer >= 1", lambda v: _integer(v) and v >= 1),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "numbers": ("a list of finite numbers", lambda v: type(v) is list and all(map(_number, v))),
+    "object": ("a JSON object", lambda v: type(v) is dict),
+    "objects": ("a list of JSON objects", lambda v: type(v) is list and all(type(s) is dict for s in v)),
+    "string": ("a string", lambda v: type(v) is str),
 }
-_SERVO_FIELDS = {
-    "kp": ("kp", float),
-    "ki_per_s": ("ki", float),
-    "kii_per_s2": ("kii", float),
-}
-#: field type -> (what its JSON value must be, the JSON types it takes); a number is no bool or string
-_JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", (int,)), bool: ("true or false", (bool,))}
-_LINK_KEYS = set(_LINK_FIELDS) | {"servo", "duration_s", "models", "experiment"}
-_MODEL_KEYS = {"kind", "ref_freq_hz", "segments", "f_min_hz", "f_max_hz"}
-_SEGMENT_KEYS = {"f_break_hz", "exponent", "level"}
-#: experiment key -> (what its value must be, the test); type(), not isinstance: JSON true is no int
-_EXPERIMENT_KEYS = {
-    "base_seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
-    "nperseg": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "channels_thz": ("a list of numbers", lambda v: type(v) is list and all(type(c) in (int, float) for c in v)),
-}
-_MODEL_NAMES = {"primary", "secondary", "atmosphere"}
+#: block tables, JSON key -> value kind
+_LINK_FIELDS = {"nu_p_hz": "number", "nu_s_hz": "number", "link_length_m": "number", "t_one_way_s": "number",
+                "fs_hz": "number", "n_samples": "integer", "approximate_roundtrip": "bool"}
+_ROOT = {**_LINK_FIELDS, "duration_s": "number", "servo": "object", "models": "object", "experiment": "object"}
+_SERVO = {"kp": "number", "ki_per_s": "number", "kii_per_s2": "number"}
+_EXPERIMENT = {"base_seed": "seed", "nperseg": "nperseg", "channels_thz": "numbers"}
+_MODELS = dict.fromkeys(("primary", "secondary", "atmosphere"), "object")
+_MODEL = {"kind": "string", "ref_freq_hz": "number", "segments": "objects", "f_min_hz": "number", "f_max_hz": "number"}
+_SEGMENT = {"f_break_hz": "number", "exponent": "number", "level": "number"}
+#: JSON key -> field name where the two differ; serves both directions of the mapping
+_FIELD_NAMES = {"ki_per_s": "ki", "kii_per_s2": "kii"}
 #: key an override sets -> the file key stating the same fact, which it drops
 _SAME_FACT = {"n_samples": "duration_s", "t_one_way_s": "link_length_m"}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+def _checked(d: dict, table: dict, where: str, required: bool = False) -> dict:
+    """The values of block ``d`` by field name, each checked against its kind in ``table``; numbers read as floats.
+
+    A key not in ``table`` is rejected by name, and so is a missing one when ``required``.
+    """
+    if set(d) - set(table):
+        raise ConfigError(f"unknown key(s) {sorted(set(d) - set(table))} in {where or 'config'}")
+    if required and set(table) - set(d):
+        raise ConfigError(f"missing key(s) {sorted(set(table) - set(d))} in {where}")
+    out = {}
+    for key, value in d.items():
+        want, ok = _KINDS[table[key]]
+        if not ok(value):
+            raise ConfigError(f"{where}{'.' if where else ''}{key} must be {want}, got {value!r}")
+        out[_FIELD_NAMES.get(key, key)] = float(value) if table[key] == "number" else value
+    return out
 
 
 def psd_model_from_dict(d: dict, where: str = "model") -> PsdModel:
@@ -72,95 +97,52 @@ def psd_model_from_dict(d: dict, where: str = "model") -> PsdModel:
 
     Each S_nu segment becomes its S_phi = S_nu / f^2 law: exponent - 2, level / ref_freq_hz^2.
     """
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
-    _reject_unknown(d, _MODEL_KEYS, where)
-    try:
-        kind, ref = d["kind"], float(d["ref_freq_hz"])
-        f_min_hz, f_max_hz = float(d["f_min_hz"]), float(d["f_max_hz"])
-        for s in d["segments"]:
-            _reject_unknown(s, _SEGMENT_KEYS, f"{where}.segments")
-        segments = [(s["f_break_hz"], s["exponent"], s["level"]) for s in d["segments"]]
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc} in {where}") from exc
+    fields = _checked(d, _MODEL, where, required=True)
+    kind, ref = fields.pop("kind"), fields["ref_freq_hz"]
+    segments = [PsdSegment(**_checked(s, _SEGMENT, f"{where}.segments[{i}]", required=True))
+                for i, s in enumerate(fields.pop("segments"))]
     if kind == "frequency":
-        if f_min_hz <= 0:
+        if fields["f_min_hz"] <= 0:
             raise InvalidModelError(f"{where}: a frequency-noise model must exclude f = 0 (f_min_hz > 0)")
-        segments = [(f, e - 2.0, level / ref**2) for f, e, level in segments]
+        segments = [PsdSegment(s.f_break_hz, s.exponent - 2.0, s.level / (ref * ref)) for s in segments]
     elif kind != "phase":
         raise InvalidModelError(f"{where}: unknown PSD kind {kind!r} (phase or frequency)")
-    return PsdModel(ref, tuple(segments), f_min_hz, f_max_hz)
+    try:
+        return PsdModel(segments=tuple(segments), **fields)
+    except InvalidModelError as exc:
+        raise InvalidModelError(f"{where}: {exc}") from None
+
+
+def _fields_to_dict(obj, keys) -> dict:
+    return {key: getattr(obj, _FIELD_NAMES.get(key, key)) for key in keys}
 
 
 def psd_model_to_dict(model: PsdModel) -> dict:
-    return {
-        "kind": "phase",
-        "ref_freq_hz": model.ref_freq_hz,
-        "segments": [
-            {"f_break_hz": s.f_break_hz, "exponent": s.exponent, "level": s.level}
-            for s in model.segments
-        ],
-        "f_min_hz": model.f_min_hz,
-        "f_max_hz": model.f_max_hz,
-    }
-
-
-def _check_type(value, kind: type, where: str):
-    """Reject a JSON value of the wrong type by name, instead of coercing it; type(), not isinstance: JSON true is no int."""
-    want, types = _JSON_TYPES[kind]
-    if type(value) not in types:
-        raise ConfigError(f"{where} must be {want}, got {value!r}")
-
-
-def _fields_from_dict(d: dict, table: dict, where: str = "") -> dict:
-    fields = {}
-    for key, (name, kind) in table.items():
-        if key in d:
-            _check_type(d[key], kind, where + key)
-            fields[name] = kind(d[key])  # a JSON int given for a float field becomes a float
-    return fields
-
-
-def _fields_to_dict(obj, table: dict) -> dict:
-    return {key: getattr(obj, name) for key, (name, _) in table.items()}
-
-
-def _servo_from_dict(d: dict) -> ServoConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"servo must be a JSON object, got {d!r}")
-    _reject_unknown(d, set(_SERVO_FIELDS), "servo")
-    return ServoConfig(**_fields_from_dict(d, _SERVO_FIELDS, "servo."))
-
-
-def _check_experiment(d: dict):
-    """Reject an experiment block of the wrong shape before anything runs."""
-    if not isinstance(d, dict):
-        raise ConfigError("experiment must be a JSON object")
-    _reject_unknown(d, set(_EXPERIMENT_KEYS), "experiment")
-    for key, (want, ok) in _EXPERIMENT_KEYS.items():
-        if key in d and not ok(d[key]):
-            raise ConfigError(f"experiment.{key} must be {want}, got {d[key]!r}")
+    fields = _fields_to_dict(model, ("ref_freq_hz", "f_min_hz", "f_max_hz"))
+    return {"kind": "phase", **fields, "segments": [_fields_to_dict(s, _SEGMENT) for s in model.segments]}
 
 
 def link_config_from_dict(d: dict) -> LinkConfig:
-    _reject_unknown(d, _LINK_KEYS, "config")
-    if "n_samples" in d and "duration_s" in d:
+    kwargs = _checked(d, _ROOT, "")
+    kwargs.pop("models", None)
+    kwargs.pop("experiment", None)
+    if "n_samples" in kwargs and "duration_s" in kwargs:
         raise ConfigError("n_samples and duration_s are mutually exclusive")
-    kwargs = _fields_from_dict(d, _LINK_FIELDS)
-    if "t_one_way_s" in d:
+    if "t_one_way_s" in kwargs:
         kwargs.setdefault("link_length_m", None)  # both given: LinkConfig rejects the pair
-    if "duration_s" in d:
-        _check_type(d["duration_s"], float, "duration_s")
-        fs = kwargs.get("fs_hz", LinkConfig().fs_hz)
-        kwargs["n_samples"] = int(round(float(d["duration_s"]) * fs))
-    if "servo" in d:
-        kwargs["servo"] = _servo_from_dict(d["servo"])
+    if "duration_s" in kwargs:
+        n = kwargs.pop("duration_s") * kwargs.get("fs_hz", LinkConfig.fs_hz)
+        if not math.isfinite(n):
+            raise ConfigError(f"duration_s must give a finite sample count at fs_hz, got {n:g} samples")
+        kwargs["n_samples"] = int(round(n))
+    if "servo" in kwargs:
+        kwargs["servo"] = ServoConfig(**_checked(kwargs["servo"], _SERVO, "servo"))
     return LinkConfig(**kwargs)
 
 
 def link_config_to_dict(config: LinkConfig) -> dict:
     out = _fields_to_dict(config, _LINK_FIELDS)
-    out["servo"] = _fields_to_dict(config.servo, _SERVO_FIELDS)
+    out["servo"] = _fields_to_dict(config.servo, _SERVO)
     # exactly one delay spec is set; the other is None and stays out
     del out["t_one_way_s" if config.t_one_way_s is None else "link_length_m"]
     return out
@@ -180,28 +162,22 @@ def load_config(path: str | Path | None, overrides: dict | None = None):
     data = json.loads(raw) if raw.strip() else {}
     if isinstance(data, dict) and "resolved_config" in data:
         data = data["resolved_config"]
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
+    if not isinstance(data, dict):  # flags are laid into the root and its blocks before any check
+        raise ConfigError(f"config root must be a JSON object, got {data!r}")
     for key, value in (overrides or {}).items():
         block, _, name = key.rpartition(".")
         target = data.setdefault(block, {}) if block else data
         if not isinstance(target, dict):
-            raise ConfigError(f"{block} must be a JSON object")
+            raise ConfigError(f"{block} must be a JSON object, got {target!r}")
         target[name] = value
         target.pop(_SAME_FACT.get(name), None)
     config = link_config_from_dict(data)
     if "models" in data:
-        mdl = data["models"]
-        if not isinstance(mdl, dict):
-            raise ConfigError(f"models must be a JSON object, got {mdl!r}")
-        _reject_unknown(mdl, _MODEL_NAMES, "models")
-        if set(mdl) != _MODEL_NAMES:
-            raise ConfigError(f"models must define exactly {sorted(_MODEL_NAMES)}")
-        models = {name: psd_model_from_dict(entry, where=f"models.{name}") for name, entry in mdl.items()}
+        entries = _checked(data["models"], _MODELS, "models", required=True)
+        models = {name: psd_model_from_dict(entry, where=f"models.{name}") for name, entry in entries.items()}
     else:
         models = calibrate_default_models()
-    experiment = data.get("experiment", {})
-    _check_experiment(experiment)
+    experiment = _checked(data.get("experiment", {}), _EXPERIMENT, "experiment")
     return config, models, {"base_seed": DEFAULT_SEED, **experiment}
 
 

@@ -169,8 +169,13 @@ class ScenarioResult:
         return {m: summarize_spots([self.spots_dbc[(ch, m)] for ch in self.channels_thz]) for m in MODES}
 
 
-def _default_nperseg(n: int) -> int:
-    return int(max(16, min(2**18, n // 8)))
+def _checked_nperseg(config: LinkConfig, nperseg: int | None) -> int:
+    """Welch segment length for runs of ``config`` (the default when None), checked before any synthesis."""
+    nperseg = nperseg or int(max(16, min(2**18, config.n_samples // 8)))
+    lo, hi = config.fs_hz / SPOT_FREQ_HZ, config.n_samples - config.warmup_samples
+    if not lo <= nperseg <= hi:
+        raise ConfigError(f"nperseg {nperseg} outside [{lo:g}, {hi}]: bins must resolve the spot, segments fit after warm-up")
+    return nperseg
 
 
 def run_three_modes(
@@ -187,9 +192,8 @@ def run_three_modes(
     inputs form the mode-independent forcing on the first run and keep
     it for the others; it is freed with them when the channel is done.
     """
-    n = config.n_samples
-    inputs = NoiseInputs.from_models(models, config.fs_hz, n, seed, config.nu_p_hz)
-    nperseg = nperseg or _default_nperseg(n)
+    nperseg = _checked_nperseg(config, nperseg)
+    inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
     spectra, spots, flags = {}, {}, []
     for mode in modes:
         meas, trace = run_link(config, inputs, mode=mode)
@@ -232,10 +236,7 @@ def channel_sweep(
         raise ConfigError(f"channels_thz {channels} must name at least one channel, each once")
     # every check that can fail runs before the first synthesis
     configs = [replace(base_config, nu_s_hz=ch * 1e12) for ch in channels]
-    nperseg = nperseg or _default_nperseg(base_config.n_samples)
-    lo, hi = base_config.fs_hz / SPOT_FREQ_HZ, base_config.n_samples - base_config.warmup_samples
-    if not lo <= nperseg <= hi:
-        raise ConfigError(f"nperseg {nperseg} outside [{lo:g}, {hi}]: bins must resolve the spot, segments fit after warm-up")
+    nperseg = _checked_nperseg(base_config, nperseg)
     spots, spectra, flags = {}, {}, []
     for i, (ch, cfg) in enumerate(zip(channels, configs)):
         seed = np.random.SeedSequence(base_seed, spawn_key=(i,))

@@ -60,8 +60,8 @@ class ServoConfig:
     kii: float = 0.0
 
     def __post_init__(self):
-        if self.kp < 0 or self.ki < 0 or self.kii < 0:
-            raise ConfigError("servo gains must be >= 0")
+        if not all(0 <= g < math.inf for g in (self.kp, self.ki, self.kii)):  # also rejects NaN
+            raise ConfigError(f"servo gains must be finite and >= 0, got kp={self.kp}, ki={self.ki}, kii={self.kii}")
 
 
 def _schur_stable(a: np.ndarray) -> bool:
@@ -128,12 +128,18 @@ class LinkConfig:
     approximate_roundtrip: bool = True
 
     def __post_init__(self):
-        if not (self.nu_p_hz > 0 and self.nu_s_hz > 0):  # also rejects NaN
+        for name in ("nu_p_hz", "nu_s_hz", "link_length_m", "t_one_way_s", "fs_hz"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not (self.nu_p_hz > 0 and self.nu_s_hz > 0):
             raise ConfigError("optical carriers must be > 0")
         if self.link_length_m is not None and self.t_one_way_s is not None:
             raise ConfigError("link_length_m and t_one_way_s are mutually exclusive")
         if self.link_length_m is None and self.t_one_way_s is None:
             raise ConfigError("one of link_length_m or t_one_way_s is required")
+        if self.link_length_m is not None and self.link_length_m < 0:
+            raise ConfigError(f"link_length_m must be >= 0, got {self.link_length_m}")
         if self.fs_hz <= 0:
             raise ConfigError("fs_hz must be > 0")
         if self.n_samples < 64:
@@ -168,16 +174,19 @@ class LinkConfig:
     @property
     def warmup_samples(self) -> int:
         """Samples dropped before the outputs (3 T + 5 servo time constants + 32), at most 10% of the run."""
-        settle = 0
+        settle = 0.0
         if self.servo.ki > 0:
             tau = 1.0 / self.servo.ki
             if self.servo.kii > 0:
                 tau = max(tau, self.servo.ki / self.servo.kii)
-            settle = int(math.ceil(5.0 * tau * self.fs_hz))
-        warmup = int(math.ceil(3.0 * (self.t_one_way * self.fs_hz))) + settle + 32
+            settle = np.ceil(5.0 * tau * self.fs_hz)  # inf for a vanishing kii
+        warmup = np.ceil(3.0 * (self.t_one_way * self.fs_hz)) + settle + 32
         if warmup > 0.1 * self.n_samples:
-            raise ConfigError(f"warm-up ({warmup} samples) exceeds 10% of the run ({self.n_samples})")
-        return warmup
+            raise ConfigError(
+                f"warm-up ({warmup:.0f} samples at T={self.t_one_way:g} s, ki={self.servo.ki:g}/s, "
+                f"kii={self.servo.kii:g}/s^2) exceeds 10% of the run ({self.n_samples})"
+            )
+        return int(warmup)
 
     def carrier_scale(self, mode: str) -> float:
         """Correction seen at nu_s per rad the actuator applies at nu_p in ``mode``.

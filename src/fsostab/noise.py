@@ -76,8 +76,8 @@ class PsdModel:
             s if isinstance(s, PsdSegment) else PsdSegment(*s) for s in self.segments
         )
         object.__setattr__(self, "segments", segs)
-        if self.ref_freq_hz <= 0:
-            raise InvalidModelError("ref_freq_hz must be > 0")
+        if not 0 < self.ref_freq_hz < np.inf:
+            raise InvalidModelError("ref_freq_hz must be finite and > 0")
         if not (0 <= self.f_min_hz < self.f_max_hz):
             raise InvalidModelError("need 0 <= f_min_hz < f_max_hz")
         breaks = [s.f_break_hz for s in segs]
@@ -89,6 +89,13 @@ class PsdModel:
             raise InvalidModelError("segment parameters must be finite")
         if any(s.level < 0 for s in segs):
             raise InvalidModelError("segment levels must be >= 0")
+        # each law must be finite where it applies: at both ends of its span and at f_min and f_max (f = 0 excepted)
+        ends = [(s, s.f_break_hz) for s in segs] + [(lo, hi.f_break_hz) for lo, hi in zip(segs, segs[1:])]
+        ends += [(segs[np.searchsorted(breaks, f, side="right") - 1], f) for f in (self.f_min_hz, self.f_max_hz)]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for seg, f in ends:
+                if f > 0 and not np.isfinite(seg.level * np.float64(f / self.ref_freq_hz) ** seg.exponent):
+                    raise InvalidModelError(f"PSD not finite at {f:g} Hz (segment from {seg.f_break_hz:g} Hz)")
         for lo, hi in zip(segs, segs[1:]):
             a = lo.level * (hi.f_break_hz / self.ref_freq_hz) ** lo.exponent
             b = hi.level * (hi.f_break_hz / self.ref_freq_hz) ** hi.exponent

@@ -1,13 +1,17 @@
 """CLI subcommands, config validation, exit codes, rerun determinism."""
 
+import copy
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsostab import cli, experiment
+from fsostab import cli, experiment, link
 from fsostab.cli import EXIT_FLAGGED, EXIT_OK, EXIT_VALIDATION, main
 from fsostab.config import (
     DEFAULT_SEED,
@@ -19,7 +23,7 @@ from fsostab.config import (
 )
 from fsostab.errors import ConfigError
 from fsostab.experiment import calibrate_default_models
-from fsostab.link import LinkConfig, ServoConfig
+from fsostab.link import LinkConfig, NoiseInputs, ServoConfig, run_link
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -109,6 +113,16 @@ class TestParseConfig:
         for name in models:
             assert loaded[name] == models[name]
 
+    def test_model_json_integers_read_as_floats(self, tmp_path):
+        # a model number is read as a float like every other, so the manifest records 10.0, not 10
+        primary = {"kind": "phase", "ref_freq_hz": 10, "f_min_hz": 1, "f_max_hz": 10000,
+                   "segments": [{"f_break_hz": 0, "exponent": -2, "level": 3}]}
+        models = {name: psd_model_to_dict(m) for name, m in calibrate_default_models().items()}
+        _, loaded, _ = load_config(write_cfg(tmp_path, {"models": dict(models, primary=primary)}))
+        stored = psd_model_to_dict(loaded["primary"])
+        assert stored == primary
+        assert all(type(v) is float for v in [stored["ref_freq_hz"], stored["f_min_hz"], *stored["segments"][0].values()])
+
     def test_frequency_model_converted_on_load(self, tmp_path):
         # white frequency noise S_nu = 0.29 Hz^2/Hz is S_phi = 2.9e-3 rad^2/Hz at 10 Hz
         freq = {"kind": "frequency", "ref_freq_hz": 10.0, "f_min_hz": 1e-3, "f_max_hz": 1e4,
@@ -168,6 +182,23 @@ def no_run(monkeypatch):
     monkeypatch.setattr(cli, "run_three_modes", fail)
 
 
+@pytest.fixture
+def no_synthesis(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("noise was synthesized before validation finished")
+
+    monkeypatch.setattr(link, "synthesize_phase_noise", fail)
+
+
+def _primary(**changes):
+    """The calibrated models, with ``changes`` made to the primary's JSON entry."""
+    models = {name: psd_model_to_dict(m) for name, m in calibrate_default_models().items()}
+    return {"models": dict(models, primary=dict(models["primary"], **changes))}
+
+
+_SEGMENT = psd_model_to_dict(calibrate_default_models()["primary"])["segments"][0]
+
+
 class TestSubcommands:
     def test_predict(self, tmp_path):
         out = tmp_path / "pred"
@@ -221,6 +252,48 @@ class TestSubcommands:
         )
         assert rc == EXIT_OK
         assert "channel 197.2 THz" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, message, commands",
+        [
+            (json.dumps(_primary(ref_freq_hz="10")), "models.primary.ref_freq_hz must be", ("predict", "simulate")),
+            (json.dumps(_primary(segments=[dict(_SEGMENT, level="1")])), "models.primary.segments[0].level must be",
+             ("predict", "simulate")),
+            (json.dumps(_primary(segments=5)), "models.primary.segments must be", ("predict", "simulate")),
+            (json.dumps(_primary(segments=[[0.001, -2, 1e-6]])), "models.primary.segments must be",
+             ("predict", "simulate")),
+            ('{"nu_s_hz": Infinity}', "nu_s_hz must be", ("predict", "simulate")),
+            ('{"fs_hz": NaN}', "fs_hz must be", ("predict", "simulate")),
+            ('{"servo": {"kp": NaN}}', "servo.kp must be", ("predict", "simulate")),
+            ('{"link_length_m": -5}', "link_length_m must be", ("predict", "simulate")),
+            ('{"servo": {"kii_per_s2": 1e-300}}', "kii=1e-300", ("simulate",)),  # predict needs no warm-up
+        ],
+        ids=["ref-string", "level-string", "segments-5", "segment-list", "nu_s-Infinity", "fs-NaN", "kp-NaN",
+             "length-negative", "kii-vanishing"],
+    )
+    def test_bad_value_exits_1_before_synthesis(self, tmp_path, caplog, no_synthesis, text, message, commands):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        for command in commands:
+            caplog.clear()
+            rc = main([command, "--config", str(cfg), "--out", str(tmp_path / command), "--samples", "65536"])
+            assert rc == EXIT_VALIDATION
+            assert "validation: " in caplog.text and message in caplog.text
+
+    def test_emit_trace_is_the_spectra_realization(self, tmp_path):
+        # the trace re-run draws the seed's children 0-2, as the run behind the spectra and summary did
+        cfg = write_cfg(tmp_path, {"servo": {"ki_per_s": 800.0}})
+        out = tmp_path / "t"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--mode", "doppler", "--seed", "7",
+                   "--emit-trace"] + SMALL)
+        assert rc == EXIT_OK
+        config, models, _ = load_config(cfg, {"n_samples": 32768, "fs_hz": 4000.0})
+        seed = np.random.SeedSequence(7, spawn_key=(0,))
+        inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
+        meas, _ = run_link(config, inputs, "doppler")
+        rows = (out / "trace_doppler.csv").read_text().splitlines()
+        assert rows[0].split(",")[-1] == "meas_phase_rad"
+        assert [r.rsplit(",", 1)[1] for r in rows[1:]] == [f"{x:.10g}" for x in meas.samples]
 
     def test_validation_exit_code(self, tmp_path):
         bad = write_cfg(tmp_path, {"frobnicate": 1})
@@ -377,3 +450,74 @@ class TestSubcommands:
     def test_help_exits_ok(self):
         assert main(["--help"]) == EXIT_OK
         assert main(["compare", "--help"]) == EXIT_OK
+
+
+#: The resolved default config, plus a default for each known key it leaves out
+_FUZZ_DEFAULTS = {
+    **link_config_to_dict(LinkConfig()),
+    "t_one_way_s": 1e-3,
+    "duration_s": 104.8576,
+    "models": {name: psd_model_to_dict(m) for name, m in calibrate_default_models().items()},
+    "experiment": {"base_seed": DEFAULT_SEED, "nperseg": 2048, "channels_thz": [193.2]},
+}
+
+
+def _known_keys(node, path=()):
+    """(path, default) of every key in the tree; a segment's path holds its list index."""
+    for key, child in node.items():
+        yield path + (key,), child
+        if type(child) is dict:
+            yield from _known_keys(child, path + (key,))
+        elif key == "segments":
+            for i, segment in enumerate(child):
+                yield from _known_keys(segment, path + (key, i))
+
+
+_KNOWN = list(_known_keys(_FUZZ_DEFAULTS))
+#: key -> the default key stating the same fact, which an edit of it replaces
+_RESTATES = {("t_one_way_s",): "link_length_m", ("duration_s",): "n_samples"}
+_ANY_JSON = [None, True, False, "", "10", "phase", "frequency", [], [1.0], {}, {"x": 1},
+             math.nan, math.inf, -math.inf, 1e300, 0, -1]
+
+
+def _values(default):
+    """A value of every JSON type and the edge numbers; a number key also takes its default x 10^k, |k| <= 3.
+
+    No value here puts nu_p_hz between 0 and about 1 kHz: there the atmosphere's time-of-flight
+    series breaks NoiseInputs' bound at run time, a range rule that validation does not state.
+    """
+    if type(default) not in (int, float):
+        return st.sampled_from(_ANY_JSON)
+    scaled = [default * 10.0**k for k in range(-3, 4)] + [int(default) * 10**k for k in range(4)]
+    return st.one_of(st.sampled_from(_ANY_JSON), st.sampled_from(scaled), st.sampled_from(scaled))
+
+
+def _set(tree, path, value):
+    try:
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(value)
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier edit replaced a block on the path
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    edits=st.lists(st.sampled_from(_KNOWN).flatmap(lambda kv: st.tuples(st.just(kv[0]), _values(kv[1]))), max_size=3),
+    unknown=st.one_of(st.none(), st.none(), st.none(), st.sampled_from(_KNOWN)),  # in about one tree of four
+)
+def test_fuzzed_config_never_a_runtime_fault(tmp_path_factory, edits, unknown):
+    # a config fails validation (1), runs (0) or runs flagged (3); it is never a runtime fault (2)
+    tree = copy.deepcopy(_FUZZ_DEFAULTS)
+    del tree["t_one_way_s"], tree["duration_s"]
+    for path, value in edits:
+        tree.pop(_RESTATES.get(path), None)
+        _set(tree, path, value)
+    if unknown is not None:
+        _set(tree, unknown[0][:-1] + ("unknown_key",), 1)  # in the block of a known key
+    out = tmp_path_factory.mktemp("fuzz")
+    cfg = write_cfg(out, tree)
+    for argv in (["predict", "--points", "50"], ["simulate", "--samples", "16384"]):
+        rc = main(argv + ["--config", str(cfg), "--out", str(out / argv[0])])
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_FLAGGED), (argv[0], tree)

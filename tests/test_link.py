@@ -76,6 +76,29 @@ class TestMakeLink:
         with pytest.raises(ConfigError):
             make_link(scaled_config(n=64, t_samples=16))
 
+    def test_vanishing_kii_fails_the_warmup_cap(self):
+        # the settling time ki/kii is infinite in floats: compared before any int conversion
+        with pytest.raises(ConfigError, match="kii=1e-300"):
+            make_link(LinkConfig(servo=ServoConfig(kii=1e-300), n_samples=65536))
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"nu_s_hz": np.inf}, "nu_s_hz"),
+            ({"fs_hz": np.nan}, "fs_hz"),
+            ({"link_length_m": -5.0}, "link_length_m"),
+        ],
+    )
+    def test_library_configs_checked(self, kwargs, name):
+        # library callers get the checks the config loader relies on
+        with pytest.raises(ConfigError, match=f"{name} must be"):
+            LinkConfig(**kwargs)
+
+    @pytest.mark.parametrize("gains", [{"kp": np.nan}, {"ki": np.inf}, {"kii": -1.0}])
+    def test_servo_gains_finite(self, gains):
+        with pytest.raises(ConfigError, match="servo gains"):
+            ServoConfig(**gains)
+
     def test_ki_stability_guard(self):
         with pytest.raises(ConfigError):
             LinkConfig(fs_hz=1000.0, servo=ServoConfig(ki=5000.0))

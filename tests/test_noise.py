@@ -114,6 +114,16 @@ class TestPsdModel:
                 1e3,
             )
 
+    @pytest.mark.parametrize(
+        "ref, exponent",
+        [(10.0, 1e300), (1e300, -2.0), (10.0, 1000.0)],  # overflows at the upper break, f_min, the upper break
+    )
+    def test_law_must_stay_finite_in_range(self, ref, exponent):
+        # checked before the continuity test, whose float ** would raise OverflowError
+        segments = (PsdSegment(1e-3, exponent, 1.0), PsdSegment(1e3, exponent, 1.0))
+        with pytest.raises(InvalidModelError, match="not finite"):
+            PsdModel(ref, segments, 1e-3, 1e4)
+
     def test_empty_segments_rejected(self):
         with pytest.raises(InvalidModelError):
             PsdModel(10.0, (), 1e-3, 1e3)
