@@ -12,6 +12,9 @@ import csv
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -191,6 +194,8 @@ def run_three_modes(
     so suppression estimates are free of realization variance. The
     inputs form the mode-independent forcing on the first run and keep
     it for the others; it is freed with them when the channel is done.
+    A mode whose spectrum or spot is not finite is flagged
+    ``<mode>:non-finite``.
     """
     nperseg = _checked_nperseg(config, nperseg)
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
@@ -202,6 +207,8 @@ def run_three_modes(
         spots[mode] = spot_phase_noise(est, SPOT_FREQ_HZ)
         if trace.flagged:
             flags.extend(f"{mode}:{f}" for f in trace.flags)
+        if not (np.isfinite(spots[mode]) and np.isfinite(est.psd).all()):
+            flags.append(f"{mode}:non-finite")
     return ChannelResult(spectra, spots, flags)
 
 
@@ -219,6 +226,13 @@ def log_bin_spectrum(est: SpectrumEstimate, points_per_decade: int = 64):
     return fsum[nz] / counts[nz], sums[nz] / counts[nz]
 
 
+def _run_channel(job):
+    """One sweep channel, run in a worker: its (spots, log-binned spectra, flags), mode -> value."""
+    config, models, seed, nperseg = job
+    res = run_three_modes(config, models, seed, nperseg=nperseg)
+    return res.spots_dbc, {mode: log_bin_spectrum(est) for mode, est in res.spectra.items()}, res.flags
+
+
 def channel_sweep(
     base_config: LinkConfig,
     models: dict,
@@ -230,6 +244,12 @@ def channel_sweep(
 
     Each channel gets its own deterministic seed stream derived from
     ``base_seed``; the three modes inside a channel share realizations.
+    The channels run in worker processes, at most one per CPU this
+    process may use, and their results are collected in channel order,
+    so the result does not depend on the number of workers. A worker
+    sends back only a channel's spots, log-binned spectra and flags; an
+    exception raised in a channel reaches the caller with its type, and
+    a worker that dies surfaces as ``BrokenProcessPool``.
     """
     channels = list(channels_thz) if channels_thz is not None else list(CHANNEL_GRID_THZ)
     if not channels or len(set(channels)) < len(channels):
@@ -237,19 +257,18 @@ def channel_sweep(
     # every check that can fail runs before the first synthesis
     configs = [replace(base_config, nu_s_hz=ch * 1e12) for ch in channels]
     nperseg = _checked_nperseg(base_config, nperseg)
+    jobs = [(cfg, models, np.random.SeedSequence(base_seed, spawn_key=(i,)), nperseg) for i, cfg in enumerate(configs)]
+    workers = min(len(channels), len(os.sched_getaffinity(0)))
     spots, spectra, flags = {}, {}, []
-    for i, (ch, cfg) in enumerate(zip(channels, configs)):
-        seed = np.random.SeedSequence(base_seed, spawn_key=(i,))
-        res = run_three_modes(cfg, models, seed, nperseg=nperseg)
-        _log.info(
-            "channel %.1f THz: spots %s",
-            ch,
-            {m: round(v, 2) for m, v in res.spots_dbc.items()},
-        )
-        for mode in MODES:
-            spots[(ch, mode)] = res.spots_dbc[mode]
-            spectra[(ch, mode)] = log_bin_spectrum(res.spectra[mode])
-        flags.extend(f"ch{ch}:{f}" for f in res.flags)
+    # fork: the workers start with numpy, scipy and the models already loaded, and
+    # Python 3.11's pool forks all of them before it starts its manager thread
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        for ch, (ch_spots, ch_spectra, ch_flags) in zip(channels, pool.map(_run_channel, jobs)):
+            _log.info("channel %.1f THz: spots %s", ch, {m: round(v, 2) for m, v in ch_spots.items()})
+            for mode in MODES:
+                spots[(ch, mode)] = ch_spots[mode]
+                spectra[(ch, mode)] = ch_spectra[mode]
+            flags.extend(f"ch{ch}:{f}" for f in ch_flags)
     if len(channels) != len(CHANNEL_GRID_THZ):
         flags.append("incomplete-grid")
     return ScenarioResult(channels, spots, spectra, base_seed, flags)

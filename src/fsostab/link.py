@@ -222,8 +222,13 @@ class NoiseInputs:
             raise ValueError("noise inputs must share one length")
         if not np.all(np.isfinite(self.dt_atm)):
             raise ValueError("dt_atm contains non-finite values")
-        if np.max(np.abs(self.dt_atm), initial=0.0) >= 0.1 / self.fs_hz:
-            raise ValueError("dt_atm must stay far below one sample interval")
+        peak = np.max(np.abs(self.dt_atm), initial=0.0)
+        if peak >= 0.1 / self.fs_hz:
+            # dt_atm is the atmosphere's phase over 2 pi nu_p_hz, so this is a range rule on the run's keys
+            raise ConfigError(
+                f"dt_atm reaches {peak:.3g} s, not far below one sample interval (0.1 / fs_hz = {0.1 / self.fs_hz:.3g} s):"
+                " raise nu_p_hz, lower fs_hz or lower the atmosphere level"
+            )
 
     def __len__(self):
         return self.dt_atm.size

@@ -314,7 +314,8 @@ def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
         seg = seg - seg.mean(axis=1, keepdims=True)
         seg *= w_psd
         spec = np.fft.rfft(seg, axis=1)
-        power += (spec.real**2 + spec.imag**2).sum(axis=0)
+        with np.errstate(over="ignore"):  # an overflow leaves inf, which the caller flags
+            power += (spec.real**2 + spec.imag**2).sum(axis=0)
     psd = power / len(segments)
     psd[1 : (segment_len + 1) // 2] *= 2.0  # one-sided: every bin but DC and an even length's Nyquist
     freqs = np.fft.rfftfreq(segment_len, d=1.0 / series.fs_hz)

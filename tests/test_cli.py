@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import os
+import signal
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsostab import cli, experiment, link
-from fsostab.cli import EXIT_FLAGGED, EXIT_OK, EXIT_VALIDATION, main
+from fsostab.cli import EXIT_FLAGGED, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from fsostab.config import (
     DEFAULT_SEED,
     link_config_from_dict,
@@ -335,6 +337,21 @@ class TestSubcommands:
         assert rc == EXIT_FLAGGED
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_result_is_flagged(self, tmp_path):
+        # the measurement phase scales with nu_s / nu_p: Welch overflows to inf, which flags each mode (exit 3)
+        # in place of numpy's overflow warning
+        cfg = write_cfg(tmp_path, {"nu_s_hz": 1e300})
+        out = tmp_path / "big"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--samples", "16384"]) == EXIT_FLAGGED
+
+    def test_low_primary_carrier_is_validation_error(self, tmp_path, caplog):
+        # the atmosphere's time of flight is its phase over 2 pi nu_p: at 100 Hz it spans many samples
+        cfg = write_cfg(tmp_path, {"nu_p_hz": 100.0})
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "low"), "--samples", "16384"])
+        assert rc == EXIT_VALIDATION
+        assert "validation: " in caplog.text and "nu_p_hz" in caplog.text
+
     def test_compare_scaled_mode(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         cfg = write_cfg(tmp_path, {"t_one_way_s": 2e-3})
@@ -377,6 +394,26 @@ class TestSubcommands:
         assert rc == EXIT_FLAGGED
         rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 * 3
+
+    @pytest.mark.parametrize(
+        "fault, code, message",
+        [
+            (ConfigError("channel out of range"), EXIT_VALIDATION, "validation: channel out of range"),
+            (RuntimeError("channel broke"), EXIT_RUNTIME, "runtime fault: channel broke"),
+            (None, EXIT_RUNTIME, "runtime fault: A process in the process pool was terminated abruptly"),
+        ],
+        ids=["ConfigError", "RuntimeError", "worker-dies"],
+    )
+    def test_channel_fault_keeps_its_exit_code(self, tmp_path, monkeypatch, caplog, fault, code, message):
+        # an exception a channel raises in its worker reaches main with its type; a worker that dies is a runtime fault
+        def fail(*args, **kwargs):
+            if fault is None:
+                os._exit(1)
+            raise fault
+
+        monkeypatch.setattr(experiment, "run_three_modes", fail)  # the forked workers inherit the patch
+        assert _sweep_two_workers(tmp_path, monkeypatch) == code
+        assert message in caplog.text
 
     def test_empty_channel_list_is_validation_error(self, tmp_path):
         cfg = write_cfg(tmp_path, {"experiment": {"channels_thz": []}})
@@ -452,6 +489,24 @@ class TestSubcommands:
         assert main(["compare", "--help"]) == EXIT_OK
 
 
+def _sweep_two_workers(tmp_path, monkeypatch, timeout_s=120):
+    """Exit code of a two-channel sweep in a pool of two workers; a hung pool fails after ``timeout_s``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = write_cfg(tmp_path, {"fs_hz": 4000.0, "n_samples": 2**16, "servo": {"ki_per_s": 1000.0},
+                               "experiment": {"channels_thz": [193.2, 197.2], "nperseg": 8192}})
+
+    def hung(signum, frame):  # pytest.fail raises past main's ``except Exception``
+        pytest.fail(f"sweep still running after {timeout_s} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(timeout_s)
+    try:
+        return main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 #: The resolved default config, plus a default for each known key it leaves out
 _FUZZ_DEFAULTS = {
     **link_config_to_dict(LinkConfig()),
@@ -477,15 +532,11 @@ _KNOWN = list(_known_keys(_FUZZ_DEFAULTS))
 #: key -> the default key stating the same fact, which an edit of it replaces
 _RESTATES = {("t_one_way_s",): "link_length_m", ("duration_s",): "n_samples"}
 _ANY_JSON = [None, True, False, "", "10", "phase", "frequency", [], [1.0], {}, {"x": 1},
-             math.nan, math.inf, -math.inf, 1e300, 0, -1]
+             math.nan, math.inf, -math.inf, 1e300, 100.0, 0, -1]
 
 
 def _values(default):
-    """A value of every JSON type and the edge numbers; a number key also takes its default x 10^k, |k| <= 3.
-
-    No value here puts nu_p_hz between 0 and about 1 kHz: there the atmosphere's time-of-flight
-    series breaks NoiseInputs' bound at run time, a range rule that validation does not state.
-    """
+    """A value of every JSON type and the edge numbers; a number key also takes its default x 10^k, |k| <= 3."""
     if type(default) not in (int, float):
         return st.sampled_from(_ANY_JSON)
     scaled = [default * 10.0**k for k in range(-3, 4)] + [int(default) * 10**k for k in range(4)]
@@ -508,7 +559,8 @@ def _set(tree, path, value):
     unknown=st.one_of(st.none(), st.none(), st.none(), st.sampled_from(_KNOWN)),  # in about one tree of four
 )
 def test_fuzzed_config_never_a_runtime_fault(tmp_path_factory, edits, unknown):
-    # a config fails validation (1), runs (0) or runs flagged (3); it is never a runtime fault (2)
+    # a config fails validation (1), runs (0) or runs flagged (3); it is never a runtime fault (2),
+    # and a run that exits 0 writes only finite spectra
     tree = copy.deepcopy(_FUZZ_DEFAULTS)
     del tree["t_one_way_s"], tree["duration_s"]
     for path, value in edits:
@@ -521,3 +573,7 @@ def test_fuzzed_config_never_a_runtime_fault(tmp_path_factory, edits, unknown):
     for argv in (["predict", "--points", "50"], ["simulate", "--samples", "16384"]):
         rc = main(argv + ["--config", str(cfg), "--out", str(out / argv[0])])
         assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_FLAGGED), (argv[0], tree)
+        if rc == EXIT_OK:
+            for path in (out / argv[0]).glob("spectrum_*.csv"):
+                rows = path.read_text().splitlines()[1:]
+                assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), (path.name, tree)

@@ -1,13 +1,14 @@
 """Calibration, spot extraction, scenario plumbing and output files."""
 
 import json
+import os
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fsostab import link
+from fsostab import experiment, link
 from fsostab.errors import OutOfRangeError
 from fsostab.experiment import (
     CHANNEL_GRID_THZ,
@@ -202,6 +203,32 @@ class TestSweepAndOutputs:
         for mode in MODES:
             mean = np.mean([spots[(ch, mode)] for ch in result.channels_thz])
             assert result.summaries[mode].mean_dbc == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sweep_equals_serial_loop(self, monkeypatch, cpus):
+        # any number of workers gives, bit for bit, the channels run one after another with the same seeds
+        cfg, models, channels, nperseg = small_config(), calibrate_default_models(), [190.0, 193.2, 197.2], 2**13
+        pool_sizes, pool = [], experiment.ProcessPoolExecutor
+
+        def sized_pool(workers, **kwargs):
+            pool_sizes.append(workers)
+            return pool(workers, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", sized_pool)
+        result = channel_sweep(cfg, models, 7, channels_thz=channels, nperseg=nperseg)
+        assert pool_sizes == [cpus]
+        flags = []
+        for i, ch in enumerate(channels):
+            seed = np.random.SeedSequence(7, spawn_key=(i,))
+            res = run_three_modes(replace(cfg, nu_s_hz=ch * 1e12), models, seed, nperseg=nperseg)
+            for mode in MODES:
+                assert result.spots_dbc[(ch, mode)] == res.spots_dbc[mode]
+                for got, want in zip(result.spectra[(ch, mode)], log_bin_spectrum(res.spectra[mode])):
+                    assert np.array_equal(got, want)
+            flags += [f"ch{ch}:{f}" for f in res.flags]
+        assert list(result.spots_dbc) == [(ch, m) for ch in channels for m in MODES]
+        assert result.flags == flags + ["incomplete-grid"]
 
     def test_stabilized_never_worse(self):
         result = self.make_result()
