@@ -32,7 +32,6 @@ from .spectral import (
     meas_transfer_atm,
     meas_transfer_primary,
     meas_transfer_secondary,
-    predicted_measurement_psd,
     predicted_mode_psd,
 )
 from .link import (

@@ -40,7 +40,7 @@ from .spectral import (
     atm_variant_report,
     identity_check_suite,
     log_band_medians,
-    predicted_measurement_psd,
+    meas_transfer_atm,
     predicted_mode_psd,
 )
 
@@ -85,7 +85,10 @@ def _add_channel(p, mode_default):
 
 def _cmd_predict(args, config, models, experiment, out: Path):
     f = np.geomspace(args.f_min_hz, args.f_max_hz, args.points)
-    curves = predicted_measurement_psd(models, config.t_one_way, f)
+    curves = predicted_mode_psd(models, config.t_one_way, 1.0, 1.0, f)  # the stabilized closed forms at nu_p
+    curves["atm_derived"] = curves.pop("atmosphere")
+    atm = models["atmosphere"]
+    curves["atm_printed"] = meas_transfer_atm(f, config.t_one_way, "printed") * (0.0 if atm.is_zero else atm.eval(f))
     db = dbc_curves(curves)
     path = out / "predicted_curves.csv"
     cols = ["primary", "secondary", "atm_printed", "atm_derived", "total"]
@@ -112,11 +115,8 @@ def _cmd_simulate(args, config, models, experiment, out: Path):
         write_spectrum_csv(path, fb, pb)
         outputs.append(path)
     if args.emit_trace:
-        # spawning advanced ``seed``; a fresh one redraws the realization the spectra came from
-        seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
-        inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
-        for mode in modes:
-            meas, trace = run_link(config, inputs, mode=mode)
+        for mode in modes:  # on the realization, and the forcing, the spectra came from
+            meas, trace = run_link(config, res.inputs, mode=mode)
             path = out / f"trace_{mode}.csv"
             t = trace.t0_s + np.arange(trace.error_rad.size) / trace.fs_hz
             write_table_csv(
@@ -193,10 +193,16 @@ def _cmd_compare(args, config, models, experiment, out: Path):
     est = estimate_psd(meas, segment_len=max(64, min(2**18, meas.samples.size // 16)))
     # bins below a few resolution bandwidths are estimator-limited
     mask = est.band_mask & (est.psd > 0) & (est.freqs >= 5.0 * est.resolution_bw_hz)
-    pred = predicted_mode_psd(
-        models, config.t_one_way, config.nu_p_hz, config.nu_s_hz, args.mode, est.freqs[mask]
-    )
-    keep = pred > 1e-4 * pred.max()  # transfer nulls are excluded from the table
+    ratio, scale = config.nu_s_hz / config.nu_p_hz, config.carrier_scale(args.mode)
+    with np.errstate(over="ignore", invalid="ignore"):  # a prediction out of float range is flagged below
+        pred = predicted_mode_psd(models, config.t_one_way, ratio, scale, est.freqs[mask])["total"]
+    if not (np.isfinite(est.psd).all() and np.isfinite(pred).all()):
+        _log.warning("compare[%s]: the simulated spectrum or its prediction is not finite", args.mode)
+        return EXIT_FLAGGED
+    keep = pred > 1e-4 * pred.max(initial=0.0)  # transfer nulls are excluded from the table
+    if not keep.any():
+        _log.warning("compare[%s]: no band left, the prediction vanishes at every estimated frequency", args.mode)
+        return EXIT_FLAGGED
     fr = est.freqs[mask][keep]
     dev = 10.0 * np.log10(est.psd[mask][keep] / pred[keep])
     fb, devb = log_band_medians(fr, dev)

@@ -25,6 +25,7 @@ from . import __version__ as _version
 from .errors import ConfigError, OutOfRangeError
 from .link import MODES, LinkConfig, NoiseInputs, run_link
 from .noise import PsdModel, SpectrumEstimate, estimate_psd, ssb_phase_noise
+from .spectral import meas_transfer_primary, meas_transfer_secondary
 
 _log = logging.getLogger(__name__)
 
@@ -72,13 +73,11 @@ def calibrate_default_models() -> dict:
         MODEL_F_MIN_HZ,
         MODEL_F_MAX_HZ,
     )
-    sec_factor = 2.0 - 2.0 * np.cos(2.0 * np.pi * f0 * t_one_way_s)
-    sec_level = 2.0 * 10.0 ** (STABILIZED_FLOOR_DBC / 10.0) / sec_factor
+    sec_level = 2.0 * 10.0 ** (STABILIZED_FLOOR_DBC / 10.0) / meas_transfer_secondary(f0, t_one_way_s)
     secondary = PsdModel.from_anchor(
         f0, sec_level, [(MODEL_F_MIN_HZ, -2.0)], MODEL_F_MIN_HZ, MODEL_F_MAX_HZ
     )
-    pri_factor = 0.5 - 0.5 * np.cos(4.0 * np.pi * f0 * t_one_way_s)
-    pri_level = PRIMARY_MEAS_ANCHOR_RAD2 / pri_factor
+    pri_level = PRIMARY_MEAS_ANCHOR_RAD2 / meas_transfer_primary(f0, t_one_way_s)
     primary = PsdModel.from_anchor(
         f0, pri_level, [(MODEL_F_MIN_HZ, -2.0)], MODEL_F_MIN_HZ, MODEL_F_MAX_HZ
     )
@@ -136,10 +135,11 @@ def summarize_spots(spots: list[float]) -> SummaryStats:
 
 @dataclass
 class ChannelResult:
-    """One channel's three paired-mode runs."""
+    """One channel's three paired-mode runs and the noise inputs they shared."""
 
     spectra: dict  # mode -> SpectrumEstimate
     spots_dbc: dict  # mode -> float
+    inputs: NoiseInputs
     flags: list = field(default_factory=list)
 
     @property
@@ -193,7 +193,8 @@ def run_three_modes(
     All modes consume the same synthesized inputs (paired comparison),
     so suppression estimates are free of realization variance. The
     inputs form the mode-independent forcing on the first run and keep
-    it for the others; it is freed with them when the channel is done.
+    it for the others; the result carries them, so a caller can rerun a
+    mode on the same realization without synthesizing it again.
     A mode whose spectrum or spot is not finite is flagged
     ``<mode>:non-finite``.
     """
@@ -209,7 +210,7 @@ def run_three_modes(
             flags.extend(f"{mode}:{f}" for f in trace.flags)
         if not (np.isfinite(spots[mode]) and np.isfinite(est.psd).all()):
             flags.append(f"{mode}:non-finite")
-    return ChannelResult(spectra, spots, flags)
+    return ChannelResult(spectra, spots, inputs, flags)
 
 
 def log_bin_spectrum(est: SpectrumEstimate, points_per_decade: int = 64):

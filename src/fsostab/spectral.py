@@ -4,8 +4,11 @@ The measurement signal is a sum of time-delayed copies of independent
 noise processes, so each source's contribution to the measurement PSD is
 its own PSD times |sum_k c_k exp(-i 2 pi f tau_k)|^2. This module
 evaluates those factors, the link's specific transfer functions, the
-predicted measurement spectra, and the consistency report for the two
-variants of the atmospheric residual factor.
+consistency report for the two variants of the atmospheric residual
+factor, and the predicted measurement spectra by one rule: a run is
+known to it only by the carrier ratio nu_s/nu_p and the carrier scale
+of its correction (``LinkConfig.carrier_scale``), which weight the
+primary and atmospheric copies.
 """
 
 from __future__ import annotations
@@ -97,65 +100,30 @@ def meas_transfer_atm(f, t_delay_s, variant="derived"):
     raise ValueError(f"unknown atmospheric variant {variant!r}")
 
 
-def _source_psds(models: dict, f: np.ndarray):
-    """(primary, secondary, atmosphere) PSDs on ``f``; a zero model is zero at any f."""
+def predicted_mode_psd(models: dict, t_delay_s: float, ratio: float, scale: float, f_grid):
+    """Per-source predicted measurement PSDs and their sum, for a loop that tracks perfectly.
+
+    ``models`` maps {"primary", "secondary", "atmosphere"} to phase PsdModels, the
+    atmosphere as seen at nu_p; a zero model is zero at any f, any other raises
+    OutOfRangeError outside its range. ``ratio`` is nu_s/nu_p and ``scale`` c the run's
+    carrier scale (``LinkConfig.carrier_scale``). Each source reaches the measurement
+    through its delayed copies: the primary as c^2 times ``meas_transfer_primary``, the
+    secondary through ``meas_transfer_secondary``, the atmosphere through
+    {ratio @ 0, -c/2 @ T, -c/2 @ 3T}. Returns "primary", "secondary", "atmosphere" and
+    their sum "total"; at ratio = c = 1 they are the stabilized closed forms, with the
+    derived atmospheric variant. Valid inside the servo bandwidth.
+    """
+    f = np.asarray(f_grid, dtype=float)
     names = ("primary", "secondary", "atmosphere")
-    return [np.zeros_like(f) if models[n].is_zero else models[n].eval(f) for n in names]
-
-
-def predicted_measurement_psd(models: dict, t_delay_s: float, f_grid):
-    """Per-source predicted measurement PSD curves and their sum.
-
-    ``models`` maps {"primary", "secondary", "atmosphere"} to phase-noise
-    PsdModels (the atmospheric model is the phase PSD seen at the primary
-    carrier). Sources are independent, so contributions add. Frequencies
-    outside any model's validity raise OutOfRangeError.
-
-    Returns a dict with keys "freqs", "primary", "secondary",
-    "atm_printed", "atm_derived", "total"; the total uses the derived
-    atmospheric variant, the one the time-domain chain reproduces.
-    """
-    f = np.asarray(f_grid, dtype=float)
-    s_p, s_s, s_a = _source_psds(models, f)
-    curves = {
-        "freqs": f,
-        "primary": meas_transfer_primary(f, t_delay_s) * s_p,
+    s_p, s_s, s_a = (np.zeros_like(f) if models[n].is_zero else models[n].eval(f) for n in names)
+    atm = DelayedCombination(((ratio, 0.0), (-0.5 * scale, t_delay_s), (-0.5 * scale, 3.0 * t_delay_s)))
+    curves = {  # scale * scale overflows to inf where scale**2 would raise
+        "primary": scale * scale * meas_transfer_primary(f, t_delay_s) * s_p,
         "secondary": meas_transfer_secondary(f, t_delay_s) * s_s,
-        "atm_printed": meas_transfer_atm(f, t_delay_s, "printed") * s_a,
-        "atm_derived": meas_transfer_atm(f, t_delay_s, "derived") * s_a,
+        "atmosphere": combination_factor(atm, f) * s_a,
     }
-    curves["total"] = curves["primary"] + curves["secondary"] + curves["atm_derived"]
+    curves["total"] = curves["primary"] + curves["secondary"] + curves["atmosphere"]
     return curves
-
-
-def predicted_mode_psd(models: dict, t_delay_s: float, nu_p_hz: float, nu_s_hz: float, mode: str, f_grid):
-    """Predicted total measurement PSD for one run mode at carrier nu_s.
-
-    Used by the compare workflow. In-band servo idealization: the
-    stabilized modes assume the loop tracks perfectly, so the curves are
-    valid inside the servo bandwidth (and wherever laser noise dominates).
-
-    unstabilized : atm passes through once at nu_s, secondary self-delay.
-    doppler      : carrier-independent correction leaves the coherent
-                   combination {nu_s/nu_p @ 0, -1/2 @ T, -1/2 @ 3T} of the
-                   primary-carrier atmospheric phase.
-    group-delay  : correction scales with carrier, residual is the derived
-                   combination scaled by (nu_s/nu_p)^2.
-    """
-    f = np.asarray(f_grid, dtype=float)
-    ratio = nu_s_hz / nu_p_hz
-    s_p, s_s, s_a = _source_psds(models, f)
-    sec = meas_transfer_secondary(f, t_delay_s) * s_s
-    if mode == "unstabilized":
-        return sec + ratio**2 * s_a
-    if mode == "doppler":
-        comb = DelayedCombination(((ratio, 0.0), (-0.5, t_delay_s), (-0.5, 3.0 * t_delay_s)))
-        atm = combination_factor(comb, f) * s_a
-    elif mode == "group-delay":
-        atm = ratio**2 * meas_transfer_atm(f, t_delay_s, "derived") * s_a
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return sec + meas_transfer_primary(f, t_delay_s) * s_p + atm
 
 
 def atm_variant_report(t_delay_s: float, f_grid):
@@ -268,8 +236,6 @@ def dbc_curves(curves: dict) -> dict:
     """dBc/Hz mirrors of a predicted-curve dict (zeros become -inf)."""
     out = {}
     for key, val in curves.items():
-        if key == "freqs":
-            continue
         v = np.asarray(val, dtype=float)
         db = np.full(v.shape, -np.inf)
         pos = v > 0

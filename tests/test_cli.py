@@ -297,6 +297,33 @@ class TestSubcommands:
         assert rows[0].split(",")[-1] == "meas_phase_rad"
         assert [r.rsplit(",", 1)[1] for r in rows[1:]] == [f"{x:.10g}" for x in meas.samples]
 
+    def test_emit_trace_synthesizes_once(self, tmp_path, monkeypatch):
+        # the trace runs reuse the spectra's inputs: one synthesis per source, not two
+        calls, synthesize = [], link.synthesize_phase_noise
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(link, "synthesize_phase_noise", counted)
+        cfg = write_cfg(tmp_path, {"servo": {"ki_per_s": 800.0}})
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t"), "--emit-trace"] + SMALL)
+        assert rc == EXIT_OK
+        assert len(calls) == 3
+        assert all((tmp_path / "t" / f"trace_{mode}.csv").exists() for mode in link.MODES)
+
+    def test_compare_without_a_band_is_flagged(self, tmp_path, caplog):
+        # a zero-length link predicts nothing to compare; a 1e300 Hz carrier overflows the prediction
+        for data, mode, reason in [({"link_length_m": 0}, "doppler", "no band left"),
+                                   ({"link_length_m": 0}, "group-delay", "no band left"),
+                                   ({"nu_s_hz": 1e300}, "unstabilized", "not finite"),
+                                   ({"nu_s_hz": 1e300}, "group-delay", "not finite")]:
+            caplog.clear()
+            cfg = write_cfg(tmp_path, {**data, "servo": {"ki_per_s": 800.0}})
+            rc = main(["compare", "--config", str(cfg), "--mode", mode, "--out", str(tmp_path / mode)] + SMALL)
+            assert rc == EXIT_FLAGGED, (data, mode)
+            assert reason in caplog.text
+
     def test_validation_exit_code(self, tmp_path):
         bad = write_cfg(tmp_path, {"frobnicate": 1})
         assert main(["simulate", "--config", str(bad)]) == EXIT_VALIDATION
@@ -560,7 +587,7 @@ def _set(tree, path, value):
 )
 def test_fuzzed_config_never_a_runtime_fault(tmp_path_factory, edits, unknown):
     # a config fails validation (1), runs (0) or runs flagged (3); it is never a runtime fault (2),
-    # and a run that exits 0 writes only finite spectra
+    # and a run that exits 0 writes only finite spectra and comparisons
     tree = copy.deepcopy(_FUZZ_DEFAULTS)
     del tree["t_one_way_s"], tree["duration_s"]
     for path, value in edits:
@@ -570,10 +597,12 @@ def test_fuzzed_config_never_a_runtime_fault(tmp_path_factory, edits, unknown):
         _set(tree, unknown[0][:-1] + ("unknown_key",), 1)  # in the block of a known key
     out = tmp_path_factory.mktemp("fuzz")
     cfg = write_cfg(out, tree)
-    for argv in (["predict", "--points", "50"], ["simulate", "--samples", "16384"]):
+    runs = [(["predict", "--points", "50"], None), (["simulate", "--samples", "16384"], "spectrum_*.csv"),
+            (["compare", "--samples", "16384"], "compare.csv")]
+    for argv, finite in runs:
         rc = main(argv + ["--config", str(cfg), "--out", str(out / argv[0])])
         assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_FLAGGED), (argv[0], tree)
-        if rc == EXIT_OK:
-            for path in (out / argv[0]).glob("spectrum_*.csv"):
+        if rc == EXIT_OK and finite:
+            for path in (out / argv[0]).glob(finite):
                 rows = path.read_text().splitlines()[1:]
                 assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), (path.name, tree)

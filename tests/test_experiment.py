@@ -75,11 +75,11 @@ class TestCalibration:
     def test_predicted_total_near_reference_floor(self):
         # stabilized total at 10 Hz stays within +-2 dB of the -39.9
         # dBc/Hz reference stretcher floor
-        from fsostab.spectral import predicted_measurement_psd
+        from fsostab.spectral import predicted_mode_psd
 
         models = calibrate_default_models()
         t = LinkConfig().t_one_way
-        curves = predicted_measurement_psd(models, t, np.array([10.0]))
+        curves = predicted_mode_psd(models, t, 1.0, 1.0, np.array([10.0]))
         total = ssb_phase_noise(curves["total"][0])
         assert abs(total - (-39.9)) <= 2.0
 

@@ -1,9 +1,13 @@
 """Closed-form transfer machinery tests."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from fsostab.cli import main
 from fsostab.errors import InvalidModelError, OutOfRangeError
+from fsostab.link import LinkConfig
 from fsostab.noise import PsdModel, PsdSegment
 from fsostab.spectral import (
     LOW_F_ATM_RATIO_DB,
@@ -16,7 +20,7 @@ from fsostab.spectral import (
     meas_transfer_atm,
     meas_transfer_primary,
     meas_transfer_secondary,
-    predicted_measurement_psd,
+    predicted_mode_psd,
     random_combination,
 )
 
@@ -167,27 +171,60 @@ class TestPredictedPsd:
 
         return {"primary": flat(1.0), "secondary": flat(2.0), "atmosphere": flat(3.0)}
 
+    def mode_curves(self, mode, nu_s_hz, f):
+        config = LinkConfig(nu_s_hz=nu_s_hz)
+        ratio = config.nu_s_hz / config.nu_p_hz
+        return predicted_mode_psd(self.make_models(), T, ratio, config.carrier_scale(mode), f)
+
     def test_additivity_quiet_others(self):
         models = self.make_models()
         models["secondary"] = PsdModel.flat(0.0, 1e-3, 1e4)
         models["atmosphere"] = PsdModel.flat(0.0, 1e-3, 1e4)
         f = np.geomspace(0.01, 100.0, 20)
-        curves = predicted_measurement_psd(models, T, f)
+        curves = predicted_mode_psd(models, T, 1.0, 1.0, f)
         assert np.allclose(curves["total"], curves["primary"], rtol=1e-12)
 
     def test_t_to_zero(self):
-        curves = predicted_measurement_psd(self.make_models(), 0.0, np.array([1.0, 10.0]))
+        curves = predicted_mode_psd(self.make_models(), 0.0, 1.0, 1.0, np.array([1.0, 10.0]))
         assert np.allclose(curves["total"], 0.0, atol=1e-15)
 
     def test_out_of_range_grid(self):
         with pytest.raises(OutOfRangeError):
-            predicted_measurement_psd(self.make_models(), T, np.array([1e6]))
+            predicted_mode_psd(self.make_models(), T, 1.0, 1.0, np.array([1e6]))
 
-    def test_both_variants_present(self):
-        f = np.geomspace(0.1, 100.0, 10)
-        curves = predicted_measurement_psd(self.make_models(), 1e-3, f)
-        ratio = curves["atm_derived"][0] / curves["atm_printed"][0]
+    def test_both_variants_present(self, tmp_path):
+        # predict writes both atmospheric variants; at low f they sit the analytic 2.5 dB apart
+        argv = ["predict", "--scaled-delay", "--f-min-hz", "0.1", "--f-max-hz", "100", "--points", "10"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        with open(tmp_path / "predicted_curves.csv", newline="") as fh:
+            first = next(csv.DictReader(fh))
+        ratio = float(first["s_meas_atm_derived"]) / float(first["s_meas_atm_printed"])
         assert 10 * np.log10(ratio) == pytest.approx(2.5, abs=0.05)
+
+    def test_unstabilized_is_secondary_plus_ratio_squared_atmosphere(self):
+        f = np.geomspace(0.01, 1000.0, 30)
+        curves = self.mode_curves("unstabilized", 190.0e12, f)
+        ratio = 190.0 / 193.1
+        want = meas_transfer_secondary(f, T) * 2.0 + ratio**2 * 3.0
+        assert np.all(curves["primary"] == 0.0)
+        assert np.allclose(curves["total"], want, rtol=1e-12)
+
+    def test_doppler_and_group_delay_agree_at_unit_ratio(self):
+        f = np.geomspace(0.01, 1000.0, 30)
+        dop, gd = (self.mode_curves(mode, 193.1e12, f) for mode in ("doppler", "group-delay"))
+        for key in ("primary", "secondary", "atmosphere", "total"):
+            assert np.array_equal(dop[key], gd[key]), key
+
+    def test_group_delay_primary_is_ratio_squared_doppler(self):
+        f = np.geomspace(0.01, 1000.0, 30)
+        dop, gd = (self.mode_curves(mode, 197.2e12, f) for mode in ("doppler", "group-delay"))
+        assert np.allclose(gd["primary"], (197.2 / 193.1) ** 2 * dop["primary"], rtol=1e-12)
+        assert np.all(gd["primary"] > dop["primary"])
+
+    def test_unit_ratio_atmosphere_is_derived_variant(self):
+        f = np.geomspace(0.01, 1000.0, 30)
+        curves = predicted_mode_psd(self.make_models(), 1e-3, 1.0, 1.0, f)
+        assert np.allclose(curves["atmosphere"] / 3.0, meas_transfer_atm(f, 1e-3, "derived"), rtol=1e-12, atol=0.0)
 
 
 class TestLogBandMedians:
