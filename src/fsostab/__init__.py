@@ -40,7 +40,6 @@ from .link import (
     LinkTrace,
     NoiseInputs,
     ServoConfig,
-    atmosphere_from_psd,
     fractional_delay,
     make_link,
     run_link,

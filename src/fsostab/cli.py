@@ -196,23 +196,24 @@ def _cmd_compare(args, config, models, experiment, out: Path):
     ratio, scale = config.nu_s_hz / config.nu_p_hz, config.carrier_scale(args.mode)
     with np.errstate(over="ignore", invalid="ignore"):  # a prediction out of float range is flagged below
         pred = predicted_mode_psd(models, config.t_one_way, ratio, scale, est.freqs[mask])["total"]
+        keep = pred > 1e-4 * pred.max(initial=0.0)  # transfer nulls are excluded from the table
+    outputs = []
     if not (np.isfinite(est.psd).all() and np.isfinite(pred).all()):
         _log.warning("compare[%s]: the simulated spectrum or its prediction is not finite", args.mode)
-        return EXIT_FLAGGED
-    keep = pred > 1e-4 * pred.max(initial=0.0)  # transfer nulls are excluded from the table
-    if not keep.any():
+    elif not keep.any():
         _log.warning("compare[%s]: no band left, the prediction vanishes at every estimated frequency", args.mode)
-        return EXIT_FLAGGED
-    fr = est.freqs[mask][keep]
-    dev = 10.0 * np.log10(est.psd[mask][keep] / pred[keep])
-    fb, devb = log_band_medians(fr, dev)
-    _, simb = log_band_medians(fr, ssb_phase_noise(est.psd[mask][keep]))
-    _, predb = log_band_medians(fr, ssb_phase_noise(pred[keep]))
-    path = out / "compare.csv"
-    write_table_csv(path, ["band_center_hz", "sim_dbc_per_hz", "pred_dbc_per_hz", "dev_db"], [fb, simb, predb, devb])
-    print(f"compare[{args.mode}]: max |deviation| {np.max(np.abs(devb)):.2f} dB over {fb.size} bands")
-    write_manifest(out, resolved_dict(config, models, experiment), experiment["base_seed"], [path])
-    return EXIT_FLAGGED if trace.flagged else EXIT_OK
+    else:
+        fr = est.freqs[mask][keep]
+        dev = 10.0 * np.log10(est.psd[mask][keep] / pred[keep])
+        fb, devb = log_band_medians(fr, dev)
+        _, simb = log_band_medians(fr, ssb_phase_noise(est.psd[mask][keep]))
+        _, predb = log_band_medians(fr, ssb_phase_noise(pred[keep]))
+        path = out / "compare.csv"
+        write_table_csv(path, ["band_center_hz", "sim_dbc_per_hz", "pred_dbc_per_hz", "dev_db"], [fb, simb, predb, devb])
+        outputs.append(path)
+        print(f"compare[{args.mode}]: max |deviation| {np.max(np.abs(devb)):.2f} dB over {fb.size} bands")
+    write_manifest(out, resolved_dict(config, models, experiment), experiment["base_seed"], outputs)  # also when flagged
+    return EXIT_FLAGGED if trace.flagged or not outputs else EXIT_OK
 
 
 def build_parser():

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import signal as _signal
 
 from .errors import ConfigError
-from .noise import PhaseSeries, PsdModel, synthesize_phase_noise
+from .noise import PhaseSeries, synthesize_phase_noise
 
 _log = logging.getLogger(__name__)
 
@@ -234,15 +234,21 @@ class NoiseInputs:
         return self.dt_atm.size
 
     def forcing(self, config: LinkConfig):
-        """(d, m_base, T in samples) of ``config`` on these inputs; see ``_forcing_and_measurement_parts``.
+        """(d, m_base, T in samples) of ``config`` on these inputs.
 
-        The forcing does not depend on the run mode, so it is formed once
-        and kept, for the last link geometry asked for, as long as the
-        inputs live; the series must not be changed in place after a run.
+        d is the round-trip forcing of the servo error and m_base the
+        measurement with no correction applied. Neither depends on the
+        run mode, so they are formed once and kept, for the last link
+        geometry asked for, as long as the inputs live; the series must
+        not be changed in place after a run.
         """
-        key = (config.t_one_way * config.fs_hz, config.nu_p_hz, config.nu_s_hz)
+        ts = config.t_one_way * config.fs_hz
+        key = (ts, config.nu_p_hz, config.nu_s_hz)
         if self._forcing is None or self._forcing[0] != key:
-            d, m_base, ts = _forcing_and_measurement_parts(config, self)
+            phi_p, phi_s = self.phi_p.samples, self.phi_s.samples
+            g_p = 2.0 * np.pi * config.nu_p_hz * self.dt_atm
+            d = (fractional_delay(phi_p, 2.0 * ts) - phi_p) + (fractional_delay(g_p, 2.0 * ts) + g_p)
+            m_base = (fractional_delay(phi_s, ts) - phi_s) + (config.nu_s_hz / config.nu_p_hz) * g_p
             d.flags.writeable = m_base.flags.writeable = False  # shared by every mode's run
             self._forcing = (key, (d, m_base, ts))
         return self._forcing[1]
@@ -252,13 +258,18 @@ class NoiseInputs:
         """Synthesize paired inputs from {primary, secondary, atmosphere} models.
 
         One seed expands deterministically into per-source streams, so
-        runs that share a seed share realizations exactly.
+        runs that share a seed share realizations exactly. The atmosphere
+        model is its phase PSD at ``nu_ref_hz``; the synthesized phase over
+        2 pi nu_ref_hz is the time-of-flight fluctuation dt_atm.
         """
+        if not nu_ref_hz > 0:
+            raise ValueError("nu_ref_hz must be > 0")
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         s_p, s_s, s_a = ss.spawn(3)
         phi_p = synthesize_phase_noise(models["primary"], fs_hz, n, s_p)
         phi_s = synthesize_phase_noise(models["secondary"], fs_hz, n, s_s)
-        dt_atm = atmosphere_from_psd(models["atmosphere"], nu_ref_hz, fs_hz, n, s_a)
+        dt_atm = synthesize_phase_noise(models["atmosphere"], fs_hz, n, s_a).samples
+        dt_atm /= 2.0 * np.pi * nu_ref_hz
         return cls(phi_p, phi_s, dt_atm, fs_hz)
 
 
@@ -374,45 +385,11 @@ def _int_shift(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _forcing_and_measurement_parts(config: LinkConfig, inputs: NoiseInputs):
-    """Precompute the delayed noise combinations feeding error and measurement."""
-    ts = config.t_one_way * config.fs_hz
-    phi_p = inputs.phi_p.samples
-    phi_s = inputs.phi_s.samples
-    g_p = 2.0 * np.pi * config.nu_p_hz * inputs.dt_atm
-    d = (fractional_delay(phi_p, 2.0 * ts) - phi_p) + (fractional_delay(g_p, 2.0 * ts) + g_p)
-    m_base = (fractional_delay(phi_s, ts) - phi_s) + (config.nu_s_hz / config.nu_p_hz) * g_p
-    return d, m_base, ts
-
-
-def _assemble_outputs(config, mode, m_base, ts, theta, err, state, engine):
-    dt = config.dt_s
-    # theta[n] takes effect at sample n+1 (the same convention the error
-    # path uses), so the correction seen at transmission time t-T is
-    # theta delayed by T plus that one sample.
-    scale = config.carrier_scale(mode)
-    m = m_base.copy() if scale == 0.0 else m_base + scale * fractional_delay(theta, ts + 1.0, fill="zero")
-    w = state.warmup_samples
-    if state.flags:
-        _log.warning("run flagged: %s", ",".join(state.flags))
-    series = PhaseSeries(m[w:], config.fs_hz)
-    trace = LinkTrace(
-        fs_hz=config.fs_hz,
-        t0_s=w * dt,
-        error_rad=err[w:],
-        act_phase_rad=theta[w:],
-        engine=engine,
-        flags=list(state.flags),
-    )
-    return series, trace
-
-
-def _run_reference(config, mode, d, state):
-    """Per-sample loop through the public servo_update (slow, clamping)."""
+def _run_reference(config, d, state):
+    """Closed loop, per sample, through the public servo_update (slow, clamping)."""
     n = d.size
     dt = config.dt_s
     k = config.loop.k
-    servo_on = mode != "unstabilized"
     theta = np.zeros(n)
     err = np.empty(n)
     for i in range(n):
@@ -421,16 +398,13 @@ def _run_reference(config, mode, d, state):
         e = d[i] + theta[i - 1] + theta[i - k]
         if abs(e) > ERROR_DIVERGENCE_RAD or not np.isfinite(e):
             state.flag("error-divergence" if np.isfinite(e) else "non-finite")
-        if servo_on:
-            theta[i] = servo_update(config.servo, e, dt, state)
+        theta[i] = servo_update(config.servo, e, dt, state)
         err[i] = e
     return theta, err
 
 
-def _run_fast(config, mode, d, state):
-    """Closed-loop solution via lfilter; exact while no flag is raised."""
-    if mode == "unstabilized":
-        return np.zeros(d.size), d.copy()
+def _run_fast(config, d, state):
+    """Closed loop via lfilter; exact while no flag is raised."""
     loop = config.loop
     theta = _signal.lfilter(loop.b, loop.a, d)
     err = loop.error(d, theta)
@@ -452,48 +426,47 @@ def _run_fast(config, mode, d, state):
 def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "fast"):
     """Run the chain and return (measurement PhaseSeries, LinkTrace).
 
-    ``mode`` is one of MODES and alone decides how the loop closes. The fast engine solves the loop
-    as an LTI recursion; whenever a clamp or fault condition fires it
-    falls back to the per-sample reference engine so the nonlinear
-    clamp behavior and flags are honest, and the trace names the
-    engine that produced the result. Identical config and inputs give
-    bit-identical outputs.
+    ``mode`` is one of MODES and alone decides how the loop closes. An
+    unstabilized run corrects nothing: its error is the forcing, no engine
+    runs and no flag is raised. Otherwise the "fast" engine solves the loop
+    as an LTI recursion and, when a clamp or fault condition fires, the
+    per-sample "reference" engine reruns it so the clamp behavior and flags
+    are honest; the trace names the engine that produced the result.
+    Identical config and inputs give bit-identical outputs.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
+    if engine not in ("fast", "reference"):
+        raise ValueError(f"unknown engine {engine!r}")
     state = make_link(config)
     if len(inputs) < state.warmup_samples + 16:
         raise ValueError("inputs shorter than warm-up; lengthen the run")
     if inputs.fs_hz != config.fs_hz:
         raise ValueError(f"inputs sampled at {inputs.fs_hz:g} Hz, config at {config.fs_hz:g} Hz")
     d, m_base, ts = inputs.forcing(config)
-    if engine == "reference":
-        theta, err = _run_reference(config, mode, d, state)
-    elif engine == "fast":
-        theta, err = _run_fast(config, mode, d, state)
-        if state.flags:
-            _log.warning("fast path flagged (%s); re-running reference engine", state.flags)
-            ref_state = make_link(config)
-            theta, err = _run_reference(config, mode, d, ref_state)
-            for fl in state.flags:
-                ref_state.flag(fl)
-            state = ref_state
-            engine = "reference"
+    if mode == "unstabilized":
+        theta, err, m = np.zeros(d.size), d.copy(), m_base.copy()
     else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return _assemble_outputs(config, mode, m_base, ts, theta, err, state, engine)
-
-
-def atmosphere_from_psd(model: PsdModel, nu_ref_hz: float, fs_hz: float, n: int, seed) -> np.ndarray:
-    """Synthesize piston time-of-flight fluctuations from a phase PSD.
-
-    ``model`` is the atmospheric phase-noise PSD as seen at the
-    reference carrier; dividing the synthesized phase by 2*pi*nu_ref
-    yields delay seconds, so the phase reconstructed at any carrier nu
-    is (nu/nu_ref) times the synthesized phase.
-    """
-    if nu_ref_hz <= 0:
-        raise ValueError("nu_ref_hz must be > 0")
-    samples = synthesize_phase_noise(model, fs_hz, n, seed).samples
-    samples /= 2.0 * np.pi * nu_ref_hz
-    return samples
+        theta, err = (_run_fast if engine == "fast" else _run_reference)(config, d, state)
+        if engine == "fast" and state.flags:
+            _log.warning("fast path flagged (%s); re-running reference engine", state.flags)
+            fast_flags, state, engine = state.flags, LinkState(state.warmup_samples), "reference"
+            theta, err = _run_reference(config, d, state)
+            for fl in fast_flags:
+                state.flag(fl)
+        # theta[n] takes effect at sample n+1 (the same convention the error
+        # path uses), so the correction seen at transmission time t-T is
+        # theta delayed by T plus that one sample.
+        m = m_base + config.carrier_scale(mode) * fractional_delay(theta, ts + 1.0, fill="zero")
+    w = state.warmup_samples
+    if state.flags:
+        _log.warning("run flagged: %s", ",".join(state.flags))
+    trace = LinkTrace(
+        fs_hz=config.fs_hz,
+        t0_s=w * config.dt_s,
+        error_rad=err[w:],
+        act_phase_rad=theta[w:],
+        engine=engine,
+        flags=list(state.flags),
+    )
+    return PhaseSeries(m[w:], config.fs_hz), trace

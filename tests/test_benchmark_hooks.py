@@ -1,23 +1,31 @@
-"""The names the benchmark tracer patches must exist in the package.
+"""The names the benchmark tracer patches, and the calls its workloads make, must exist in the package.
 
 The benchmark's own gate runs untraced, so a renamed package symbol
-would only break a traced run (`perfbench/run.py --trace 1`).
+would only break a traced run (`perfbench/run.py --trace 1`), and a
+changed call shape would only show as the benchmark's failed operations.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from fsostab import cli, experiment
 from fsostab.link import LinkConfig, ServoConfig
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracer")
 
 
 def test_tracer_installs_and_restores():
@@ -50,3 +58,11 @@ def test_traced_channel_records_every_layer():
     assert layers["link.run"]["calls"] == 3
     # the forcing's three delays once per channel, and theta's once per stabilized mode
     assert layers["link.delay"]["calls"] == 3 + 2
+
+
+@pytest.mark.parametrize("name", ["sweep", "trace", "validate"])
+def test_workload_runs_clean(name, tmp_path):
+    # every call the benchmark makes into the package, with its checks; "quiet" is left out for its 750 MB
+    workloads = load_perfbench("workloads")
+    outcome = workloads.WORKLOADS[name](experiment.calibrate_default_models(), 0, tmp_path)
+    assert outcome.failed == []

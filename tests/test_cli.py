@@ -319,10 +319,16 @@ class TestSubcommands:
                                    ({"nu_s_hz": 1e300}, "unstabilized", "not finite"),
                                    ({"nu_s_hz": 1e300}, "group-delay", "not finite")]:
             caplog.clear()
-            cfg = write_cfg(tmp_path, {**data, "servo": {"ki_per_s": 800.0}})
-            rc = main(["compare", "--config", str(cfg), "--mode", mode, "--out", str(tmp_path / mode)] + SMALL)
+            cfg, out = write_cfg(tmp_path, {**data, "servo": {"ki_per_s": 800.0}}), tmp_path / f"{mode}-{reason}"
+            rc = main(["compare", "--config", str(cfg), "--mode", mode, "--out", str(out)] + SMALL)
             assert rc == EXIT_FLAGGED, (data, mode)
             assert reason in caplog.text
+            # with no table written, the manifest still records the resolved config, which replays the run
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["outputs"] == [] and not (out / "compare.csv").exists()
+            assert all(manifest["resolved_config"][key] == value for key, value in data.items())
+            replay = ["compare", "--config", str(out / "manifest.json"), "--mode", mode, "--out", str(out / "replay")]
+            assert main(replay) == EXIT_FLAGGED
 
     def test_validation_exit_code(self, tmp_path):
         bad = write_cfg(tmp_path, {"frobnicate": 1})

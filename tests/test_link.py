@@ -6,16 +6,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fsostab.errors import ConfigError
-from fsostab.experiment import calibrate_default_models
+from fsostab.experiment import calibrate_default_models, zero_model
 from fsostab.link import (
     ANTI_WINDUP_RAD,
     ERROR_DIVERGENCE_RAD,
+    MODES,
     SPEED_OF_LIGHT_M_S,
     LinkConfig,
     Loop,
     NoiseInputs,
     ServoConfig,
-    atmosphere_from_psd,
     fractional_delay,
     make_link,
     run_link,
@@ -281,22 +281,29 @@ class TestRunLink:
         assert np.max(np.abs(med)) < 1.5
 
     def test_engines_agree(self):
+        # flags included: an open-loop forcing past ERROR_DIVERGENCE_RAD runs no servo and so flags neither
+        # engine; the closed loop on it flags both alike, the fast engine through its reference rerun
+        assert 2 * np.pi * NU_P * 1e-9 > ERROR_DIVERGENCE_RAD
         rng = np.random.default_rng(2)
         for approx in (True, False):
-            for mode in ("unstabilized", "doppler", "group-delay"):
+            for mode in MODES:
                 cfg = scaled_config(approximate_roundtrip=approx, nu_s_hz=190.0e12)
                 n = cfg.n_samples
-                inp = NoiseInputs(
+                walk = NoiseInputs(
                     PhaseSeries(np.cumsum(rng.standard_normal(n)) * 0.01, cfg.fs_hz),
                     PhaseSeries(np.cumsum(rng.standard_normal(n)) * 0.01, cfg.fs_hz),
                     np.cumsum(rng.standard_normal(n)) * 1e-16,
                     cfg.fs_hz,
                 )
-                m_fast, t_fast = run_link(cfg, inp, mode=mode, engine="fast")
-                m_ref, t_ref = run_link(cfg, inp, mode=mode, engine="reference")
-                assert not t_fast.flagged and not t_ref.flagged
-                assert np.max(np.abs(m_fast.samples - m_ref.samples)) < 1e-9
-                assert np.max(np.abs(t_fast.error_rad - t_ref.error_rad)) < 1e-9
+                divergent = quiet_inputs(n, cfg.fs_hz, dt_atm=np.full(n, 1e-9))
+                for inp, flagged in ((walk, False), (divergent, mode != "unstabilized")):
+                    m_fast, t_fast = run_link(cfg, inp, mode=mode, engine="fast")
+                    m_ref, t_ref = run_link(cfg, inp, mode=mode, engine="reference")
+                    assert t_fast.flags == t_ref.flags, (approx, mode, t_fast.flags, t_ref.flags)
+                    assert t_ref.flagged == flagged and ("error-divergence" in t_ref.flags) == flagged
+                    assert t_fast.engine == ("reference" if flagged else "fast")
+                    assert np.max(np.abs(m_fast.samples - m_ref.samples)) < 1e-9
+                    assert np.max(np.abs(t_fast.error_rad - t_ref.error_rad)) < 1e-9
 
     def test_determinism(self):
         cfg = scaled_config()
@@ -379,6 +386,8 @@ class TestRunLink:
         cfg = scaled_config()
         with pytest.raises(ConfigError, match="none"):
             run_link(cfg, quiet_inputs(cfg.n_samples, cfg.fs_hz), mode="none")
+        with pytest.raises(ValueError, match="bogus"):  # also where no engine would run
+            run_link(cfg, quiet_inputs(cfg.n_samples, cfg.fs_hz), mode="unstabilized", engine="bogus")
 
     def test_actuator_equivalence_at_primary_carrier(self):
         # with nu_s = nu_p and only atmospheric noise the two actuator
@@ -394,17 +403,26 @@ class TestRunLink:
 
 
 class TestAtmosphereFromPsd:
+    # NoiseInputs.from_models synthesizes dt_atm from the atmosphere's phase PSD at its reference carrier
+    MODEL = PsdModel(10.0, ((1e-3, -2.0, 1.0),), 1e-3, 1e3)
+
+    def atmosphere_only(self, n, seed):
+        models = {"primary": zero_model(), "secondary": zero_model(), "atmosphere": self.MODEL}
+        inp = NoiseInputs.from_models(models, 1000.0, n, seed, NU_P)
+        assert not inp.phi_p.samples.any() and not inp.phi_s.samples.any()
+        return inp.dt_atm
+
     def test_sigma_scaling(self):
-        model = PsdModel(10.0, ((1e-3, -2.0, 1.0),), 1e-3, 1e3)
-        phase = synthesize_phase_noise(model, 1000.0, 4096, 9)
-        dt = atmosphere_from_psd(model, NU_P, 1000.0, 4096, 9)
+        dt = self.atmosphere_only(4096, 9)
+        # the atmosphere draws from the third stream the seed spawns
+        phase = synthesize_phase_noise(self.MODEL, 1000.0, 4096, np.random.SeedSequence(9).spawn(3)[2])
+        assert np.array_equal(dt, phase.samples / (2 * np.pi * NU_P))
         assert np.std(dt) == pytest.approx(np.std(phase.samples) / (2 * np.pi * NU_P), rel=1e-12)
         # 1 rad of phase at 193.1 THz is 8.24e-16 s of flight time
         assert 1.0 / (2 * np.pi * NU_P) == pytest.approx(8.242e-16, rel=1e-3)
 
     def test_carrier_proportionality(self):
-        model = PsdModel(10.0, ((1e-3, -2.0, 1.0),), 1e-3, 1e3)
-        dt = atmosphere_from_psd(model, NU_P, 1000.0, 2048, 1)
+        dt = self.atmosphere_only(2048, 1)
         phase_at_p = 2 * np.pi * NU_P * dt
         phase_at_s = 2 * np.pi * 197.2e12 * dt
         assert np.allclose(phase_at_s, phase_at_p * (197.2e12 / NU_P), rtol=1e-12)
