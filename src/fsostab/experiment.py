@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import multiprocessing
@@ -279,16 +280,33 @@ def channel_sweep(
 _NUMBER = "{:.10g}"
 _fmt = _NUMBER.format
 
+#: Rows of a numeric table formatted by one str.format call.
+_BLOCK_ROWS = 4096
+
 
 def write_table_csv(path: Path, header: list, columns):
-    """CSV of a header row and equal-length numeric columns, every value in ``_NUMBER``.
+    """Write a CSV table: the ``header`` row, then row i of every column, each value in ``_NUMBER``.
 
-    One format string per row, not a call per value: trace tables hold millions of values.
+    ``columns`` holds one 1-D numeric array per header name, all of one
+    length; a column count or length that differs raises ValueError. Lines
+    end in CRLF, as ``csv.writer`` ends the header. The rows go out in
+    blocks of ``_BLOCK_ROWS``, each filled from Python floats (``tolist``)
+    by one format call, so no string or list of the whole table is built.
     """
-    row = ",".join([_NUMBER] * len(header)) + "\r\n"  # csv.writer's line end
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for a header of {len(header)} names")
+    lengths = sorted({len(c) for c in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
+    n = lengths[0] if lengths else 0
+    row = ",".join([_NUMBER] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(row.format(*values) for values in zip(*columns))
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            rows = zip(*(c[start:stop].tolist() for c in columns))
+            fh.write((row * (stop - start)).format(*itertools.chain.from_iterable(rows)))
 
 
 def write_spectrum_csv(path: Path, freqs, psd):

@@ -199,6 +199,13 @@ class LinkConfig:
         return {"unstabilized": 0.0, "doppler": 1.0, "group-delay": self.nu_s_hz / self.nu_p_hz}[mode]
 
 
+#: dt_atm range rule: the synthesized time of flight must peak below DT_ATM_PEAK_SAMPLES sample intervals.
+#: Before synthesis a run is rejected once DT_ATM_SIGMA_K times its expected rms reaches that bound, that is
+#: once the rms alone reaches a whole sample interval.
+DT_ATM_PEAK_SAMPLES = 0.1
+DT_ATM_SIGMA_K = 0.1
+
+
 @dataclass
 class NoiseInputs:
     """Noise realizations driving one run.
@@ -223,10 +230,11 @@ class NoiseInputs:
         if not np.all(np.isfinite(self.dt_atm)):
             raise ValueError("dt_atm contains non-finite values")
         peak = np.max(np.abs(self.dt_atm), initial=0.0)
-        if peak >= 0.1 / self.fs_hz:
+        if peak >= DT_ATM_PEAK_SAMPLES / self.fs_hz:
             # dt_atm is the atmosphere's phase over 2 pi nu_p_hz, so this is a range rule on the run's keys
             raise ConfigError(
-                f"dt_atm reaches {peak:.3g} s, not far below one sample interval (0.1 / fs_hz = {0.1 / self.fs_hz:.3g} s):"
+                f"dt_atm reaches {peak:.3g} s, not far below one sample interval"
+                f" ({DT_ATM_PEAK_SAMPLES:g} / fs_hz = {DT_ATM_PEAK_SAMPLES / self.fs_hz:.3g} s):"
                 " raise nu_p_hz, lower fs_hz or lower the atmosphere level"
             )
 
@@ -260,10 +268,21 @@ class NoiseInputs:
         One seed expands deterministically into per-source streams, so
         runs that share a seed share realizations exactly. The atmosphere
         model is its phase PSD at ``nu_ref_hz``; the synthesized phase over
-        2 pi nu_ref_hz is the time-of-flight fluctuation dt_atm.
+        2 pi nu_ref_hz is the time-of-flight fluctuation dt_atm. Its range
+        is checked before anything is synthesized, on its expected rms:
+        sigma^2 is the model's power over the band an n-sample synthesis
+        resolves, fs/(2n) to fs/2, over (2 pi nu_ref_hz)^2. The realized
+        peak is checked again after synthesis.
         """
         if not nu_ref_hz > 0:
             raise ValueError("nu_ref_hz must be > 0")
+        sigma = np.sqrt(models["atmosphere"].band_power(fs_hz / (2 * n), fs_hz / 2)) / (2.0 * np.pi * nu_ref_hz)
+        if DT_ATM_SIGMA_K * sigma >= DT_ATM_PEAK_SAMPLES / fs_hz:
+            raise ConfigError(
+                f"the atmosphere's time of flight would have an rms of {sigma:.3g} s at nu_p_hz = {nu_ref_hz:g},"
+                f" at least {DT_ATM_PEAK_SAMPLES / DT_ATM_SIGMA_K:g} sample interval (1 / fs_hz = {1.0 / fs_hz:.3g} s):"
+                " raise nu_p_hz, lower fs_hz or lower the atmosphere level"
+            )
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         s_p, s_s, s_a = ss.spawn(3)
         phi_p = synthesize_phase_noise(models["primary"], fs_hz, n, s_p)

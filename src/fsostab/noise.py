@@ -152,6 +152,28 @@ class PsdModel:
             out[order] = out.copy()  # back to the caller's order
         return float(out[0]) if scalar else out
 
+    def band_power(self, f_lo_hz: float, f_hi_hz: float) -> float:
+        """Integral of the PSD over [f_lo_hz, f_hi_hz] (rad^2), 0 < f_lo_hz <= f_hi_hz.
+
+        Past the model range each end segment's law is extended, as synthesis
+        extends it. Each law integrates in closed form; a result beyond float
+        range is inf.
+        """
+        starts = [0.0] + [s.f_break_hz for s in self.segments[1:]]
+        ends = starts[1:] + [np.inf]
+        total = 0.0
+        with np.errstate(over="ignore"):
+            for seg, start, end in zip(self.segments, starts, ends):
+                a, b = max(f_lo_hz, start), min(f_hi_hz, end)
+                if a >= b or seg.level == 0:
+                    continue
+                la, lb = np.log(a / self.ref_freq_hz), np.log(b / self.ref_freq_hz)
+                p = seg.exponent + 1.0
+                # (e^(p lb) - e^(p la)) / p, factored on its larger end so that neither overflows first
+                span = lb - la if p == 0 else np.exp(p * (lb if p > 0 else la)) * -np.expm1(-abs(p) * (lb - la)) / abs(p)
+                total += seg.level * self.ref_freq_hz * span
+        return float(total)
+
     @classmethod
     def flat(cls, level, f_min_hz, f_max_hz):
         """Single flat segment at ``level`` over the whole range (any reference frequency quotes it)."""

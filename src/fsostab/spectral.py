@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import InvalidModelError
 from .noise import PhaseSeries, PsdModel, estimate_psd, ssb_phase_noise, synthesize_phase_noise
@@ -174,7 +175,9 @@ def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, s
     Synthesizes white phase noise, forms the delayed combination with
     integer-sample shifts, and returns (freqs, psd_ratio, factor) where
     psd_ratio is the Welch estimate of the combination divided by that
-    of the source. Delays must be integer multiples of 1/fs.
+    of the source. Delays must be integer multiples of 1/fs. The source
+    is synthesized at the next fast transform length at or above the
+    n + max delay samples it needs, and cut to them.
     """
     delays = []
     for _, tau in comb.terms:
@@ -184,7 +187,7 @@ def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, s
         delays.append(int(round(m)))
     m_max = max(delays)
     model = PsdModel.flat(1.0, 0.0, fs_hz)
-    x = synthesize_phase_noise(model, fs_hz, n + m_max, seed).samples
+    x = synthesize_phase_noise(model, fs_hz, next_fast_len(n + m_max, real=True), seed).samples[: n + m_max]
     y = np.zeros(n)
     for (c, _), m in zip(comb.terms, delays):
         y += c * x[m_max - m : m_max - m + n]

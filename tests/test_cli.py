@@ -378,8 +378,13 @@ class TestSubcommands:
         out = tmp_path / "big"
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--samples", "16384"]) == EXIT_FLAGGED
 
-    def test_low_primary_carrier_is_validation_error(self, tmp_path, caplog):
-        # the atmosphere's time of flight is its phase over 2 pi nu_p: at 100 Hz it spans many samples
+    def test_low_primary_carrier_is_validation_error(self, tmp_path, caplog, monkeypatch):
+        # the atmosphere's time of flight is its phase over 2 pi nu_p: at 100 Hz its rms spans many samples,
+        # which the model's band power shows before anything is synthesized
+        def no_synthesis(*args, **kwargs):
+            raise RuntimeError("synthesized before the range check")
+
+        monkeypatch.setattr(link, "synthesize_phase_noise", no_synthesis)
         cfg = write_cfg(tmp_path, {"nu_p_hz": 100.0})
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "low"), "--samples", "16384"])
         assert rc == EXIT_VALIDATION

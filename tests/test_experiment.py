@@ -1,5 +1,7 @@
 """Calibration, spot extraction, scenario plumbing and output files."""
 
+import csv
+import io
 import json
 import os
 from dataclasses import fields, replace
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from fsostab import experiment, link
-from fsostab.errors import OutOfRangeError
+from fsostab.errors import ConfigError, OutOfRangeError
 from fsostab.experiment import (
     CHANNEL_GRID_THZ,
     PRIMARY_MEAS_ANCHOR_RAD2,
@@ -23,6 +25,7 @@ from fsostab.experiment import (
     run_three_modes,
     spot_phase_noise,
     summarize_spots,
+    write_table_csv,
     zero_model,
 )
 from fsostab.link import MODES, LinkConfig, NoiseInputs, ServoConfig, run_link
@@ -204,6 +207,14 @@ class TestSweepAndOutputs:
             mean = np.mean([spots[(ch, mode)] for ch in result.channels_thz])
             assert result.summaries[mode].mean_dbc == pytest.approx(mean, rel=1e-12)
 
+    def test_atmosphere_out_of_range_rejected_before_synthesis(self, monkeypatch):
+        def no_synthesis(*args, **kwargs):
+            raise RuntimeError("synthesized before the range check")
+
+        monkeypatch.setattr(link, "synthesize_phase_noise", no_synthesis)
+        with pytest.raises(ConfigError, match="nu_p_hz"):
+            channel_sweep(replace(small_config(), nu_p_hz=100.0), calibrate_default_models(), 7, channels_thz=[190.0])
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_sweep_equals_serial_loop(self, monkeypatch, cpus):
         # any number of workers gives, bit for bit, the channels run one after another with the same seeds
@@ -263,3 +274,46 @@ class TestSweepAndOutputs:
         assert f.size < est.freqs.size / 4
         assert np.all(np.diff(f) > 0)
         assert np.mean(p) == pytest.approx(np.mean(est.psd[est.freqs > 0]), rel=0.1)
+
+
+def per_value_csv(header, columns) -> bytes:
+    """A table written one row and one numpy scalar at a time, each value in the one number format."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow(header)
+    for values in zip(*columns):
+        buf.write(",".join(experiment._NUMBER.format(v) for v in values) + "\r\n")
+    return buf.getvalue().encode()
+
+
+class TestWriteTableCsv:
+    EDGE_VALUES = [-0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324, 3.0, -42.0, 12345678901.0, 1.5e-7, 123456.789012345,
+                   2.0**53 + 1, np.pi, -np.e * 1e-12, np.inf, -np.inf, np.nan]
+
+    @pytest.mark.parametrize("rows", [0, 1, experiment._BLOCK_ROWS, experiment._BLOCK_ROWS + 1])
+    def test_blocks_match_per_value_format(self, tmp_path, rows):
+        # every value prints as numpy's scalar formatting printed it: signed zero, subnormals,
+        # exponent forms, non-finite values and an integer column
+        edge = np.resize(np.array(self.EDGE_VALUES), rows)
+        columns = [
+            np.arange(rows) / 20e3,
+            edge,
+            edge[::-1].copy(),
+            np.arange(rows, dtype=np.int64) * 98765432101 - 7,
+            np.random.default_rng(rows).standard_normal(rows) * 1e-7,
+        ]
+        header = ["t_s", "edge", "reversed", "count", "noise"]
+        path = tmp_path / "table.csv"
+        write_table_csv(path, header, columns)
+        assert path.read_bytes() == per_value_csv(header, columns)
+        assert path.read_bytes().count(b"\r\n") == rows + 1
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"length: \[3, 5\]"):
+            write_table_csv(tmp_path / "t.csv", ["x", "y"], [np.arange(3.0), np.arange(5.0)])
+
+    def test_column_count_must_match_header(self, tmp_path):
+        a = np.arange(4.0)
+        with pytest.raises(ValueError, match="3 columns for a header of 2"):
+            write_table_csv(tmp_path / "t.csv", ["x", "y"], [a, a, a])
+        with pytest.raises(ValueError, match="1 columns for a header of 2"):
+            write_table_csv(tmp_path / "t.csv", ["x", "y"], [a])

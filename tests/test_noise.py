@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from fsostab.config import psd_model_from_dict, psd_model_to_dict
@@ -152,6 +154,37 @@ class TestPsdModel:
         m = PsdModel.from_anchor(10.0, 0.5, [(1e-3, -1.0), (5.0, -3.0), (200.0, 0.0)], 1e-3, 1e4)
         f = np.geomspace(1e-3, 1e4, 300)
         assert np.all(m.eval(f) > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ref=st.floats(1e-2, 1e3),
+        anchor=st.floats(1e-12, 1e6),
+        cuts=st.lists(st.integers(-29, 39), max_size=4, unique=True),
+        exponents=st.lists(st.floats(-6.0, 2.0), min_size=5, max_size=5),
+    )
+    def test_from_anchor_is_continuous_through_its_anchor(self, ref, anchor, cuts, exponents):
+        # breaks at 1e-3 Hz and at tenth-decade points up to 10^3.9 Hz, in any order: the model passes
+        # the continuity check and takes the anchor level at the reference frequency
+        breaks = [1e-3] + [10.0 ** (c / 10.0) for c in cuts]
+        pieces = list(zip(breaks, exponents))[::-1]
+        m = PsdModel.from_anchor(ref, anchor, pieces, 1e-3, 1e4)
+        assert [s.f_break_hz for s in m.segments] == sorted(breaks)
+        assert m.eval(ref) == pytest.approx(anchor, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["primary", "secondary", "atmosphere"])
+    def test_band_power_is_the_integral_of_the_extended_law(self, name):
+        m = calibrate_default_models()[name]
+        for lo, hi in ((0.0047, 1e4), (1e-4, 5e4), (50.0, 200.0), (80.0, 80.0)):
+            f = np.geomspace(lo, hi, 100001)
+            s = m.eval(f, extend=True)
+            numeric = np.sum(np.diff(f) * (s[1:] + s[:-1]) / 2.0)  # trapezoid rule
+            assert m.band_power(lo, hi) == pytest.approx(numeric, rel=1e-7, abs=0.0)
+
+    def test_band_power_of_a_1_over_f_law(self):
+        # exponent -1 integrates to a logarithm, and one just off it to the same within rounding
+        for exponent in (-1.0, -1.0 + 1e-12):
+            m = PsdModel(10.0, (PsdSegment(1e-3, exponent, 2.0),), 1e-3, 1e4)
+            assert m.band_power(1.0, 100.0) == pytest.approx(2.0 * 10.0 * np.log(100.0), rel=1e-9)
 
 
 class TestFreqToPhase:
