@@ -7,13 +7,15 @@ forms the servo error; the servo drives a frequency (doppler) or
 group-delay actuator at the transmit end; the one-way secondary beat
 against the local secondary source is the measurement signal.
 
-Delays are applied to the noise processes by first-order (linear
-interpolation) fractional delay, which has exactly the right group delay
-at low frequency and lets the physical sub-sample time of flight
-(T = 500.3 ns for the 150 m channel) coexist with practical sample
-rates. In scaled-delay validation mode T is set to an integer number of
-samples so the cos(2*pi*f*T) structure of the transfer functions is
-visible in-band.
+Every delayed copy in the chain, of the noise processes and of the
+correction alike, follows one rule: first-order (linear interpolation)
+fractional delay with zero history before t = 0. The interpolator has
+exactly the right group delay at low frequency and lets the physical
+sub-sample time of flight (T = 500.3 ns for the 150 m channel) coexist
+with practical sample rates; the transient the zero history starts is
+cut with the warm-up. In scaled-delay validation mode T is set to an
+integer number of samples so the cos(2*pi*f*T) structure of the
+transfer functions is visible in-band.
 """
 
 from __future__ import annotations
@@ -110,8 +112,11 @@ class Loop:
         return cls(-n, a, k, _schur_stable(a))
 
     def error(self, d: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Round-trip servo error: the forcing plus both passes of the correction."""
-        return d + _int_shift(theta, 1) + _int_shift(theta, self.k)
+        """Round-trip servo error: the forcing plus both passes of the correction, zero before t = 0."""
+        err = d.copy()
+        err[1:] += theta[:-1]
+        err[self.k :] += theta[: -self.k]  # k >= 1
+        return err
 
 
 @dataclass(frozen=True)
@@ -208,27 +213,29 @@ DT_ATM_SIGMA_K = 0.1
 
 @dataclass
 class NoiseInputs:
-    """Noise realizations driving one run.
+    """Noise realizations driving one run, three series sampled at ``fs_hz``.
 
-    phi_p / phi_s are the laser phase-noise series; dt_atm is the
+    phi_p / phi_s are the laser phase-noise series (rad); dt_atm is the
     atmospheric piston expressed as time-of-flight fluctuation in
     seconds, so the phase it imprints at carrier nu is 2*pi*nu*dt_atm.
     """
 
-    phi_p: PhaseSeries
-    phi_s: PhaseSeries
+    phi_p: np.ndarray
+    phi_s: np.ndarray
     dt_atm: np.ndarray
     fs_hz: float
     _forcing: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.dt_atm = np.asarray(self.dt_atm, dtype=float)
-        if not (self.phi_p.fs_hz == self.phi_s.fs_hz == self.fs_hz):
-            raise ValueError("noise inputs must share one sample rate")
-        if not (len(self.phi_p) == len(self.phi_s) == self.dt_atm.size):
-            raise ValueError("noise inputs must share one length")
-        if not np.all(np.isfinite(self.dt_atm)):
-            raise ValueError("dt_atm contains non-finite values")
+        if not self.fs_hz > 0:
+            raise ValueError(f"fs_hz must be > 0, got {self.fs_hz}")
+        for name in ("phi_p", "phi_s", "dt_atm"):
+            x = np.asarray(getattr(self, name), dtype=float)
+            if x.ndim != 1 or not np.all(np.isfinite(x)):
+                raise ValueError(f"{name} must be a 1-D series of finite values")
+            setattr(self, name, x)
+        if not (self.phi_p.size == self.phi_s.size == self.dt_atm.size):
+            raise ValueError(f"noise inputs must share one length: {self.phi_p.size}, {self.phi_s.size}, {self.dt_atm.size}")
         peak = np.max(np.abs(self.dt_atm), initial=0.0)
         if peak >= DT_ATM_PEAK_SAMPLES / self.fs_hz:
             # dt_atm is the atmosphere's phase over 2 pi nu_p_hz, so this is a range rule on the run's keys
@@ -244,19 +251,21 @@ class NoiseInputs:
     def forcing(self, config: LinkConfig):
         """(d, m_base, T in samples) of ``config`` on these inputs.
 
-        d is the round-trip forcing of the servo error and m_base the
-        measurement with no correction applied. Neither depends on the
-        run mode, so they are formed once and kept, for the last link
-        geometry asked for, as long as the inputs live; the series must
-        not be changed in place after a run.
+        d is the round-trip forcing of the servo error, the primary and
+        the atmosphere's phase g_p at nu_p brought back after 2T as one
+        delayed copy: d = D_2T(phi_p + g_p) - phi_p + g_p. m_base is the
+        measurement with no correction applied, D_T(phi_s) - phi_s +
+        (nu_s/nu_p) g_p. Neither depends on the run mode, so they are
+        formed once and kept, for the last link geometry asked for, as
+        long as the inputs live; the series must not be changed in place
+        after a run.
         """
         ts = config.t_one_way * config.fs_hz
         key = (ts, config.nu_p_hz, config.nu_s_hz)
         if self._forcing is None or self._forcing[0] != key:
-            phi_p, phi_s = self.phi_p.samples, self.phi_s.samples
             g_p = 2.0 * np.pi * config.nu_p_hz * self.dt_atm
-            d = (fractional_delay(phi_p, 2.0 * ts) - phi_p) + (fractional_delay(g_p, 2.0 * ts) + g_p)
-            m_base = (fractional_delay(phi_s, ts) - phi_s) + (config.nu_s_hz / config.nu_p_hz) * g_p
+            d = fractional_delay(self.phi_p + g_p, 2.0 * ts) - self.phi_p + g_p
+            m_base = fractional_delay(self.phi_s, ts) - self.phi_s + (config.nu_s_hz / config.nu_p_hz) * g_p
             d.flags.writeable = m_base.flags.writeable = False  # shared by every mode's run
             self._forcing = (key, (d, m_base, ts))
         return self._forcing[1]
@@ -285,8 +294,8 @@ class NoiseInputs:
             )
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         s_p, s_s, s_a = ss.spawn(3)
-        phi_p = synthesize_phase_noise(models["primary"], fs_hz, n, s_p)
-        phi_s = synthesize_phase_noise(models["secondary"], fs_hz, n, s_s)
+        phi_p = synthesize_phase_noise(models["primary"], fs_hz, n, s_p).samples
+        phi_s = synthesize_phase_noise(models["secondary"], fs_hz, n, s_s).samples
         dt_atm = synthesize_phase_noise(models["atmosphere"], fs_hz, n, s_a).samples
         dt_atm /= 2.0 * np.pi * nu_ref_hz
         return cls(phi_p, phi_s, dt_atm, fs_hz)
@@ -367,13 +376,14 @@ def servo_update(servo: ServoConfig, error: float, dt: float, state: LinkState) 
     return state.act_phase_rad
 
 
-def fractional_delay(x: np.ndarray, delay_samples: float, fill: str = "hold") -> np.ndarray:
-    """First-order (linear interpolation) fractional delay of a series.
+def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
+    """First-order (linear interpolation) fractional delay of a series, zero before t = 0.
 
-    Exact for integer delays; for sub-sample delays the low-frequency
-    group delay is exact and the response droops by sinc^2(f/fs) toward
-    Nyquist. Samples before t=0 are the first sample (fill="hold") or
-    zero (fill="zero"); warm-up exclusion hides either choice.
+    With delay m + mu (integer m, 0 <= mu < 1) the output is
+    (1 - mu) x[i - m] + mu x[i - m - 1], where x is zero before its first
+    sample. Exact for integer delays; for sub-sample delays the
+    low-frequency group delay is exact and the response droops by
+    sinc^2(f/fs) toward Nyquist.
     """
     x = np.asarray(x, dtype=float)
     if delay_samples < 0:
@@ -381,26 +391,11 @@ def fractional_delay(x: np.ndarray, delay_samples: float, fill: str = "hold") ->
     n = x.size
     m = int(math.floor(delay_samples))
     mu = delay_samples - m
-    pad = x[0] if fill == "hold" else 0.0
-    if m >= n:
-        return np.full_like(x, pad)
-    a = np.empty_like(x)
-    a[:m] = pad
-    a[m:] = x[: n - m]
-    if mu == 0.0:
-        return a
-    b = np.empty_like(x)
-    b[: m + 1] = pad
-    b[m + 1 :] = x[: n - m - 1]
-    return (1.0 - mu) * a + mu * b
-
-
-def _int_shift(x: np.ndarray, k: int) -> np.ndarray:
-    """Integer delay with zero fill (history before t=0 is zero)."""
-    if k == 0:
-        return x
     out = np.zeros_like(x)
-    out[k:] = x[:-k]
+    if m < n:
+        np.multiply(x[: n - m], 1.0 - mu, out=out[m:])
+        if mu != 0.0:
+            out[m + 1 :] += mu * x[: n - m - 1]
     return out
 
 
@@ -476,7 +471,7 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
         # theta[n] takes effect at sample n+1 (the same convention the error
         # path uses), so the correction seen at transmission time t-T is
         # theta delayed by T plus that one sample.
-        m = m_base + config.carrier_scale(mode) * fractional_delay(theta, ts + 1.0, fill="zero")
+        m = m_base + config.carrier_scale(mode) * fractional_delay(theta, ts + 1.0)
     w = state.warmup_samples
     if state.flags:
         _log.warning("run flagged: %s", ",".join(state.flags))

@@ -160,13 +160,11 @@ def log_band_medians(freqs, values, bands_per_decade: int = 12):
     lo, hi = np.log10(freqs.min()), np.log10(freqs.max())
     n_bands = max(1, int(np.ceil((hi - lo) * bands_per_decade)))
     edges = np.logspace(lo, hi, n_bands + 1)
-    centers, medians = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        sel = (freqs >= a) & (freqs < b)
-        if np.any(sel):
-            centers.append(np.sqrt(a * b))
-            medians.append(np.median(values[sel]))
-    return np.array(centers), np.array(medians)
+    # half-open bands [a, b), with the end points clipped into the first and last bands
+    idx = np.clip(np.searchsorted(edges, freqs, side="right") - 1, 0, n_bands - 1)
+    bands = np.unique(idx)
+    centers = np.sqrt(edges[bands] * edges[bands + 1])
+    return centers, np.array([np.median(values[idx == k]) for k in bands])
 
 
 def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, seed):

@@ -56,8 +56,9 @@ def test_traced_channel_records_every_layer():
                  "experiment.spot"):
         assert layers.get(name, {}).get("calls", 0) > 0, name
     assert layers["link.run"]["calls"] == 3
-    # the forcing's three delays once per channel, and theta's once per stabilized mode
-    assert layers["link.delay"]["calls"] == 3 + 2
+    # the forcing's two delays (the primary and atmosphere's round trip, the secondary's one way) once per
+    # channel, and theta's once per stabilized mode
+    assert layers["link.delay"]["calls"] == 2 + 2
 
 
 @pytest.mark.parametrize("name", ["sweep", "trace", "validate"])

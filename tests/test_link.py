@@ -21,7 +21,7 @@ from fsostab.link import (
     run_link,
     servo_update,
 )
-from fsostab.noise import PhaseSeries, PsdModel, estimate_psd, synthesize_phase_noise
+from fsostab.noise import PsdModel, estimate_psd, synthesize_phase_noise
 from fsostab.spectral import log_band_medians, meas_transfer_secondary
 
 NU_P = 193.1e12
@@ -29,10 +29,14 @@ NU_P = 193.1e12
 
 def quiet_inputs(n, fs, dt_atm=None, phi_p=None, phi_s=None):
     z = np.zeros(n)
+    return NoiseInputs(*(x if x is not None else z for x in (phi_p, phi_s, dt_atm)), fs)
+
+
+def random_walk_inputs(rng, n, fs):
     return NoiseInputs(
-        PhaseSeries(phi_p if phi_p is not None else z.copy(), fs),
-        PhaseSeries(phi_s if phi_s is not None else z.copy(), fs),
-        dt_atm if dt_atm is not None else z.copy(),
+        np.cumsum(rng.standard_normal(n)) * 0.01,
+        np.cumsum(rng.standard_normal(n)) * 0.01,
+        np.cumsum(rng.standard_normal(n)) * 1e-16,
         fs,
     )
 
@@ -228,6 +232,19 @@ class TestFractionalDelay:
         x = np.random.default_rng(0).standard_normal(64)
         assert np.array_equal(fractional_delay(x, 0.0), x)
 
+    def test_history_is_zero(self):
+        assert np.array_equal(fractional_delay(np.ones(6), 2.5), [0.0, 0.0, 0.5, 1.0, 1.0, 1.0])
+        assert np.array_equal(fractional_delay(np.ones(4), 7.25), np.zeros(4))
+
+    def test_forcing_history_is_zero(self):
+        # the primary's round-trip copy is zero before t = 0, so a constant primary leaves -c in d for 2T samples
+        cfg = scaled_config(t_samples=16)
+        c = 0.7
+        d, m_base, ts = quiet_inputs(cfg.n_samples, cfg.fs_hz, phi_p=np.full(cfg.n_samples, c)).forcing(cfg)
+        assert ts == 16.0
+        assert np.array_equal(d[:32], np.full(32, -c)) and not d[32:].any()
+        assert not m_base.any()
+
 
 class TestRunLink:
     def test_all_quiet_measurement_is_zero(self):
@@ -289,12 +306,7 @@ class TestRunLink:
             for mode in MODES:
                 cfg = scaled_config(approximate_roundtrip=approx, nu_s_hz=190.0e12)
                 n = cfg.n_samples
-                walk = NoiseInputs(
-                    PhaseSeries(np.cumsum(rng.standard_normal(n)) * 0.01, cfg.fs_hz),
-                    PhaseSeries(np.cumsum(rng.standard_normal(n)) * 0.01, cfg.fs_hz),
-                    np.cumsum(rng.standard_normal(n)) * 1e-16,
-                    cfg.fs_hz,
-                )
+                walk = random_walk_inputs(rng, n, cfg.fs_hz)
                 divergent = quiet_inputs(n, cfg.fs_hz, dt_atm=np.full(n, 1e-9))
                 for inp, flagged in ((walk, False), (divergent, mode != "unstabilized")):
                     m_fast, t_fast = run_link(cfg, inp, mode=mode, engine="fast")
@@ -365,15 +377,20 @@ class TestRunLink:
         assert np.max(np.abs(t_fast.error_rad - t_ref.error_rad)) < 1e-11
         assert np.max(np.abs(m_fast.samples - m_ref.samples)) < 1e-11
 
-    def test_length_mismatch_rejected(self):
-        fs = 1000.0
-        with pytest.raises(ValueError):
-            NoiseInputs(
-                PhaseSeries(np.zeros(100), fs),
-                PhaseSeries(np.zeros(101), fs),
-                np.zeros(100),
-                fs,
-            )
+    # every series is checked alike: one length, one dimension, finite values
+    @pytest.mark.parametrize("name", ["phi_p", "phi_s", "dt_atm"])
+    def test_length_mismatch_rejected(self, name):
+        series = {"phi_p": np.zeros(100), "phi_s": np.zeros(100), "dt_atm": np.zeros(100), name: np.zeros(101)}
+        with pytest.raises(ValueError, match="one length"):
+            NoiseInputs(**series, fs_hz=1000.0)
+
+    @pytest.mark.parametrize("name", ["phi_p", "phi_s", "dt_atm"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "2-D"])
+    def test_bad_series_rejected(self, name, bad):
+        x = np.zeros((2, 50)) if bad == "2-D" else np.concatenate([np.zeros(99), [bad]])
+        series = {"phi_p": np.zeros(100), "phi_s": np.zeros(100), "dt_atm": np.zeros(100), name: x}
+        with pytest.raises(ValueError, match=name):
+            NoiseInputs(**series, fs_hz=1000.0)
 
     def test_sample_rate_mismatch_rejected(self):
         # noise synthesized at 4 kHz is not read as 20 kHz
@@ -409,7 +426,7 @@ class TestAtmosphereFromPsd:
     def atmosphere_only(self, n, seed):
         models = {"primary": zero_model(), "secondary": zero_model(), "atmosphere": self.MODEL}
         inp = NoiseInputs.from_models(models, 1000.0, n, seed, NU_P)
-        assert not inp.phi_p.samples.any() and not inp.phi_s.samples.any()
+        assert not inp.phi_p.any() and not inp.phi_s.any()
         return inp.dt_atm
 
     def test_sigma_scaling(self):
@@ -447,12 +464,7 @@ def test_engines_agree_on_random_stable_loops(kp, ki_dt, kii_ratio, k, seed):
         assume(False)
     assume(np.max(np.abs(np.roots(cfg.loop.a))) < 0.999)
     rng = np.random.default_rng(seed)
-    inp = NoiseInputs(
-        PhaseSeries(np.cumsum(rng.standard_normal(n)) * 0.01, fs),
-        PhaseSeries(np.cumsum(rng.standard_normal(n)) * 0.01, fs),
-        np.cumsum(rng.standard_normal(n)) * 1e-16,
-        fs,
-    )
+    inp = random_walk_inputs(rng, n, fs)
     m_fast, t_fast = run_link(cfg, inp, mode="doppler")
     m_ref, t_ref = run_link(cfg, inp, mode="doppler", engine="reference")
     assert not t_fast.flagged and t_fast.engine == "fast"

@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsostab.cli import main
 from fsostab.errors import InvalidModelError, OutOfRangeError
@@ -57,6 +59,19 @@ class TestCombinationFactor:
             fac = combination_factor(comb, f)
             assert np.all(fac >= 0)
             assert np.all(fac <= np.sum(np.abs(coeffs)) ** 2 + 1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(st.floats(1e-3, 1e3), st.booleans(), st.floats(0.0, 1.0)), min_size=2, max_size=5
+        ),
+        f=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8),
+    )
+    def test_factor_never_exceeds_the_coherent_sum(self, terms, f):
+        # |sum_k c_k e^{-i 2 pi f tau_k}|^2 <= (sum_k |c_k|)^2 at every f, whatever the signs and delays
+        comb = DelayedCombination(tuple((-c if neg else c, tau) for c, neg, tau in terms))
+        bound = sum(abs(c) for c, _ in comb.terms) ** 2
+        assert np.all(combination_factor(comb, np.array(f)) <= bound * (1.0 + 1e-12))
 
     def test_empty_invalid(self):
         with pytest.raises(InvalidModelError):
@@ -235,3 +250,9 @@ class TestLogBandMedians:
         fb, med = log_band_medians(f, noisy, bands_per_decade=6)
         assert np.all(np.abs(med - 5.0) < 1.0)
         assert fb.size < 30
+
+    def test_keeps_both_end_frequencies(self):
+        # the top edge of the half-open bands can round to or below freqs.max(); that value stays in the last band
+        fb, med = log_band_medians([1.0, 10.0], [1.0, 2.0])
+        assert np.array_equal(med, [1.0, 2.0])
+        assert fb == pytest.approx([10 ** (1 / 24), 10 ** (23 / 24)], rel=1e-12)
