@@ -354,7 +354,7 @@ def servo_update(servo: ServoConfig, error: float, dt: float, state: LinkState) 
     trip. A non-finite error opens the loop (command frozen) and flags
     the run; integral contributions clamp at +-ANTI_WINDUP_RAD with a flag.
     """
-    if not np.isfinite(error):
+    if not math.isfinite(error):
         state.fault = True
         state.flag("non-finite")
         return state.act_phase_rad
@@ -399,26 +399,50 @@ def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
     return out
 
 
+#: Samples the reference engine takes from d per block; its Python lists never hold more than this plus K.
+_REFERENCE_BLOCK = 4096
+
+
 def _run_reference(config, d, state):
-    """Closed loop, per sample, through the public servo_update (slow, clamping)."""
+    """Closed loop, per sample, through the public servo_update (slow, clamping).
+
+    The recursion runs on Python floats: about 0.8 us per sample on a
+    shared 2-vCPU Xeon, where indexing the arrays and doing numpy scalar
+    arithmetic took about 4 us. Python floats are the same IEEE doubles
+    combined in the same order, so theta, the error and the flags are
+    bit for bit those of a loop over the arrays. d is read one block at
+    a time, and ``past`` holds theta's last K values (zeros before
+    t = 0), so the lists stay small however long the run.
+    """
     n = d.size
     dt = config.dt_s
     k = config.loop.k
-    theta = np.zeros(n)
+    servo = config.servo
+    theta = np.empty(n)
     err = np.empty(n)
-    for i in range(n):
-        # theta is written in order, so theta[i - 1] and theta[i - k]
-        # before t=0 wrap to not-yet-written zeros at the array's end
-        e = d[i] + theta[i - 1] + theta[i - k]
-        if abs(e) > ERROR_DIVERGENCE_RAD or not np.isfinite(e):
-            state.flag("error-divergence" if np.isfinite(e) else "non-finite")
-        theta[i] = servo_update(config.servo, e, dt, state)
-        err[i] = e
+    past = [0.0] * k
+    for start in range(0, n, _REFERENCE_BLOCK):
+        th, es = past, []
+        for d_i in d[start : start + _REFERENCE_BLOCK].tolist():
+            e = d_i + th[-1] + th[-k]
+            if not -ERROR_DIVERGENCE_RAD <= e <= ERROR_DIVERGENCE_RAD:  # also true for NaN
+                state.flag("error-divergence" if math.isfinite(e) else "non-finite")
+            th.append(servo_update(servo, e, dt, state))
+            es.append(e)
+        stop = start + len(es)
+        theta[start:stop] = th[k:]
+        err[start:stop] = es
+        past = th[-k:]
     return theta, err
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_fast(config, d, state):
-    """Closed loop via lfilter; exact while no flag is raised."""
+    """Closed loop via lfilter; exact while no flag is raised.
+
+    A sum out of float range leaves inf or NaN, which the checks read as
+    divergence or a clamp, so the run falls back and is flagged.
+    """
     loop = config.loop
     theta = _signal.lfilter(loop.b, loop.a, d)
     err = loop.error(d, theta)
@@ -428,11 +452,11 @@ def _run_fast(config, d, state):
         if np.max(np.abs(err)) > ERROR_DIVERGENCE_RAD:
             state.flag("error-divergence")
         s1 = np.cumsum(err) * config.dt_s
-        if config.servo.ki > 0 and np.max(np.abs(config.servo.ki * s1)) > ANTI_WINDUP_RAD:
+        if config.servo.ki > 0 and not np.all(np.abs(config.servo.ki * s1) <= ANTI_WINDUP_RAD):  # NaN too
             state.flag("integrator-clamp")
         elif config.servo.kii > 0:
             s2 = np.cumsum(s1) * config.dt_s
-            if np.max(np.abs(config.servo.kii * s2)) > ANTI_WINDUP_RAD:
+            if not np.all(np.abs(config.servo.kii * s2) <= ANTI_WINDUP_RAD):
                 state.flag("integrator-clamp")
     return theta, err
 

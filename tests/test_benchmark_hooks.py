@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fsostab import cli, experiment
+from fsostab import cli, experiment, link
 from fsostab.link import LinkConfig, ServoConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -59,6 +59,24 @@ def test_traced_channel_records_every_layer():
     # the forcing's two delays (the primary and atmosphere's round trip, the secondary's one way) once per
     # channel, and theta's once per stabilized mode
     assert layers["link.delay"]["calls"] == 2 + 2
+
+
+def test_traced_reference_engine_counts_every_sample():
+    # link.reference.us_per_sample divides by this count: the engine must look servo_update up after the
+    # tracer has patched it, and call it positionally, as the counting wrapper takes no keywords
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    n = 2**12
+    config = LinkConfig(fs_hz=1000.0, n_samples=n, servo=ServoConfig(kp=0.2, ki=100.0))
+    inputs = link.NoiseInputs.from_models(experiment.calibrate_default_models(), config.fs_hz, n, 3, config.nu_p_hz)
+    try:
+        tracer.install(tr)
+        _, trace = link.run_link(config, inputs, mode="doppler", engine="reference")
+    finally:
+        tr.restore()
+    assert trace.engine == "reference"
+    assert tr.counts["link.reference.samples"] == n
+    assert tr.layers()["link.reference"]["calls"] == 1
 
 
 @pytest.mark.parametrize("name", ["sweep", "trace", "validate"])

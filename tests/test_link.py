@@ -1,10 +1,13 @@
 """Time-domain chain tests: delays, servo, actuators, full runs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from fsostab import link
 from fsostab.errors import ConfigError
 from fsostab.experiment import calibrate_default_models, zero_model
 from fsostab.link import (
@@ -201,6 +204,97 @@ class TestServoUpdate:
         assert servo_update(servo, 1.0, cfg.dt_s, state) == before
 
 
+def _servo_update_over_arrays(servo, error, dt, state):
+    """servo_update as it stood while the reference engine looped over numpy scalars (the pin below)."""
+    if not np.isfinite(error):
+        state.fault = True
+        state.flag("non-finite")
+        return state.act_phase_rad
+    if state.fault:
+        return state.act_phase_rad
+    state.integ1 += error * dt
+    if servo.ki > 0:
+        lim = ANTI_WINDUP_RAD / servo.ki
+        if abs(state.integ1) > lim:
+            state.integ1 = math.copysign(lim, state.integ1)
+            state.flag("integrator-clamp")
+    state.integ2 += state.integ1 * dt
+    if servo.kii > 0:
+        lim = ANTI_WINDUP_RAD / servo.kii
+        if abs(state.integ2) > lim:
+            state.integ2 = math.copysign(lim, state.integ2)
+            state.flag("integrator-clamp")
+    state.act_phase_rad = -0.5 * (servo.kp * error + servo.ki * state.integ1 + servo.kii * state.integ2)
+    return state.act_phase_rad
+
+
+def _reference_over_arrays(config, d, state):
+    """The reference engine's earlier loop, reading and writing numpy arrays one element at a time."""
+    n = d.size
+    dt = config.dt_s
+    k = config.loop.k
+    theta = np.zeros(n)
+    err = np.empty(n)
+    for i in range(n):
+        # theta is written in order, so theta[i - 1] and theta[i - k]
+        # before t=0 wrap to not-yet-written zeros at the array's end
+        e = d[i] + theta[i - 1] + theta[i - k]
+        if abs(e) > ERROR_DIVERGENCE_RAD or not np.isfinite(e):
+            state.flag("error-divergence" if np.isfinite(e) else "non-finite")
+        theta[i] = _servo_update_over_arrays(config.servo, e, dt, state)
+        err[i] = e
+    return theta, err
+
+
+class TestReferenceEngine:
+    # the engine runs on Python floats in blocks; every bit of theta and the error, and every flag, is pinned
+    # to the loop over numpy scalars it replaced
+    BLOCK = link._REFERENCE_BLOCK
+    PI = ServoConfig(kp=0.2, ki=100.0)
+
+    def forcing(self, n, events):
+        b = self.BLOCK
+        d = np.cumsum(np.random.default_rng(n).standard_normal(n)) * 0.1
+        if events == "clamp":  # a ramp the command follows past ANTI_WINDUP_RAD, and the error then past its bound
+            d[b + 17 :] += np.linspace(0.0, 3e6, n - b - 17)
+        elif events == "nan, divergence":
+            d[b + 17 : b + 20] = np.nan
+            d[2 * b + 3 : 2 * b + 6] = 2e6
+        elif events == "divergence, nan":
+            d[2 * b + 3 : 2 * b + 6] = 2e6
+            d[2 * b + 40 : 2 * b + 43] = np.nan
+        return d
+
+    @pytest.mark.parametrize(
+        "n, t_samples, approx, servo, events, flags",
+        [
+            (3 * BLOCK + 5, 16, True, PI, None, []),  # K = 1, n not a multiple of the block
+            (3 * BLOCK, 20, False, PI, None, []),  # K = 40
+            (BLOCK // 2, 20, False, PI, None, []),  # n shorter than one block
+            (2 * BLOCK, 16, True, ServoConfig(kp=0.2, ki=100.0, kii=1000.0), None, []),  # PI+I^2
+            (3 * BLOCK + 5, (BLOCK + 9) / 2, False, ServoConfig(kp=0.1, ki=0.05), None, []),  # K longer than a block
+            (3 * BLOCK + 5, 20, False, PI, "clamp", ["integrator-clamp", "error-divergence"]),
+            # a NaN in a later block freezes the command; an error past ERROR_DIVERGENCE_RAD in another is flagged
+            (3 * BLOCK + 5, 16, True, PI, "nan, divergence", ["non-finite", "error-divergence"]),
+            (3 * BLOCK + 5, 20, False, PI, "divergence, nan", ["error-divergence", "non-finite"]),
+        ],
+    )
+    def test_bit_identical_to_the_loop_over_arrays(self, n, t_samples, approx, servo, events, flags):
+        cfg = scaled_config(t_samples=t_samples, approximate_roundtrip=approx, servo=servo)
+        d = self.forcing(n, events)
+        new, old = link.LinkState(0), link.LinkState(0)
+        theta, err = link._run_reference(cfg, d, new)
+        theta_old, err_old = _reference_over_arrays(cfg, d, old)
+        assert theta.tobytes() == theta_old.tobytes()
+        assert err.tobytes() == err_old.tobytes()
+        assert (new.flags, new.fault, new.integ1, new.integ2) == (old.flags, old.fault, old.integ1, old.integ2)
+        assert new.act_phase_rad == old.act_phase_rad
+        assert new.flags == flags
+        if "non-finite" in flags:  # the command freezes at the first NaN
+            first = int(np.argmax(np.isnan(d)))
+            assert new.fault and np.all(theta[first:] == theta[first - 1]) and theta[first - 1] != theta[first - 2]
+
+
 class TestApplyActuator:
     # the actuator's only physics is the scale of its correction at nu_s
     def test_doppler_carrier_independent(self):
@@ -365,6 +459,19 @@ class TestRunLink:
         assert np.all(np.isfinite(m.samples))
         _, tr_fast = run_link(cfg, quiet_inputs(cfg.n_samples, cfg.fs_hz), mode="doppler")
         assert tr_fast.engine == "fast"
+
+    @pytest.mark.parametrize("approx", [True, False])
+    @pytest.mark.parametrize("mode", ["doppler", "group-delay"])
+    def test_overflowed_fast_solve_falls_back(self, approx, mode):
+        # a finite forcing whose integral leaves float range: the fast engine's sums overflow to inf or NaN,
+        # which read as divergence and a clamp (no RuntimeWarning), and the reference engine's clamped run is kept
+        n = 4096
+        cfg = LinkConfig(t_one_way_s=1e-3, link_length_m=None, fs_hz=20e3, n_samples=n, approximate_roundtrip=approx)
+        inp = quiet_inputs(n, cfg.fs_hz, phi_p=np.full(n, 1.5e308))
+        m, tr = run_link(cfg, inp, mode=mode)
+        assert tr.flags == ["error-divergence", "integrator-clamp"]
+        assert tr.engine == "reference"
+        assert np.all(np.isfinite(m.samples))
 
     def test_engines_agree_without_marginal_pole(self):
         # kii = 0 once left a common (1 - z^-1) factor, a pole on the
