@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -66,6 +67,22 @@ _FLAG_KEYS = {
 def thz(text: str) -> float:
     """A carrier given in THz, in Hz."""
     return float(text) * 1e12
+
+
+def count(text: str) -> int:
+    """An integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not at least 1")
+    return value
+
+
+def frequency(text: str) -> float:
+    """A finite frequency above 0 Hz."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{value} Hz is not finite and above 0")
+    return value
 
 
 def _add_common(p):
@@ -226,9 +243,9 @@ def build_parser():
 
     p = sub.add_parser("predict", help="closed-form measurement PSD curves")
     _add_common(p)
-    p.add_argument("--f-min-hz", type=float, default=0.1)
-    p.add_argument("--f-max-hz", type=float, default=1e4)
-    p.add_argument("--points", type=int, default=600)
+    p.add_argument("--f-min-hz", type=frequency, default=0.1)
+    p.add_argument("--f-max-hz", type=frequency, default=1e4)
+    p.add_argument("--points", type=count, default=600)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("simulate", help="three paired-mode runs on one channel")
@@ -243,7 +260,7 @@ def build_parser():
 
     p = sub.add_parser("identity-check", help="delayed-copy identity oracle suite")
     _add_common(p)
-    p.add_argument("--combos", type=int, default=20)
+    p.add_argument("--combos", type=count, default=20)
     p.set_defaults(func=_cmd_identity_check)
 
     p = sub.add_parser("compare", help="simulated vs predicted spectrum overlay")
@@ -254,8 +271,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "predict" and not args.f_min_hz < args.f_max_hz:
+            parser.error(f"--f-min-hz {args.f_min_hz:g} is not below --f-max-hz {args.f_max_hz:g}")
     except SystemExit as exc:  # argparse exits 2 on a usage error; 1 is the validation code
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     logging.basicConfig(

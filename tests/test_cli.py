@@ -297,6 +297,16 @@ class TestSubcommands:
         assert rows[0].split(",")[-1] == "meas_phase_rad"
         assert [r.rsplit(",", 1)[1] for r in rows[1:]] == [f"{x:.10g}" for x in meas.samples]
 
+    def test_emit_trace_same_bytes_on_any_cpu_count(self, tmp_path, monkeypatch):
+        # a trace longer than one block is formatted on one worker per CPU; its bytes do not depend on how many
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            argv = ["simulate", "--samples", "65536", "--emit-trace", "--out", str(tmp_path / str(cpus))]
+            assert main(argv) == EXIT_OK
+        for mode in link.MODES:
+            name = f"trace_{mode}.csv"
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_emit_trace_synthesizes_once(self, tmp_path, monkeypatch):
         # the trace runs reuse the spectra's inputs: one synthesis per source, not two
         calls, synthesize = [], link.synthesize_phase_noise
@@ -516,11 +526,21 @@ class TestSubcommands:
             ["identity-check", "--channel-thz", "190.0"],
             ["compare", "--mode", "none"],
             [],
+            ["predict", "--points", "0"],
+            ["predict", "--points", "-3"],
+            ["predict", "--f-min-hz", "0"],
+            ["predict", "--f-max-hz", "nan"],
+            ["predict", "--f-max-hz", "inf"],
+            ["predict", "--f-min-hz", "100", "--f-max-hz", "10"],
+            ["identity-check", "--combos", "0"],
+            ["identity-check", "--combos", "-1"],
         ],
     )
-    def test_usage_error_is_validation_error(self, argv):
-        # --mode and --channel-thz belong to simulate and compare, the commands that read them
-        assert main(argv) == EXIT_VALIDATION
+    def test_usage_error_is_validation_error(self, tmp_path, argv):
+        # --mode and --channel-thz belong to simulate and compare, the commands that read them; counts are
+        # at least 1, and predict's band is finite with 0 < min < max
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
 
     def test_help_exits_ok(self):
         assert main(["--help"]) == EXIT_OK

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import signal
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -126,6 +128,19 @@ def small_config():
     return LinkConfig(fs_hz=4000.0, n_samples=2**17, servo=ServoConfig(kp=0.2, ki=1000.0))
 
 
+def sized_pools(monkeypatch, cpus):
+    """Let this process use ``cpus`` CPUs; the returned list collects the size of each pool opened."""
+    pool_sizes = []
+
+    def sized_pool(workers, **kwargs):
+        pool_sizes.append(workers)
+        return ProcessPoolExecutor(workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", sized_pool)
+    return pool_sizes
+
+
 class TestRunThreeModes:
     def test_modes_present_and_paired(self):
         models = calibrate_default_models()
@@ -219,14 +234,7 @@ class TestSweepAndOutputs:
     def test_sweep_equals_serial_loop(self, monkeypatch, cpus):
         # any number of workers gives, bit for bit, the channels run one after another with the same seeds
         cfg, models, channels, nperseg = small_config(), calibrate_default_models(), [190.0, 193.2, 197.2], 2**13
-        pool_sizes, pool = [], experiment.ProcessPoolExecutor
-
-        def sized_pool(workers, **kwargs):
-            pool_sizes.append(workers)
-            return pool(workers, **kwargs)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", sized_pool)
+        pool_sizes = sized_pools(monkeypatch, cpus)
         result = channel_sweep(cfg, models, 7, channels_thz=channels, nperseg=nperseg)
         assert pool_sizes == [cpus]
         flags = []
@@ -247,11 +255,13 @@ class TestSweepAndOutputs:
             for mode in ("doppler", "group-delay"):
                 assert result.spots_dbc[(ch, mode)] <= result.spots_dbc[(ch, "unstabilized")]
 
-    def test_emit_and_rerun_byte_identical(self, tmp_path):
-        result = self.make_result()
+    def test_emit_and_rerun_byte_identical(self, tmp_path, monkeypatch):
+        result, rerun = self.make_result(), self.make_result()
         out1, out2 = tmp_path / "a", tmp_path / "b"
+        pool_sizes = sized_pools(monkeypatch, 2)
         outputs, status = emit_outputs(result, out1, {"n": 1})
-        emit_outputs(self.make_result(), out2, {"n": 1})
+        emit_outputs(rerun, out2, {"n": 1})
+        assert pool_sizes == []  # every table of a sweep fits one block
         assert status == 3  # the partial grid is flagged
         assert (out1 / "sweep.csv") in outputs
         manifest = json.loads((out1 / "manifest.json").read_text())
@@ -277,11 +287,11 @@ class TestSweepAndOutputs:
 
 
 def per_value_csv(header, columns) -> bytes:
-    """A table written one row and one numpy scalar at a time, each value in the one number format."""
+    """A table written one row and one numpy scalar at a time, each value in the documented ``{:.10g}``."""
     buf = io.StringIO(newline="")
     csv.writer(buf).writerow(header)
     for values in zip(*columns):
-        buf.write(",".join(experiment._NUMBER.format(v) for v in values) + "\r\n")
+        buf.write(",".join("{:.10g}".format(v) for v in values) + "\r\n")
     return buf.getvalue().encode()
 
 
@@ -289,10 +299,12 @@ class TestWriteTableCsv:
     EDGE_VALUES = [-0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324, 3.0, -42.0, 12345678901.0, 1.5e-7, 123456.789012345,
                    2.0**53 + 1, np.pi, -np.e * 1e-12, np.inf, -np.inf, np.nan]
 
-    @pytest.mark.parametrize("rows", [0, 1, experiment._BLOCK_ROWS, experiment._BLOCK_ROWS + 1])
-    def test_blocks_match_per_value_format(self, tmp_path, rows):
+    @pytest.mark.parametrize("rows", [0, 1, experiment._BLOCK_ROWS, experiment._BLOCK_ROWS + 1,
+                                      3 * experiment._BLOCK_ROWS + 5])
+    def test_blocks_match_per_value_format(self, tmp_path, monkeypatch, rows):
         # every value prints as numpy's scalar formatting printed it: signed zero, subnormals,
-        # exponent forms, non-finite values and an integer column
+        # exponent forms, non-finite values and an integer column; a table of more than one block
+        # is formatted on a pool of one worker per CPU, up to one per block, and the bytes are the same
         edge = np.resize(np.array(self.EDGE_VALUES), rows)
         columns = [
             np.arange(rows) / 20e3,
@@ -302,10 +314,35 @@ class TestWriteTableCsv:
             np.random.default_rng(rows).standard_normal(rows) * 1e-7,
         ]
         header = ["t_s", "edge", "reversed", "count", "noise"]
-        path = tmp_path / "table.csv"
-        write_table_csv(path, header, columns)
-        assert path.read_bytes() == per_value_csv(header, columns)
-        assert path.read_bytes().count(b"\r\n") == rows + 1
+        want = per_value_csv(header, columns)
+        blocks = -(-rows // experiment._BLOCK_ROWS)
+        for cpus in (1, 2):
+            pool_sizes = sized_pools(monkeypatch, cpus)
+            path = tmp_path / f"table{cpus}.csv"
+            write_table_csv(path, header, columns)
+            assert path.read_bytes() == want
+            assert path.read_bytes().count(b"\r\n") == rows + 1
+            assert pool_sizes == ([] if blocks <= 1 else [min(blocks, cpus)])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_block_error_reaches_the_caller(self, tmp_path, monkeypatch, cpus):
+        # a value out of float range in a later block raises its own error from the pool, not BrokenProcessPool
+        sized_pools(monkeypatch, cpus)
+        rows = 2 * experiment._BLOCK_ROWS + 1
+        big = np.ones(rows, dtype=object)
+        big[-2] = 10**400
+
+        def hung(signum, frame):
+            pytest.fail("write_table_csv still running after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(OverflowError):
+                write_table_csv(tmp_path / "t.csv", ["x", "big"], [np.arange(rows), big])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_columns_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"length: \[3, 5\]"):
