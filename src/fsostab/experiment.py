@@ -299,10 +299,11 @@ def write_table_csv(path: Path, header: list, columns):
     end in CRLF, as ``csv.writer`` ends the header. The rows are formatted
     in blocks of ``_BLOCK_ROWS``, each by one printf-style % on a row
     template repeated once per row, so no string of the whole table is
-    built. A table of one block is formatted here; a longer one on a
-    forked pool of up to one worker per CPU this process may use, its
-    blocks written in row order, so the bytes do not depend on the number
-    of workers. An exception raised formatting a block reaches the caller
+    built. The blocks are formatted on a forked pool of
+    min(blocks, CPUs this process may use) workers and written in
+    row order, so the bytes do not depend on the number of workers; with
+    one block or one CPU no pool is opened and the blocks are formatted
+    here. An exception raised formatting a block reaches the caller
     with its type.
 
     Cost: on ``simulate --emit-trace`` at 2^18 samples (three 11.6 MB
@@ -320,12 +321,12 @@ def write_table_csv(path: Path, header: list, columns):
     n = lengths[0] if lengths else 0
     row = ",".join([_NUMBER] * len(header)) + "\r\n"
     blocks = [[c[start : start + _BLOCK_ROWS] for c in columns] for start in range(0, n, _BLOCK_ROWS)]
+    workers = min(len(blocks), len(os.sched_getaffinity(0)))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        if len(blocks) <= 1:
+        if workers <= 1:
             fh.writelines(_format_block(row, block) for block in blocks)
         else:
-            workers = min(len(blocks), len(os.sched_getaffinity(0)))
             # fork, as in channel_sweep: spawned workers would import numpy and the package again first
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
                 fh.writelines(pool.map(functools.partial(_format_block, row), blocks))

@@ -538,8 +538,10 @@ class TestSubcommands:
     )
     def test_usage_error_is_validation_error(self, tmp_path, argv):
         # --mode and --channel-thz belong to simulate and compare, the commands that read them; counts are
-        # at least 1, and predict's band is finite with 0 < min < max
-        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        # at least 1, and predict's band is finite with 0 < min < max; an empty command line lacks the command.
+        # A subcommand's usage error makes no output directory.
+        out = ["--out", str(tmp_path / "o")] if argv else []
+        assert main(argv + out) == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
 
     def test_help_exits_ok(self):

@@ -304,7 +304,8 @@ class TestWriteTableCsv:
     def test_blocks_match_per_value_format(self, tmp_path, monkeypatch, rows):
         # every value prints as numpy's scalar formatting printed it: signed zero, subnormals,
         # exponent forms, non-finite values and an integer column; a table of more than one block
-        # is formatted on a pool of one worker per CPU, up to one per block, and the bytes are the same
+        # is formatted on a pool of one worker per CPU, up to one per block, and the bytes are the same;
+        # one block or one CPU opens no pool
         edge = np.resize(np.array(self.EDGE_VALUES), rows)
         columns = [
             np.arange(rows) / 20e3,
@@ -322,11 +323,12 @@ class TestWriteTableCsv:
             write_table_csv(path, header, columns)
             assert path.read_bytes() == want
             assert path.read_bytes().count(b"\r\n") == rows + 1
-            assert pool_sizes == ([] if blocks <= 1 else [min(blocks, cpus)])
+            workers = min(blocks, cpus)
+            assert pool_sizes == ([] if workers <= 1 else [workers])
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_block_error_reaches_the_caller(self, tmp_path, monkeypatch, cpus):
-        # a value out of float range in a later block raises its own error from the pool, not BrokenProcessPool
+        # a value out of float range in a later block raises its own error, from the pool too, not BrokenProcessPool
         sized_pools(monkeypatch, cpus)
         rows = 2 * experiment._BLOCK_ROWS + 1
         big = np.ones(rows, dtype=object)
