@@ -13,7 +13,6 @@ Exit codes: 0 ok, 1 validation error, 2 runtime fault, 3 flagged result.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -172,19 +171,17 @@ def _cmd_sweep(args, config, models, experiment, out: Path):
 def _cmd_identity_check(args, config, models, experiment, out: Path):
     report = identity_check_suite(n_combos=args.combos, seed=experiment["base_seed"])
     combo_path = out / "identity_combos.csv"
-    with open(combo_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["combo", "terms", "n_bins", "frac_within_1db", "max_abs_dev_db"])
-        for i, row in enumerate(report):
-            wr.writerow(
-                [
-                    i,
-                    ";".join(f"{c:+.3f}@{tau:.6g}s" for c, tau in row["combo"].terms),
-                    row["n_bins"],
-                    f"{row['frac_within_tol']:.4f}",
-                    f"{row['max_abs_dev_db']:.3f}",
-                ]
-            )
+    write_table_csv(
+        combo_path,
+        ["combo", "terms", "n_bins", "frac_within_1db", "max_abs_dev_db"],
+        [
+            np.arange(len(report)),
+            [";".join(f"{c:+.3f}@{tau:.6g}s" for c, tau in r["combo"].terms) for r in report],
+            [r["n_bins"] for r in report],
+            [f"{r['frac_within_tol']:.4f}" for r in report],  # a report: rounded, as text
+            [f"{r['max_abs_dev_db']:.3f}" for r in report],
+        ],
+    )
     f = np.geomspace(1e-4 / config.t_one_way, 2.0 / config.t_one_way, 400)
     rep = atm_variant_report(config.t_one_way, f)
     eq_path = out / "atm_variants.csv"
@@ -205,6 +202,7 @@ def _cmd_identity_check(args, config, models, experiment, out: Path):
 
 def _cmd_compare(args, config, models, experiment, out: Path):
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
+    config.warmup_samples  # a warm-up over 10% of the run is rejected before any synthesis
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
     meas, trace = run_link(config, inputs, mode=args.mode)
     est = estimate_psd(meas, segment_len=max(64, min(2**18, meas.samples.size // 16)))
@@ -284,13 +282,17 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     overrides = {key: v for flag, key in _FLAG_KEYS.items() if (v := getattr(args, flag, None)) is not None}
+    out = args.out or Path("runs") / args.command
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
         config, models, experiment = load_config(args.config, overrides)
-        out = args.out or Path("runs") / args.command
         out.mkdir(parents=True, exist_ok=True)
         return args.func(args, config, models, experiment, out)
     except (ConfigError, InvalidModelError, OutOfRangeError, FileNotFoundError, json.JSONDecodeError) as exc:
         _log.error("validation: %s", exc)
+        for d in made:  # a rejected run leaves no empty directory it made
+            if d.is_dir() and not any(d.iterdir()):
+                d.rmdir()
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _log.error("runtime fault: %s", exc)

@@ -8,7 +8,6 @@ sweep land on the reference spot values by construction.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import itertools
@@ -27,7 +26,7 @@ from . import __version__ as _version
 from .errors import ConfigError, OutOfRangeError
 from .link import MODES, LinkConfig, NoiseInputs, run_link
 from .noise import PsdModel, SpectrumEstimate, estimate_psd, ssb_phase_noise
-from .spectral import meas_transfer_primary, meas_transfer_secondary
+from .spectral import log_bands, meas_transfer_primary, meas_transfer_secondary
 
 _log = logging.getLogger(__name__)
 
@@ -219,14 +218,27 @@ def log_bin_spectrum(est: SpectrumEstimate, points_per_decade: int = 64):
     """Compact log-binned copy of an estimate (for file outputs)."""
     pos = est.freqs > 0
     f, p = est.freqs[pos], est.psd[pos]
-    lo, hi = np.log10(f[0]), np.log10(f[-1])
-    edges = np.logspace(lo, hi, max(2, int(np.ceil((hi - lo) * points_per_decade))) + 1)
-    idx = np.clip(np.searchsorted(edges, f, side="right") - 1, 0, edges.size - 2)
-    sums = np.bincount(idx, weights=p, minlength=edges.size - 1)
-    fsum = np.bincount(idx, weights=f, minlength=edges.size - 1)
-    counts = np.bincount(idx, minlength=edges.size - 1)
+    _, idx = log_bands(f, points_per_decade)
+    counts = np.bincount(idx)
     nz = counts > 0
-    return fsum[nz] / counts[nz], sums[nz] / counts[nz]
+    return np.bincount(idx, weights=f)[nz] / counts[nz], np.bincount(idx, weights=p)[nz] / counts[nz]
+
+
+def _fork_map(fn, jobs):
+    """Yield ``fn(job)`` per job in job order, from a forked pool of min(jobs, usable CPUs) workers, or here if <= 1.
+
+    The order does not depend on the number of workers. An exception in a
+    job reaches the caller with its type; a worker that dies surfaces as
+    ``BrokenProcessPool``. Fork, not spawn: workers start with numpy, scipy
+    and the caller's data loaded, and Python 3.11's pool forks them all
+    before it starts its manager thread. Processes: the jobs hold the GIL.
+    """
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        yield from map(fn, jobs)
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            yield from pool.map(fn, jobs)
 
 
 def _run_channel(job):
@@ -247,12 +259,9 @@ def channel_sweep(
 
     Each channel gets its own deterministic seed stream derived from
     ``base_seed``; the three modes inside a channel share realizations.
-    The channels run in worker processes, at most one per CPU this
-    process may use, and their results are collected in channel order,
-    so the result does not depend on the number of workers. A worker
-    sends back only a channel's spots, log-binned spectra and flags; an
-    exception raised in a channel reaches the caller with its type, and
-    a worker that dies surfaces as ``BrokenProcessPool``.
+    The channels run through ``_fork_map``, one job each, so the result
+    does not depend on the number of workers. A job returns only a
+    channel's spots, log-binned spectra and flags.
     """
     channels = list(channels_thz) if channels_thz is not None else list(CHANNEL_GRID_THZ)
     if not channels or len(set(channels)) < len(channels):
@@ -261,17 +270,12 @@ def channel_sweep(
     configs = [replace(base_config, nu_s_hz=ch * 1e12) for ch in channels]
     nperseg = _checked_nperseg(base_config, nperseg)
     jobs = [(cfg, models, np.random.SeedSequence(base_seed, spawn_key=(i,)), nperseg) for i, cfg in enumerate(configs)]
-    workers = min(len(channels), len(os.sched_getaffinity(0)))
     spots, spectra, flags = {}, {}, []
-    # fork: the workers start with numpy, scipy and the models already loaded, and
-    # Python 3.11's pool forks all of them before it starts its manager thread
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        for ch, (ch_spots, ch_spectra, ch_flags) in zip(channels, pool.map(_run_channel, jobs)):
-            _log.info("channel %.1f THz: spots %s", ch, {m: round(v, 2) for m, v in ch_spots.items()})
-            for mode in MODES:
-                spots[(ch, mode)] = ch_spots[mode]
-                spectra[(ch, mode)] = ch_spectra[mode]
-            flags.extend(f"ch{ch}:{f}" for f in ch_flags)
+    for ch, (ch_spots, ch_spectra, ch_flags) in zip(channels, _fork_map(_run_channel, jobs)):
+        _log.info("channel %.1f THz: spots %s", ch, {m: round(v, 2) for m, v in ch_spots.items()})
+        spots.update({(ch, mode): ch_spots[mode] for mode in MODES})
+        spectra.update({(ch, mode): ch_spectra[mode] for mode in MODES})
+        flags.extend(f"ch{ch}:{f}" for f in ch_flags)
     if len(channels) != len(CHANNEL_GRID_THZ):
         flags.append("incomplete-grid")
     return ScenarioResult(channels, spots, spectra, base_seed, flags)
@@ -279,57 +283,52 @@ def channel_sweep(
 
 #: The one number format of every CSV output: the same bytes as "{:.10g}".
 _NUMBER = "%.10g"
-_fmt = _NUMBER.__mod__
 
-#: Rows of a numeric table formatted by one % operation.
+#: Rows of a table formatted by one % operation.
 _BLOCK_ROWS = 4096
 
 
 def _format_block(row: str, columns) -> str:
-    """The text of one block of rows: ``row`` filled once per row from Python floats of the column slices."""
+    """The text of one block of rows: ``row`` filled once per row from Python values of the column slices."""
     values = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
     return (row * len(columns[0])) % tuple(values)
 
 
 def write_table_csv(path: Path, header: list, columns):
-    """Write a CSV table: the ``header`` row, then row i of every column, each value in ``_NUMBER``.
+    """Write a CSV table, the package's one CSV writer: the ``header`` row, then row i of every column.
 
-    ``columns`` holds one 1-D numeric array per header name, all of one
-    length; a column count or length that differs raises ValueError. Lines
-    end in CRLF, as ``csv.writer`` ends the header. The rows are formatted
-    in blocks of ``_BLOCK_ROWS``, each by one printf-style % on a row
-    template repeated once per row, so no string of the whole table is
-    built. The blocks are formatted on a forked pool of
-    min(blocks, CPUs this process may use) workers and written in
-    row order, so the bytes do not depend on the number of workers; with
-    one block or one CPU no pool is opened and the blocks are formatted
-    here. An exception raised formatting a block reaches the caller
-    with its type.
-
-    Cost: on ``simulate --emit-trace`` at 2^18 samples (three 11.6 MB
-    traces; 2 shared vCPUs, Python 3.11.7) this took a traced run's
-    ``cli.command.self_s`` from 1.33 s to 0.96 s, and the untraced wall
-    time from 1.54 s to 1.04 s, against ``str.format`` rows on one CPU.
-    Float formatting holds the GIL, so threads would not overlap it.
+    ``columns`` holds one 1-D array per header name, all of one length, or
+    ValueError is raised. Text columns (dtype kind ``U`` or ``S``) are
+    written as they are, other values in ``_NUMBER``; a name or text that
+    ``csv.writer`` would quote (holding ``,``, ``"``, CR or LF) raises
+    ValueError. Lines end in CRLF, as in ``csv.writer``. Each block of
+    ``_BLOCK_ROWS`` rows is formatted by one printf-style %, the blocks
+    through ``_fork_map``, and each is written as it comes. The table goes
+    to ``<name>.partial``, moved onto ``path`` after the last block and
+    removed on an exception, so no truncated table is left; the exception
+    reaches the caller.
     """
-    columns = [np.asarray(c) for c in columns]
+    columns = [c.astype(str) if c.dtype.kind == "S" else c for c in map(np.asarray, columns)]
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for a header of {len(header)} names")
     lengths = sorted({len(c) for c in columns})
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
+    labels = [*header, *itertools.chain.from_iterable(c.tolist() for c in columns if c.dtype.kind == "U")]
+    if quoted := [s for s in labels if any(ch in s for ch in ',"\r\n')]:
+        raise ValueError(f"labels {quoted} would need CSV quoting")
     n = lengths[0] if lengths else 0
-    row = ",".join([_NUMBER] * len(header)) + "\r\n"
+    row = ",".join("%s" if c.dtype.kind == "U" else _NUMBER for c in columns) + "\r\n"
     blocks = [[c[start : start + _BLOCK_ROWS] for c in columns] for start in range(0, n, _BLOCK_ROWS)]
-    workers = min(len(blocks), len(os.sched_getaffinity(0)))
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        if workers <= 1:
-            fh.writelines(_format_block(row, block) for block in blocks)
-        else:
-            # fork, as in channel_sweep: spawned workers would import numpy and the package again first
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                fh.writelines(pool.map(functools.partial(_format_block, row), blocks))
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(_fork_map(functools.partial(_format_block, row), blocks))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def write_spectrum_csv(path: Path, freqs, psd):
@@ -375,13 +374,12 @@ def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict | None =
     out_dir.mkdir(parents=True, exist_ok=True)
     suppression = result.suppression_db
     sweep_path = out_dir / "sweep.csv"
-    with open(sweep_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["channel_thz", "mode", "l10_dbc_per_hz", "suppression_db"])
-        for ch in result.channels_thz:
-            for mode in MODES:
-                sup = suppression.get((ch, mode), 0.0)
-                wr.writerow([_fmt(ch), mode, _fmt(result.spots_dbc[(ch, mode)]), _fmt(sup)])
+    keys = [(ch, mode) for ch in result.channels_thz for mode in MODES]
+    write_table_csv(
+        sweep_path,
+        ["channel_thz", "mode", "l10_dbc_per_hz", "suppression_db"],
+        [*zip(*keys), [result.spots_dbc[k] for k in keys], [suppression.get(k, 0.0) for k in keys]],
+    )
     outputs = [sweep_path]
     spec_dir = out_dir / "spectra"
     spec_dir.mkdir(exist_ok=True)

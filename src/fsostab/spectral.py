@@ -145,6 +145,17 @@ def atm_variant_report(t_delay_s: float, f_grid):
     return {"freqs": f, "printed": printed, "derived": derived, "ratio_db": ratio}
 
 
+def log_bands(freqs, bands_per_decade: int):
+    """Log-spaced bands, at least one, over the span of positive ``freqs``: (edges, band index of each frequency).
+
+    Half-open bands [a, b), with the end points clipped into the first and last bands.
+    """
+    lo, hi = np.log10(freqs.min()), np.log10(freqs.max())
+    n_bands = max(1, int(np.ceil((hi - lo) * bands_per_decade)))
+    edges = np.logspace(lo, hi, n_bands + 1)
+    return edges, np.clip(np.searchsorted(edges, freqs, side="right") - 1, 0, n_bands - 1)
+
+
 def log_band_medians(freqs, values, bands_per_decade: int = 12):
     """Median of ``values`` in log-spaced frequency bands.
 
@@ -153,18 +164,11 @@ def log_band_medians(freqs, values, bands_per_decade: int = 12):
     structure wider than a band survives. Returns (band_centers, medians)
     for the non-empty bands; freqs <= 0 are ignored.
     """
-    freqs = np.asarray(freqs, dtype=float)
-    values = np.asarray(values, dtype=float)
+    freqs, values = np.asarray(freqs, dtype=float), np.asarray(values, dtype=float)
     pos = freqs > 0
-    freqs, values = freqs[pos], values[pos]
-    lo, hi = np.log10(freqs.min()), np.log10(freqs.max())
-    n_bands = max(1, int(np.ceil((hi - lo) * bands_per_decade)))
-    edges = np.logspace(lo, hi, n_bands + 1)
-    # half-open bands [a, b), with the end points clipped into the first and last bands
-    idx = np.clip(np.searchsorted(edges, freqs, side="right") - 1, 0, n_bands - 1)
-    bands = np.unique(idx)
-    centers = np.sqrt(edges[bands] * edges[bands + 1])
-    return centers, np.array([np.median(values[idx == k]) for k in bands])
+    edges, idx = log_bands(freqs[pos], bands_per_decade)
+    bands, values = np.unique(idx), values[pos]
+    return np.sqrt(edges[bands] * edges[bands + 1]), np.array([np.median(values[idx == k]) for k in bands])
 
 
 def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, seed):

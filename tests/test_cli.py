@@ -400,6 +400,25 @@ class TestSubcommands:
         assert rc == EXIT_VALIDATION
         assert "validation: " in caplog.text and "nu_p_hz" in caplog.text
 
+    def test_compare_warmup_rejected_before_synthesis(self, tmp_path, caplog, no_synthesis):
+        # a warm-up of 250,033 samples is over 10% of the default 2^21
+        cfg = write_cfg(tmp_path, {"servo": {"ki_per_s": 0.4}})
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "c")]) == EXIT_VALIDATION
+        assert "validation: warm-up" in caplog.text
+
+    @pytest.mark.parametrize("argv", [["predict", "--f-min-hz", "1e-300"], ["simulate"], ["sweep"], ["compare"]],
+                             ids=["predict-band", "simulate-warmup", "sweep-warmup", "compare-warmup"])
+    def test_rejected_run_removes_the_empty_directory_it_made(self, tmp_path, argv):
+        # predict's band leaves the models' range, the others' warm-up is over 10% of the run: each is rejected
+        # after the output directory is made; the run removes the ones it made, parents too, and keeps the user's
+        cfg = write_cfg(tmp_path, {"servo": {"ki_per_s": 0.4}})
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (tmp_path / "made" / "out", kept, kept / "new"):
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json", kept]
+        assert list(kept.iterdir()) == []
+
     def test_compare_scaled_mode(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         cfg = write_cfg(tmp_path, {"t_one_way_s": 2e-3})

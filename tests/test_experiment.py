@@ -236,7 +236,7 @@ class TestSweepAndOutputs:
         cfg, models, channels, nperseg = small_config(), calibrate_default_models(), [190.0, 193.2, 197.2], 2**13
         pool_sizes = sized_pools(monkeypatch, cpus)
         result = channel_sweep(cfg, models, 7, channels_thz=channels, nperseg=nperseg)
-        assert pool_sizes == [cpus]
+        assert pool_sizes == ([] if cpus == 1 else [cpus])  # one CPU runs the channels here
         flags = []
         for i, ch in enumerate(channels):
             seed = np.random.SeedSequence(7, spawn_key=(i,))
@@ -248,6 +248,13 @@ class TestSweepAndOutputs:
             flags += [f"ch{ch}:{f}" for f in res.flags]
         assert list(result.spots_dbc) == [(ch, m) for ch in channels for m in MODES]
         assert result.flags == flags + ["incomplete-grid"]
+
+    def test_one_channel_sweep_opens_no_pool(self, monkeypatch):
+        # a pool of one worker would do the same serial work plus a fork
+        pool_sizes = sized_pools(monkeypatch, 2)
+        result = channel_sweep(small_config(), calibrate_default_models(), 7, channels_thz=[193.2], nperseg=2**13)
+        assert pool_sizes == []
+        assert list(result.spots_dbc) == [(193.2, m) for m in MODES]
 
     def test_stabilized_never_worse(self):
         result = self.make_result()
@@ -345,6 +352,22 @@ class TestWriteTableCsv:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert list(tmp_path.iterdir()) == []  # neither t.csv nor t.csv.partial is left
+
+    def test_text_columns_written_as_they_are(self, tmp_path):
+        path = tmp_path / "t.csv"
+        columns = [np.arange(2), ["doppler", "group-delay"], np.array([b"a", b"b"]), ["0.1230", "1.000"], [0.5, 0.0]]
+        write_table_csv(path, ["n", "mode", "tag", "frac", "x"], columns)
+        assert path.read_bytes() == b"n,mode,tag,frac,x\r\n0,doppler,a,0.1230,0.5\r\n1,group-delay,b,1.000,0\r\n"
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "x"', "cr\r", "lf\n"])
+    def test_label_needing_quotes_rejected(self, tmp_path, label):
+        # csv.writer would quote such a label; the writer's rows are never quoted, so it refuses them
+        with pytest.raises(ValueError, match="CSV quoting"):
+            write_table_csv(tmp_path / "t.csv", ["x", label], [np.arange(2.0), np.arange(2.0)])
+        with pytest.raises(ValueError, match="CSV quoting"):
+            write_table_csv(tmp_path / "t.csv", ["x", "mode"], [np.arange(2.0), ["doppler", label]])
+        assert list(tmp_path.iterdir()) == []
 
     def test_columns_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"length: \[3, 5\]"):
