@@ -130,15 +130,16 @@ def _cmd_simulate(args, config, models, experiment, out: Path):
         path = out / f"spectrum_{mode}.csv"
         write_spectrum_csv(path, fb, pb)
         outputs.append(path)
-    if args.emit_trace:
-        for mode in modes:  # on the realization, and the forcing, the spectra came from
-            meas, trace = run_link(config, res.inputs, mode=mode)
+    if args.emit_trace:  # from the run the spectra came from; the open loop's error is the forcing, its command 0
+        tr = res.trace
+        t = tr.t0_s + np.arange(tr.error_rad.size) / tr.fs_hz
+        for mode in modes:
+            loop = (tr.error_rad, tr.act_phase_rad) if mode != "unstabilized" else (tr.forcing_rad, np.zeros_like(t))
             path = out / f"trace_{mode}.csv"
-            t = trace.t0_s + np.arange(trace.error_rad.size) / trace.fs_hz
             write_table_csv(
                 path,
                 ["t_s", "error_rad", "actuator_cmd", "meas_phase_rad"],
-                [t, trace.error_rad, trace.act_phase_rad, meas.samples],
+                [t, *loop, tr.measurement(config.carrier_scale(mode)).samples],
             )
             outputs.append(path)
     lines = [f"channel {config.nu_s_hz / 1e12:.1f} THz, spot 10 Hz"]

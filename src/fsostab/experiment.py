@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .errors import ConfigError, OutOfRangeError
-from .link import MODES, LinkConfig, NoiseInputs, run_link
+from .link import MODES, LinkConfig, LinkTrace, NoiseInputs, run_link
 from .noise import PsdModel, SpectrumEstimate, estimate_psd, ssb_phase_noise
 from .spectral import log_bands, meas_transfer_primary, meas_transfer_secondary
 
@@ -136,11 +136,11 @@ def summarize_spots(spots: list[float]) -> SummaryStats:
 
 @dataclass
 class ChannelResult:
-    """One channel's three paired-mode runs and the noise inputs they shared."""
+    """One channel's paired-mode spectra and spots, and the record of the run they all came from."""
 
     spectra: dict  # mode -> SpectrumEstimate
     spots_dbc: dict  # mode -> float
-    inputs: NoiseInputs
+    trace: LinkTrace
     flags: list = field(default_factory=list)
 
     @property
@@ -191,27 +191,30 @@ def run_three_modes(
 ) -> ChannelResult:
     """Run the mode set on one channel with shared noise realizations.
 
-    All modes consume the same synthesized inputs (paired comparison),
-    so suppression estimates are free of realization variance. The
-    inputs form the mode-independent forcing on the first run and keep
-    it for the others; the result carries them, so a caller can rerun a
-    mode on the same realization without synthesizing it again.
-    A mode whose spectrum or spot is not finite is flagged
-    ``<mode>:non-finite``.
+    The loop is solved once, for the first stabilized mode in ``modes``
+    (no solve when there is none), and every mode's measurement comes from
+    that record through its carrier scale: the comparison is paired and
+    free of realization variance. The inputs are released before Welch.
+    The record's flags are given to each stabilized mode, and a mode whose
+    spectrum or spot is not finite is flagged ``<mode>:non-finite``.
     """
+    if unknown := sorted(set(modes) - set(MODES)):
+        raise ConfigError(f"unknown modes {unknown}")
     nperseg = _checked_nperseg(config, nperseg)
+    solved = next((m for m in modes if m != "unstabilized"), "unstabilized")
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
+    _, trace = run_link(config, inputs, mode=solved)
+    del inputs
     spectra, spots, flags = {}, {}, []
     for mode in modes:
-        meas, trace = run_link(config, inputs, mode=mode)
-        est = estimate_psd(meas, segment_len=nperseg)
+        est = estimate_psd(trace.measurement(config.carrier_scale(mode)), segment_len=nperseg)
         spectra[mode] = est
         spots[mode] = spot_phase_noise(est, SPOT_FREQ_HZ)
-        if trace.flagged:
+        if mode != "unstabilized":
             flags.extend(f"{mode}:{f}" for f in trace.flags)
         if not (np.isfinite(spots[mode]) and np.isfinite(est.psd).all()):
             flags.append(f"{mode}:non-finite")
-    return ChannelResult(spectra, spots, inputs, flags)
+    return ChannelResult(spectra, spots, trace, flags)
 
 
 def log_bin_spectrum(est: SpectrumEstimate, points_per_decade: int = 64):

@@ -224,7 +224,6 @@ class NoiseInputs:
     phi_s: np.ndarray
     dt_atm: np.ndarray
     fs_hz: float
-    _forcing: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.fs_hz > 0:
@@ -249,26 +248,19 @@ class NoiseInputs:
         return self.dt_atm.size
 
     def forcing(self, config: LinkConfig):
-        """(d, m_base, T in samples) of ``config`` on these inputs.
+        """(d, m_base, T in samples) of ``config`` on these inputs; neither series depends on the run mode.
 
         d is the round-trip forcing of the servo error, the primary and
         the atmosphere's phase g_p at nu_p brought back after 2T as one
         delayed copy: d = D_2T(phi_p + g_p) - phi_p + g_p. m_base is the
         measurement with no correction applied, D_T(phi_s) - phi_s +
-        (nu_s/nu_p) g_p. Neither depends on the run mode, so they are
-        formed once and kept, for the last link geometry asked for, as
-        long as the inputs live; the series must not be changed in place
-        after a run.
+        (nu_s/nu_p) g_p.
         """
         ts = config.t_one_way * config.fs_hz
-        key = (ts, config.nu_p_hz, config.nu_s_hz)
-        if self._forcing is None or self._forcing[0] != key:
-            g_p = 2.0 * np.pi * config.nu_p_hz * self.dt_atm
-            d = fractional_delay(self.phi_p + g_p, 2.0 * ts) - self.phi_p + g_p
-            m_base = fractional_delay(self.phi_s, ts) - self.phi_s + (config.nu_s_hz / config.nu_p_hz) * g_p
-            d.flags.writeable = m_base.flags.writeable = False  # shared by every mode's run
-            self._forcing = (key, (d, m_base, ts))
-        return self._forcing[1]
+        g_p = 2.0 * np.pi * config.nu_p_hz * self.dt_atm
+        d = fractional_delay(self.phi_p + g_p, 2.0 * ts) - self.phi_p + g_p
+        m_base = fractional_delay(self.phi_s, ts) - self.phi_s + (config.nu_s_hz / config.nu_p_hz) * g_p
+        return d, m_base, ts
 
     @classmethod
     def from_models(cls, models: dict, fs_hz: float, n: int, seed, nu_ref_hz: float):
@@ -319,7 +311,11 @@ class LinkState:
 
 @dataclass
 class LinkTrace:
-    """Diagnostics aligned with the returned measurement series."""
+    """The record of one run after its warm-up, from which every mode's measurement derives.
+
+    forcing_rad and base_rad are d and m_base of NoiseInputs.forcing, correction_rad is theta as the
+    secondary receives it. With no loop solved the error is d, the command 0 and the correction None.
+    """
 
     fs_hz: float
     t0_s: float
@@ -327,10 +323,17 @@ class LinkTrace:
     act_phase_rad: np.ndarray
     engine: str
     flags: list
+    forcing_rad: np.ndarray
+    base_rad: np.ndarray
+    correction_rad: np.ndarray | None
 
     @property
     def flagged(self) -> bool:
         return bool(self.flags)
+
+    def measurement(self, scale: float) -> PhaseSeries:
+        """The measurement with the correction applied at ``scale``, a LinkConfig.carrier_scale."""
+        return PhaseSeries(self.base_rad if scale == 0 else self.base_rad + scale * self.correction_rad, self.fs_hz)
 
 
 def make_link(config: LinkConfig) -> LinkState:
@@ -464,13 +467,13 @@ def _run_fast(config, d, state):
 def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "fast"):
     """Run the chain and return (measurement PhaseSeries, LinkTrace).
 
-    ``mode`` is one of MODES and alone decides how the loop closes. An
-    unstabilized run corrects nothing: its error is the forcing, no engine
-    runs and no flag is raised. Otherwise the "fast" engine solves the loop
-    as an LTI recursion and, when a clamp or fault condition fires, the
-    per-sample "reference" engine reruns it so the clamp behavior and flags
-    are honest; the trace names the engine that produced the result.
-    Identical config and inputs give bit-identical outputs.
+    An unstabilized ``mode`` corrects nothing: its error is the forcing, no
+    engine runs and no flag is raised. Every other mode solves the same loop,
+    with the "fast" engine as an LTI recursion; when a clamp or fault
+    condition fires, the per-sample "reference" engine reruns it so the clamp
+    behavior and flags are honest, and the trace names the engine that
+    produced the result. The measurement is the trace's at the mode's carrier
+    scale. Identical config and inputs give bit-identical outputs.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -482,8 +485,9 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
     if inputs.fs_hz != config.fs_hz:
         raise ValueError(f"inputs sampled at {inputs.fs_hz:g} Hz, config at {config.fs_hz:g} Hz")
     d, m_base, ts = inputs.forcing(config)
+    w = state.warmup_samples
     if mode == "unstabilized":
-        theta, err, m = np.zeros(d.size), d.copy(), m_base.copy()
+        theta, err, correction = np.zeros_like(d), d, None
     else:
         theta, err = (_run_fast if engine == "fast" else _run_reference)(config, d, state)
         if engine == "fast" and state.flags:
@@ -495,8 +499,7 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
         # theta[n] takes effect at sample n+1 (the same convention the error
         # path uses), so the correction seen at transmission time t-T is
         # theta delayed by T plus that one sample.
-        m = m_base + config.carrier_scale(mode) * fractional_delay(theta, ts + 1.0)
-    w = state.warmup_samples
+        correction = fractional_delay(theta, ts + 1.0)[w:]
     if state.flags:
         _log.warning("run flagged: %s", ",".join(state.flags))
     trace = LinkTrace(
@@ -506,5 +509,8 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
         act_phase_rad=theta[w:],
         engine=engine,
         flags=list(state.flags),
+        forcing_rad=d[w:],
+        base_rad=m_base[w:],
+        correction_rad=correction,
     )
-    return PhaseSeries(m[w:], config.fs_hz), trace
+    return trace.measurement(config.carrier_scale(mode)), trace

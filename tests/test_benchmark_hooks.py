@@ -55,10 +55,11 @@ def test_traced_channel_records_every_layer():
     for name in ("noise.synthesize", "noise.irfft", "noise.psd_eval", "link.delay", "link.solve", "link.run",
                  "experiment.spot"):
         assert layers.get(name, {}).get("calls", 0) > 0, name
-    assert layers["link.run"]["calls"] == 3
-    # the forcing's two delays (the primary and atmosphere's round trip, the secondary's one way) once per
-    # channel, and theta's once per stabilized mode
-    assert layers["link.delay"]["calls"] == 2 + 2
+    # one run solves the loop once (one lfilter) for every mode
+    assert layers["link.run"]["calls"] == 1
+    assert layers["link.solve"]["calls"] == 1
+    # the forcing's two delays (the primary and atmosphere's round trip, the secondary's one way), and theta's
+    assert layers["link.delay"]["calls"] == 2 + 1
 
 
 def test_traced_reference_engine_counts_every_sample():

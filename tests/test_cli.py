@@ -201,6 +201,17 @@ def _primary(**changes):
 _SEGMENT = psd_model_to_dict(calibrate_default_models()["primary"])["segments"][0]
 
 
+def _diverging_cfg(tmp_path):
+    """A stable loop under an atmosphere 1e14 x the calibrated level, which diverges at run time."""
+    models = calibrate_default_models()
+    atm = models["atmosphere"]
+    models["atmosphere"] = replace(atm, segments=tuple(replace(s, level=s.level * 1e14) for s in atm.segments))
+    return write_cfg(
+        tmp_path,
+        {"n_samples": 32768, "models": {name: psd_model_to_dict(m) for name, m in models.items()}},
+    )
+
+
 class TestSubcommands:
     def test_predict(self, tmp_path):
         out = tmp_path / "pred"
@@ -366,19 +377,26 @@ class TestSubcommands:
             assert rc == EXIT_VALIDATION
 
     def test_runtime_flag_exit_code(self, tmp_path):
-        # a stable loop under an atmosphere 1e14 x the calibrated level
-        # diverges at run time: flagged result, exit 3
-        models = calibrate_default_models()
-        atm = models["atmosphere"]
-        models["atmosphere"] = replace(atm, segments=tuple(replace(s, level=s.level * 1e14) for s in atm.segments))
-        cfg = write_cfg(
-            tmp_path,
-            {"n_samples": 32768, "models": {name: psd_model_to_dict(m) for name, m in models.items()}},
-        )
+        # a loop that diverges at run time gives a flagged result, exit 3
         out = tmp_path / "f"
-        rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "2", "--mode", "doppler"])
+        rc = main(["simulate", "--config", str(_diverging_cfg(tmp_path)), "--out", str(out), "--seed", "2",
+                   "--mode", "doppler"])
         assert rc == EXIT_FLAGGED
         assert (out / "manifest.json").exists()
+
+    def test_flagged_channel_runs_reference_engine_once(self, tmp_path, monkeypatch, caplog):
+        # both stabilized modes, their spectra and their traces come from one solve: one per-sample fallback
+        calls, reference = [], link._run_reference
+
+        def counted(*args):
+            calls.append(args)
+            return reference(*args)
+
+        monkeypatch.setattr(link, "_run_reference", counted)
+        argv = ["simulate", "--config", str(_diverging_cfg(tmp_path)), "--seed", "2", "--emit-trace"]
+        assert main(argv + ["--out", str(tmp_path / "f")]) == EXIT_FLAGGED
+        assert len(calls) == 1
+        assert caplog.text.count("re-running reference engine") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_result_is_flagged(self, tmp_path):

@@ -1,10 +1,12 @@
 """Calibration, spot extraction, scenario plumbing and output files."""
 
 import csv
+import functools
 import io
 import json
 import os
 import signal
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
@@ -12,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsostab import experiment, link
+from fsostab import cli, experiment, link
+from fsostab.config import link_config_to_dict
 from fsostab.errors import ConfigError, OutOfRangeError
 from fsostab.experiment import (
     CHANNEL_GRID_THZ,
@@ -157,38 +160,78 @@ class TestRunThreeModes:
         b = run_three_modes(small_config(), models, 3)
         assert a.spots_dbc == b.spots_dbc
 
-    def test_shared_forcing_matches_separate_runs(self):
-        # the modes share one forcing; each mode run alone on fresh inputs of the same seed gives the same bits
-        cfg, models, nperseg = small_config(), calibrate_default_models(), 2**13
-        res = run_three_modes(cfg, models, 8, nperseg=nperseg)
-        for mode in MODES:
-            inputs = NoiseInputs.from_models(models, cfg.fs_hz, cfg.n_samples, 8, cfg.nu_p_hz)
-            meas, trace = run_link(cfg, inputs, mode=mode)
-            est = estimate_psd(meas, segment_len=nperseg)
-            assert np.array_equal(res.spectra[mode].freqs, est.freqs)
-            assert np.array_equal(res.spectra[mode].psd, est.psd)
-            assert res.spots_dbc[mode] == spot_phase_noise(est, 10.0)
-            assert not trace.flagged
-        assert res.flags == []
+    def test_shared_forcing_matches_separate_runs(self, tmp_path):
+        # the modes share one solve; each mode run alone on fresh inputs of the same seed gives the same bits, and
+        # --emit-trace writes that run's error, command and measurement, in either link geometry
+        models, nperseg = calibrate_default_models(), 2**13
+        seed = functools.partial(np.random.SeedSequence, 8, spawn_key=(0,))  # the seed simulate --seed 8 runs
+        scaled = replace(small_config(), link_length_m=None, t_one_way_s=1e-3)
+        for geometry, cfg in (("physical", small_config()), ("scaled-delay", scaled)):
+            res = run_three_modes(cfg, models, seed(), nperseg=nperseg)
+            path, out = tmp_path / f"{geometry}.json", tmp_path / geometry
+            path.write_text(json.dumps(link_config_to_dict(cfg)))
+            argv = ["simulate", "--config", str(path), "--seed", "8", "--emit-trace", "--out", str(out)]
+            assert cli.main(argv) == cli.EXIT_OK
+            for mode in MODES:
+                inputs = NoiseInputs.from_models(models, cfg.fs_hz, cfg.n_samples, seed(), cfg.nu_p_hz)
+                meas, trace = run_link(cfg, inputs, mode=mode)
+                assert np.array_equal(res.trace.measurement(cfg.carrier_scale(mode)).samples, meas.samples)
+                est = estimate_psd(meas, segment_len=nperseg)
+                assert np.array_equal(res.spectra[mode].freqs, est.freqs)
+                assert np.array_equal(res.spectra[mode].psd, est.psd)
+                assert res.spots_dbc[mode] == spot_phase_noise(est, 10.0)
+                assert not trace.flagged
+                rows = (out / f"trace_{mode}.csv").read_text().splitlines()[1:]
+                written = list(zip(*(row.split(",") for row in rows)))[1:]
+                for column, series in zip(written, (trace.error_rad, trace.act_phase_rad, meas.samples)):
+                    assert list(column) == [f"{x:.10g}" for x in series], (geometry, mode)
+            assert res.flags == []
 
-    def test_fallback_flags_only_its_mode(self, monkeypatch):
-        # a doppler run that falls back to the reference engine leaves the other modes, which share its forcing, as they were
+    def test_inputs_released_before_welch(self, monkeypatch):
+        # the run's record holds all the modes need: the synthesized inputs are freed before the first estimate
+        refs, from_models, estimate = [], NoiseInputs.from_models, experiment.estimate_psd
+
+        def kept(*args):
+            inputs = from_models(*args)
+            refs.append(weakref.ref(inputs))
+            return inputs
+
+        def released(*args, **kwargs):
+            assert len(refs) == 1 and refs[0]() is None
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(NoiseInputs, "from_models", kept)
+        monkeypatch.setattr(experiment, "estimate_psd", released)
+        res = run_three_modes(small_config(), calibrate_default_models(), 3, nperseg=2**13)
+        assert set(res.spectra) == set(MODES)
+
+    def test_flagged_solve_flags_both_stabilized_modes(self, monkeypatch):
+        # doppler and group-delay share one solve: its fallback to the reference engine flags both, and leaves the
+        # open loop as it was
         cfg, models, nperseg = small_config(), calibrate_default_models(), 2**13
         plain = run_three_modes(cfg, models, 4, nperseg=nperseg)
-        fast, solved = link._run_fast, iter(("doppler", "group-delay"))  # the open loop runs no engine
+        fast = link._run_fast
 
-        def clamp_doppler(config, d, state):
+        def clamped(config, d, state):
             out = fast(config, d, state)
-            if next(solved) == "doppler":
-                state.flag("integrator-clamp")
+            state.flag("integrator-clamp")
             return out
 
-        monkeypatch.setattr(link, "_run_fast", clamp_doppler)
+        monkeypatch.setattr(link, "_run_fast", clamped)
         res = run_three_modes(cfg, models, 4, nperseg=nperseg)
-        assert res.flags == ["doppler:integrator-clamp"]
-        for mode in ("unstabilized", "group-delay"):
-            assert np.array_equal(res.spectra[mode].psd, plain.spectra[mode].psd)
-        assert res.spots_dbc["doppler"] == pytest.approx(plain.spots_dbc["doppler"], abs=1e-9)
+        assert res.flags == ["doppler:integrator-clamp", "group-delay:integrator-clamp"]
+        assert res.trace.engine == "reference"
+        assert np.array_equal(res.spectra["unstabilized"].psd, plain.spectra["unstabilized"].psd)
+        for mode in ("doppler", "group-delay"):
+            assert res.spots_dbc[mode] == pytest.approx(plain.spots_dbc[mode], abs=1e-9)
+
+    def test_unknown_mode_rejected_before_synthesis(self, monkeypatch):
+        def no_synthesis(*args, **kwargs):
+            raise RuntimeError("synthesized before the mode check")
+
+        monkeypatch.setattr(link, "synthesize_phase_noise", no_synthesis)
+        with pytest.raises(ConfigError, match="bogus"):
+            run_three_modes(small_config(), calibrate_default_models(), 3, modes=("doppler", "bogus"))
 
     def test_actuator_choice_insignificant_on_secondary_floor(self):
         # near the primary carrier the floor is secondary-noise limited,
