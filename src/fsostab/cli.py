@@ -123,7 +123,7 @@ def _cmd_predict(args, config, models, experiment, out: Path):
 def _cmd_simulate(args, config, models, experiment, out: Path):
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
     modes = (args.mode,) if args.mode else MODES
-    res = run_three_modes(config, models, seed, modes=modes)
+    res = run_three_modes(config, models, seed, nperseg=experiment.get("nperseg"), modes=modes)
     outputs = []
     for mode, est in res.spectra.items():
         fb, pb = log_bin_spectrum(est)
@@ -283,17 +283,12 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     overrides = {key: v for flag, key in _FLAG_KEYS.items() if (v := getattr(args, flag, None)) is not None}
-    out = args.out or Path("runs") / args.command
-    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
         config, models, experiment = load_config(args.config, overrides)
-        out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, config, models, experiment, out)
+        # the output directory is made by the run's first file, so a run stopped before it leaves none
+        return args.func(args, config, models, experiment, args.out or Path("runs") / args.command)
     except (ConfigError, InvalidModelError, OutOfRangeError, FileNotFoundError, json.JSONDecodeError) as exc:
         _log.error("validation: %s", exc)
-        for d in made:  # a rejected run leaves no empty directory it made
-            if d.is_dir() and not any(d.iterdir()):
-                d.rmdir()
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _log.error("runtime fault: %s", exc)

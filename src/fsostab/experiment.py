@@ -90,27 +90,19 @@ def zero_model() -> PsdModel:
     return PsdModel.flat(0.0, MODEL_F_MIN_HZ, MODEL_F_MAX_HZ)
 
 
-def spot_phase_noise(spectrum: SpectrumEstimate, f_target_hz: float, band_octaves: float = 0.5) -> float:
+def spot_phase_noise(spectrum: SpectrumEstimate, f_target_hz: float) -> float:
     """Spot phase noise in dBc/Hz at ``f_target_hz``.
 
     Method (fixed): the estimate is log-log interpolated onto 33
-    log-spaced points covering +-band_octaves/2 around the target and
-    the dB values are averaged. band_octaves=0 collapses to a single
-    interpolated point, which on an exact bin hit equals that bin's
-    single-sideband value.
+    log-spaced points over the half octave around the target, clipped to
+    the estimate's grid, and the dB values are averaged.
     """
     pos = spectrum.freqs > 0
     freqs = spectrum.freqs[pos]
     psd = spectrum.psd[pos]
     if f_target_hz < freqs[0] or f_target_hz > freqs[-1]:
         raise OutOfRangeError(f"spot target {f_target_hz} Hz outside estimate grid")
-    if band_octaves > 0:
-        half = 2.0 ** (band_octaves / 2.0)
-        lo = max(freqs[0], f_target_hz / half)
-        hi = min(freqs[-1], f_target_hz * half)
-        grid = np.geomspace(lo, hi, 33)
-    else:
-        grid = np.array([f_target_hz])
+    grid = np.geomspace(max(freqs[0], f_target_hz / 2**0.25), min(freqs[-1], f_target_hz * 2**0.25), 33)
     good = psd > 0
     interp = np.interp(np.log(grid), np.log(freqs[good]), np.log(psd[good]))
     return float(np.mean(ssb_phase_noise(np.exp(interp))))
@@ -217,11 +209,11 @@ def run_three_modes(
     return ChannelResult(spectra, spots, trace, flags)
 
 
-def log_bin_spectrum(est: SpectrumEstimate, points_per_decade: int = 64):
-    """Compact log-binned copy of an estimate (for file outputs)."""
+def log_bin_spectrum(est: SpectrumEstimate):
+    """Compact log-binned copy of an estimate (for file outputs): mean frequency and PSD in 64 bands per decade."""
     pos = est.freqs > 0
     f, p = est.freqs[pos], est.psd[pos]
-    _, idx = log_bands(f, points_per_decade)
+    _, idx = log_bands(f, 64)
     counts = np.bincount(idx)
     nz = counts > 0
     return np.bincount(idx, weights=f)[nz] / counts[nz], np.bincount(idx, weights=p)[nz] / counts[nz]
@@ -309,7 +301,7 @@ def write_table_csv(path: Path, header: list, columns):
     through ``_fork_map``, and each is written as it comes. The table goes
     to ``<name>.partial``, moved onto ``path`` after the last block and
     removed on an exception, so no truncated table is left; the exception
-    reaches the caller.
+    reaches the caller. A missing parent directory is made first.
     """
     columns = [c.astype(str) if c.dtype.kind == "S" else c for c in map(np.asarray, columns)]
     if len(columns) != len(header):
@@ -324,6 +316,7 @@ def write_table_csv(path: Path, header: list, columns):
     row = ",".join("%s" if c.dtype.kind == "U" else _NUMBER for c in columns) + "\r\n"
     blocks = [[c[start : start + _BLOCK_ROWS] for c in columns] for start in range(0, n, _BLOCK_ROWS)]
     partial = path.with_name(path.name + ".partial")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(partial, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
@@ -361,12 +354,13 @@ def write_manifest(out_dir: Path, resolved_config: dict, base_seed, outputs: lis
     }
     if extra:
         manifest.update(extra)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict | None = None):
+def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict):
     """Write sweep CSV, compact spectra CSVs, summary text and a manifest.
 
     Returns (output paths, status): status 3 when the result carries
@@ -374,7 +368,6 @@ def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict | None =
     carries a timestamp.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     suppression = result.suppression_db
     sweep_path = out_dir / "sweep.csv"
     keys = [(ch, mode) for ch in result.channels_thz for mode in MODES]
@@ -385,7 +378,6 @@ def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict | None =
     )
     outputs = [sweep_path]
     spec_dir = out_dir / "spectra"
-    spec_dir.mkdir(exist_ok=True)
     for (ch, mode), (f, p) in sorted(result.spectra.items()):
         path = spec_dir / f"chan_{ch:.1f}_{mode}.csv"
         write_spectrum_csv(path, f, p)
@@ -408,7 +400,7 @@ def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict | None =
     outputs.append(summary_path)
     write_manifest(
         out_dir,
-        resolved_config or {},
+        resolved_config,
         result.base_seed,
         outputs,
         extra={

@@ -220,9 +220,6 @@ class PhaseSeries:
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("phase series contains non-finite values")
 
-    def __len__(self):
-        return self.samples.size
-
 
 @dataclass
 class SpectrumEstimate:

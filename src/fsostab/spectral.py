@@ -156,8 +156,8 @@ def log_bands(freqs, bands_per_decade: int):
     return edges, np.clip(np.searchsorted(edges, freqs, side="right") - 1, 0, n_bands - 1)
 
 
-def log_band_medians(freqs, values, bands_per_decade: int = 12):
-    """Median of ``values`` in log-spaced frequency bands.
+def log_band_medians(freqs, values):
+    """Median of ``values`` in log-spaced frequency bands, 12 per decade.
 
     Standard smoothing for comparing noisy PSD estimates against smooth
     model curves: per-bin chi^2 scatter collapses while real spectral
@@ -166,7 +166,7 @@ def log_band_medians(freqs, values, bands_per_decade: int = 12):
     """
     freqs, values = np.asarray(freqs, dtype=float), np.asarray(values, dtype=float)
     pos = freqs > 0
-    edges, idx = log_bands(freqs[pos], bands_per_decade)
+    edges, idx = log_bands(freqs[pos], 12)
     bands, values = np.unique(idx), values[pos]
     return np.sqrt(edges[bands] * edges[bands + 1]), np.array([np.median(values[idx == k]) for k in bands])
 

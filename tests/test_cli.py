@@ -426,9 +426,9 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("argv", [["predict", "--f-min-hz", "1e-300"], ["simulate"], ["sweep"], ["compare"]],
                              ids=["predict-band", "simulate-warmup", "sweep-warmup", "compare-warmup"])
-    def test_rejected_run_removes_the_empty_directory_it_made(self, tmp_path, argv):
+    def test_rejected_run_makes_no_directory(self, tmp_path, argv):
         # predict's band leaves the models' range, the others' warm-up is over 10% of the run: each is rejected
-        # after the output directory is made; the run removes the ones it made, parents too, and keeps the user's
+        # before its first file, so it makes no directory, parents included, and keeps the user's
         cfg = write_cfg(tmp_path, {"servo": {"ki_per_s": 0.4}})
         kept = tmp_path / "kept"
         kept.mkdir()
@@ -436,6 +436,33 @@ class TestSubcommands:
             assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
         assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json", kept]
         assert list(kept.iterdir()) == []
+
+    def test_runtime_fault_before_the_first_file_makes_no_directory(self, tmp_path, monkeypatch):
+        def fault(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "run_three_modes", fault)
+        assert main(["simulate", "--samples", "65536", "--out", str(tmp_path / "a" / "b")]) == EXIT_RUNTIME
+        assert not (tmp_path / "a").exists()
+
+    def test_simulate_reads_nperseg(self, tmp_path, monkeypatch, caplog, no_synthesis):
+        argv = ["simulate", "--samples", "65536", "--out", str(tmp_path / "o")]
+        for nperseg in (8, 1_000_000_000):
+            caplog.clear()
+            cfg = write_cfg(tmp_path, {"experiment": {"nperseg": nperseg}})
+            assert main(argv + ["--config", str(cfg)]) == EXIT_VALIDATION
+            assert f"validation: nperseg {nperseg} outside" in caplog.text
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(kwargs["nperseg"])
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(cli, "run_three_modes", record)
+        cfg = write_cfg(tmp_path, {"experiment": {"nperseg": 8192}})
+        assert main(argv + ["--config", str(cfg)]) == EXIT_RUNTIME
+        assert seen == [8192]
+        assert not (tmp_path / "o").exists()
 
     def test_compare_scaled_mode(self, tmp_path, capsys):
         out = tmp_path / "cmp"

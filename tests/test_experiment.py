@@ -98,19 +98,18 @@ class TestSpotPhaseNoise:
         est = SpectrumEstimate(f, np.full_like(f, 2.0), 0.05)
         assert spot_phase_noise(est, 10.0) == pytest.approx(0.0, abs=1e-9)
 
-    def test_exact_bin_collapsed_band(self):
-        f = np.linspace(0.0, 100.0, 101)
-        psd = np.linspace(1.0, 5.0, 101)
-        est = SpectrumEstimate(f, psd, 1.0)
-        got = spot_phase_noise(est, 10.0, band_octaves=0.0)
-        assert got == pytest.approx(ssb_phase_noise(psd[10]), rel=1e-12)
+    def test_power_law_spot_is_its_value_at_the_target(self):
+        # log-log interpolation is exact on a power law and the half-octave grid is symmetric in log f
+        f = np.arange(1.0, 101.0)
+        est = SpectrumEstimate(f, 3.0 / f**2, 1.0)
+        assert spot_phase_noise(est, 10.0) == pytest.approx(ssb_phase_noise(0.03), rel=1e-9)
 
     def test_loglog_interpolation_midpoint(self):
         # slope -2 sampled at decade points: value at sqrt(10) is 0.1
         f = np.array([0.1, 1.0, 10.0, 100.0])
         psd = 1.0 / f**2 * 1.0
         est = SpectrumEstimate(f, psd, 0.1)
-        got = spot_phase_noise(est, np.sqrt(10.0), band_octaves=0.0)
+        got = spot_phase_noise(est, np.sqrt(10.0))
         assert got == pytest.approx(ssb_phase_noise(0.1), rel=1e-9)
 
     def test_out_of_range(self):
@@ -330,7 +329,7 @@ class TestSweepAndOutputs:
     def test_log_bin_spectrum_reduces_points(self):
         x = PhaseSeries(np.random.default_rng(0).standard_normal(2**14), 1000.0)
         est = estimate_psd(x, segment_len=2**12)
-        f, p = log_bin_spectrum(est, points_per_decade=24)
+        f, p = log_bin_spectrum(est)
         assert f.size < est.freqs.size / 4
         assert np.all(np.diff(f) > 0)
         assert np.mean(p) == pytest.approx(np.mean(est.psd[est.freqs > 0]), rel=0.1)
