@@ -103,8 +103,7 @@ def _cmd_predict(args, config, models, experiment, out: Path):
     f = np.geomspace(args.f_min_hz, args.f_max_hz, args.points)
     curves = predicted_mode_psd(models, config.t_one_way, 1.0, 1.0, f)  # the stabilized closed forms at nu_p
     curves["atm_derived"] = curves.pop("atmosphere")
-    atm = models["atmosphere"]
-    curves["atm_printed"] = meas_transfer_atm(f, config.t_one_way, "printed") * (0.0 if atm.is_zero else atm.eval(f))
+    curves["atm_printed"] = meas_transfer_atm(f, config.t_one_way, "printed") * models["atmosphere"].eval(f)
     db = dbc_curves(curves)
     path = out / "predicted_curves.csv"
     cols = ["primary", "secondary", "atm_printed", "atm_derived", "total"]

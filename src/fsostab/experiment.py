@@ -51,15 +51,15 @@ def calibrate_default_models() -> dict:
     """Default {primary, secondary, atmosphere} phase-noise models.
 
     atmosphere : -8/3 power law anchored so the unstabilized spot at the
-        primary carrier is -10.5 dBc/Hz at 10 Hz, with a steeper -17/3
-        rolloff above 80 Hz so the secondary noise takes over above
-        ~100 Hz in the unstabilized spectrum.
+        primary carrier is UNSTABILIZED_ANCHOR_DBC at 10 Hz, with a steeper
+        -17/3 rolloff above ATM_KNEE_HZ so the secondary noise takes over
+        above ~100 Hz in the unstabilized spectrum.
     secondary  : -2 slope (white frequency noise) sized so the one-way
-        self-delay factor 2-2cos(2 pi 10 T) puts the stabilized floor at
-        -40.5 dBc/Hz.
-    primary    : -2 slope sized so the round-trip factor puts the
-        quiet-secondary floor near -90 dBc/Hz (3e-9 rad^2/Hz measured
-        term at 10 Hz).
+        self-delay factor ``meas_transfer_secondary`` puts the stabilized
+        floor at STABILIZED_FLOOR_DBC at 10 Hz.
+    primary    : -2 slope sized so the round-trip factor ``meas_transfer_primary``
+        makes its measured term PRIMARY_MEAS_ANCHOR_RAD2 at 10 Hz, which
+        sets the quiet-secondary floor.
 
     T is the one-way delay of the default 150 m channel: the anchors
     describe the emulated hardware, whatever geometry a run uses.
@@ -271,7 +271,7 @@ def channel_sweep(
         spots.update({(ch, mode): ch_spots[mode] for mode in MODES})
         spectra.update({(ch, mode): ch_spectra[mode] for mode in MODES})
         flags.extend(f"ch{ch}:{f}" for f in ch_flags)
-    if len(channels) != len(CHANNEL_GRID_THZ):
+    if set(channels) != set(CHANNEL_GRID_THZ):
         flags.append("incomplete-grid")
     return ScenarioResult(channels, spots, spectra, base_seed, flags)
 

@@ -59,9 +59,8 @@ class PsdModel:
         must be continuous across breaks. The first break must not
         exceed f_min_hz so every in-range frequency lands in a segment.
     f_min_hz, f_max_hz : float
-        Validity range. Evaluation outside it raises OutOfRangeError
-        unless extension is requested (synthesis extends by the nearest
-        segment's slope and logs a warning).
+        Calibrated range. Synthesis and prediction evaluate past it by one
+        rule, ``eval``'s: each end segment's law is extended by its slope.
     """
 
     ref_freq_hz: float
@@ -109,27 +108,17 @@ class PsdModel:
     def is_zero(self) -> bool:
         return all(s.level == 0 for s in self.segments)
 
-    def eval(self, f, extend: bool = False):
+    def eval(self, f):
         """Evaluate the PSD at frequency/frequencies ``f`` (Hz).
 
-        With extend=False, any f outside [f_min_hz, f_max_hz] raises
-        OutOfRangeError. With extend=True the nearest segment's slope is
-        extended and a warning is logged once per call.
+        One rule for synthesis and prediction: past [f_min_hz, f_max_hz]
+        each end segment's law is extended by its slope, and a warning is
+        logged once per call. A frequency where the extended law leaves
+        float range raises OutOfRangeError.
         """
-        f_arr = np.asarray(f, dtype=float)
-        scalar = f_arr.ndim == 0
-        f_arr = np.atleast_1d(f_arr)
-        if not extend:
-            if np.any((f_arr < self.f_min_hz) | (f_arr > self.f_max_hz)):
-                raise OutOfRangeError(
-                    f"frequency outside model range [{self.f_min_hz}, {self.f_max_hz}] Hz"
-                )
-        elif np.any((f_arr > 0) & ((f_arr < self.f_min_hz) | (f_arr > self.f_max_hz))):
-            _log.warning(
-                "evaluating PSD outside [%g, %g] Hz by slope extension",
-                self.f_min_hz,
-                self.f_max_hz,
-            )
+        f_arr = np.atleast_1d(np.asarray(f, dtype=float))
+        if np.any((f_arr > 0) & ((f_arr < self.f_min_hz) | (f_arr > self.f_max_hz))):
+            _log.warning("evaluating PSD outside [%g, %g] Hz by slope extension", self.f_min_hz, self.f_max_hz)
         # each segment is a contiguous run of the sorted frequencies; below
         # the second break every frequency takes the first segment's law
         order = None if np.all(f_arr[1:] >= f_arr[:-1]) else np.argsort(f_arr, kind="stable")
@@ -140,22 +129,26 @@ class PsdModel:
         for seg, lo, hi in zip(self.segments, bounds, bounds[1:]):
             f_seg, out_seg = f_sorted[lo:hi], out[lo:hi]
             # the exponent goes in as an array: numpy swaps a scalar 2, -1 or 0.5
-            # for square, reciprocal or sqrt, which can differ from pow in the last bit
-            out_seg.fill(seg.exponent)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.power(f_seg / self.ref_freq_hz, out_seg, out=out_seg)
-                out_seg *= seg.level
+            # for square, reciprocal or sqrt, which can differ from pow in the last bit;
+            # a zero level takes exponent 0, so its law is 0 at every f
+            out_seg.fill(seg.exponent if seg.level else 0.0)
+            with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+                try:
+                    np.power(f_seg / self.ref_freq_hz, out_seg, out=out_seg)
+                    out_seg *= seg.level
+                except FloatingPointError:
+                    raise OutOfRangeError(f"PSD extended past [{self.f_min_hz:g}, {self.f_max_hz:g}] Hz leaves float range") from None
             # f = 0 is only reachable via extension; a negative slope diverges there
             if hi > lo and f_seg[0] <= 0.0:
                 out_seg[f_seg == 0] = 0.0 if seg.exponent > 0 or seg.level == 0 else np.inf
         if order is not None:
             out[order] = out.copy()  # back to the caller's order
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.ndim(f) == 0 else out
 
     def band_power(self, f_lo_hz: float, f_hi_hz: float) -> float:
         """Integral of the PSD over [f_lo_hz, f_hi_hz] (rad^2), 0 < f_lo_hz <= f_hi_hz.
 
-        Past the model range each end segment's law is extended, as synthesis
+        Past the model range each end segment's law is extended, as ``eval``
         extends it. Each law integrates in closed form; a result beyond float
         range is inf.
         """
@@ -276,7 +269,7 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
     n2 = 2 * int(n)
     df = fs_hz / n2
     # amplitude (n2 / 2) sqrt(S df) of bins 1..n; bin 0 (DC) stays zero
-    amp = model.eval(np.fft.rfftfreq(n2, d=1.0 / fs_hz)[1:], extend=True)
+    amp = model.eval(np.fft.rfftfreq(n2, d=1.0 / fs_hz)[1:])
     psd_nyquist = amp[-1]
     amp *= df
     np.sqrt(amp, out=amp)

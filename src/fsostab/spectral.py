@@ -105,9 +105,9 @@ def predicted_mode_psd(models: dict, t_delay_s: float, ratio: float, scale: floa
     """Per-source predicted measurement PSDs and their sum, for a loop that tracks perfectly.
 
     ``models`` maps {"primary", "secondary", "atmosphere"} to phase PsdModels, the
-    atmosphere as seen at nu_p; a zero model is zero at any f, any other raises
-    OutOfRangeError outside its range. ``ratio`` is nu_s/nu_p and ``scale`` c the run's
-    carrier scale (``LinkConfig.carrier_scale``). Each source reaches the measurement
+    atmosphere as seen at nu_p, each evaluated by ``PsdModel.eval`` as synthesis evaluates
+    it. ``ratio`` is nu_s/nu_p and ``scale`` c the run's carrier scale
+    (``LinkConfig.carrier_scale``). Each source reaches the measurement
     through its delayed copies: the primary as c^2 times ``meas_transfer_primary``, the
     secondary through ``meas_transfer_secondary``, the atmosphere through
     {ratio @ 0, -c/2 @ T, -c/2 @ 3T}. Returns "primary", "secondary", "atmosphere" and
@@ -115,8 +115,7 @@ def predicted_mode_psd(models: dict, t_delay_s: float, ratio: float, scale: floa
     derived atmospheric variant. Valid inside the servo bandwidth.
     """
     f = np.asarray(f_grid, dtype=float)
-    names = ("primary", "secondary", "atmosphere")
-    s_p, s_s, s_a = (np.zeros_like(f) if models[n].is_zero else models[n].eval(f) for n in names)
+    s_p, s_s, s_a = (models[n].eval(f) for n in ("primary", "secondary", "atmosphere"))
     atm = DelayedCombination(((ratio, 0.0), (-0.5 * scale, t_delay_s), (-0.5 * scale, 3.0 * t_delay_s)))
     curves = {  # scale * scale overflows to inf where scale**2 would raise
         "primary": scale * scale * meas_transfer_primary(f, t_delay_s) * s_p,

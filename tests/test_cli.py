@@ -351,6 +351,21 @@ class TestSubcommands:
             replay = ["compare", "--config", str(out / "manifest.json"), "--mode", mode, "--out", str(out / "replay")]
             assert main(replay) == EXIT_FLAGGED
 
+    def test_compare_past_the_models_range(self, tmp_path):
+        # at 40 kHz the estimate reaches 20 kHz, past the models' 10 kHz: the prediction extends each law by its
+        # slope, as synthesis does, so every band the run samples is compared
+        out = tmp_path / "c40k"
+        assert main(["compare", "--fs-hz", "40000", "--samples", "65536", "--out", str(out)]) == EXIT_OK
+        bands = np.loadtxt(out / "compare.csv", delimiter=",", skiprows=1)
+        assert bands[:, 0].max() > 1e4 and np.isfinite(bands).all()
+
+    def test_predict_past_the_models_range(self, tmp_path):
+        out = tmp_path / "p20k"
+        assert main(["predict", "--f-max-hz", "20000", "--out", str(out)]) == EXIT_OK
+        rows = np.loadtxt(out / "predicted_curves.csv", delimiter=",", skiprows=1)
+        above = rows[rows[:, 0] > 1e4]
+        assert len(above) > 0 and np.isfinite(above).all()
+
     def test_validation_exit_code(self, tmp_path):
         bad = write_cfg(tmp_path, {"frobnicate": 1})
         assert main(["simulate", "--config", str(bad)]) == EXIT_VALIDATION
@@ -427,8 +442,8 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv", [["predict", "--f-min-hz", "1e-300"], ["simulate"], ["sweep"], ["compare"]],
                              ids=["predict-band", "simulate-warmup", "sweep-warmup", "compare-warmup"])
     def test_rejected_run_makes_no_directory(self, tmp_path, argv):
-        # predict's band leaves the models' range, the others' warm-up is over 10% of the run: each is rejected
-        # before its first file, so it makes no directory, parents included, and keeps the user's
+        # predict's band takes the extended laws past float range, the others' warm-up is over 10% of the run:
+        # each is rejected before its first file, so it makes no directory, parents included, and keeps the user's
         cfg = write_cfg(tmp_path, {"servo": {"ki_per_s": 0.4}})
         kept = tmp_path / "kept"
         kept.mkdir()

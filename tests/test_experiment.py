@@ -264,6 +264,15 @@ class TestSweepAndOutputs:
             mean = np.mean([spots[(ch, mode)] for ch in result.channels_thz])
             assert result.summaries[mode].mean_dbc == pytest.approx(mean, rel=1e-12)
 
+    def test_grid_is_compared_by_its_channels(self, monkeypatch):
+        # 19 channels off the grid are an incomplete grid; the grid in any order is the full one
+        sized_pools(monkeypatch, 1)
+        cfg = replace(small_config(), n_samples=2**12)
+        shifted = [round(ch + 0.1, 4) for ch in CHANNEL_GRID_THZ]
+        for channels, flagged in ((shifted, True), (CHANNEL_GRID_THZ[::-1], False)):
+            result = channel_sweep(cfg, calibrate_default_models(), 7, channels_thz=channels, nperseg=2**10)
+            assert len(result.channels_thz) == 19 and ("incomplete-grid" in result.flags) is flagged
+
     def test_atmosphere_out_of_range_rejected_before_synthesis(self, monkeypatch):
         def no_synthesis(*args, **kwargs):
             raise RuntimeError("synthesized before the range check")

@@ -83,7 +83,7 @@ class TestPsdModel:
         f = np.fft.rfftfreq(2**13, d=1.0 / 20e3)  # sorted, from f = 0
         shuffled = np.random.default_rng(4).permutation(f)
         for arg in (f, f[::-1].copy(), shuffled, f[1:], 0.0, 12.5, 1e5):
-            got, want = m.eval(arg, extend=True), gather_eval(m, arg)
+            got, want = m.eval(arg), gather_eval(m, arg)
             assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
         assert type(m.eval(12.5)) is float
 
@@ -139,16 +139,33 @@ class TestPsdModel:
                 1e3,
             )
 
-    def test_out_of_range(self):
+    def test_out_of_range(self, caplog):
+        # past [f_min_hz, f_max_hz] the one law goes on by its slope, with one warning per call
         m = single_slope(1.0, -1.0)
-        with pytest.raises(OutOfRangeError):
-            m.eval(1e5)
-        with pytest.raises(OutOfRangeError):
-            m.eval(1e-4)
+        for f in (1e5, 1e-4, np.array([1e-4, 10.0, 1e5])):
+            caplog.clear()
+            assert m.eval(f) == pytest.approx(10.0 / np.asarray(f), rel=1e-12)
+            assert caplog.text.count("by slope extension") == 1
+        caplog.clear()
+        m.eval(np.geomspace(1e-3, 1e4, 50))
+        assert "by slope extension" not in caplog.text
+
+    def test_law_beyond_float_range_raises(self):
+        # the calibrated atmosphere's -8/3 law leaves float range below about 1e-115 Hz
+        atm = calibrate_default_models()["atmosphere"]
+        for f in (1e-300, np.array([1e-300, 10.0])):
+            with pytest.raises(OutOfRangeError, match="float range"):
+                atm.eval(f)
+        assert np.isfinite(atm.eval(1e-100))
+
+    def test_zero_level_is_zero_at_every_f(self):
+        # a zero law takes no power, so it stays 0 where its slope would leave float range
+        m = single_slope(0.0, -2.0)
+        assert np.array_equal(m.eval(np.array([0.0, 1e-300, 10.0, 1e300])), np.zeros(4))
 
     def test_extension_follows_nearest_slope(self):
         m = single_slope(1.0, -2.0, f_min=1.0, f_max=100.0)
-        assert m.eval(1000.0, extend=True) == pytest.approx(1e-4, rel=1e-12)
+        assert m.eval(1000.0) == pytest.approx(1e-4, rel=1e-12)
 
     def test_positive_in_range(self):
         m = PsdModel.from_anchor(10.0, 0.5, [(1e-3, -1.0), (5.0, -3.0), (200.0, 0.0)], 1e-3, 1e4)
@@ -176,7 +193,7 @@ class TestPsdModel:
         m = calibrate_default_models()[name]
         for lo, hi in ((0.0047, 1e4), (1e-4, 5e4), (50.0, 200.0), (80.0, 80.0)):
             f = np.geomspace(lo, hi, 100001)
-            s = m.eval(f, extend=True)
+            s = m.eval(f)
             numeric = np.sum(np.diff(f) * (s[1:] + s[:-1]) / 2.0)  # trapezoid rule
             assert m.band_power(lo, hi) == pytest.approx(numeric, rel=1e-7, abs=0.0)
 

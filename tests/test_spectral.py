@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsostab.cli import main
-from fsostab.errors import InvalidModelError, OutOfRangeError
+from fsostab.errors import InvalidModelError
 from fsostab.link import LinkConfig
 from fsostab.noise import PsdModel, PsdSegment
 from fsostab.spectral import (
@@ -204,8 +204,14 @@ class TestPredictedPsd:
         assert np.allclose(curves["total"], 0.0, atol=1e-15)
 
     def test_out_of_range_grid(self):
-        with pytest.raises(OutOfRangeError):
-            predicted_mode_psd(self.make_models(), T, 1.0, 1.0, np.array([1e6]))
+        # past the models' range each curve is the extended law times its transfer, as synthesis extends it
+        models = dict(self.make_models(), primary=PsdModel(10.0, (PsdSegment(1e-3, -2.0, 1.0),), 1e-3, 1e4))
+        f = np.array([1e-5, 1e6])
+        curves = predicted_mode_psd(models, T, 1.0, 1.0, f)
+        atm = DelayedCombination(((1.0, 0.0), (-0.5, T), (-0.5, 3.0 * T)))
+        assert curves["primary"] == pytest.approx(meas_transfer_primary(f, T) * (f / 10.0) ** -2.0, rel=1e-12)
+        assert curves["secondary"] == pytest.approx(meas_transfer_secondary(f, T) * 2.0, rel=1e-12)
+        assert curves["atmosphere"] == pytest.approx(combination_factor(atm, f) * 3.0, rel=1e-12)
 
     def test_both_variants_present(self, tmp_path):
         # predict writes both atmospheric variants; at low f they sit the analytic 2.5 dB apart
