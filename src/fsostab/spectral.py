@@ -69,20 +69,20 @@ def combination_factor(comb: DelayedCombination, f):
 
 
 def meas_transfer_secondary(f, t_delay_s):
-    """Measurement factor for secondary-laser noise: 2 - 2 cos(2 pi f T)."""
-    return 2.0 - 2.0 * np.cos(2.0 * np.pi * np.asarray(f, dtype=float) * t_delay_s)
+    """Measurement factor for secondary-laser noise: 2 - 2 cos(2 pi f T), as 4 sin^2(pi f T) (no cancellation)."""
+    return 4.0 * np.sin(np.pi * np.asarray(f, dtype=float) * t_delay_s) ** 2
 
 
 def meas_transfer_primary(f, t_delay_s):
-    """Measurement factor for primary-laser noise: 1/2 - 1/2 cos(4 pi f T)."""
-    return 0.5 - 0.5 * np.cos(4.0 * np.pi * np.asarray(f, dtype=float) * t_delay_s)
+    """Measurement factor for primary-laser noise: 1/2 - 1/2 cos(4 pi f T), as sin^2(2 pi f T) (no cancellation)."""
+    return np.sin(2.0 * np.pi * np.asarray(f, dtype=float) * t_delay_s) ** 2
 
 
 def meas_transfer_atm(f, t_delay_s, variant="derived"):
     """Measurement factor for the atmospheric residual.
 
-    variant="printed": 3/2 - 1/2 cos(2 pi f T) - cos(4 pi f T), the compact
-    closed form this measurement is usually quoted with.
+    variant="printed": 3/2 - 1/2 cos(2 pi f T) - cos(4 pi f T), the compact closed
+    form this measurement is usually quoted with, as sin^2(pi f T) + 2 sin^2(2 pi f T).
     variant="derived": |1 - 1/2 e^{-i 2 pi f T} - 1/2 e^{-i 6 pi f T}|^2,
     the factor that follows from the measurement signal's actual delayed
     copies {1 @ 0, -1/2 @ T, -1/2 @ 3T}. The two disagree (2.5 dB at low
@@ -90,11 +90,7 @@ def meas_transfer_atm(f, t_delay_s, variant="derived"):
     """
     f_arr = np.asarray(f, dtype=float)
     if variant == "printed":
-        return (
-            1.5
-            - 0.5 * np.cos(2.0 * np.pi * f_arr * t_delay_s)
-            - np.cos(4.0 * np.pi * f_arr * t_delay_s)
-        )
+        return np.sin(np.pi * f_arr * t_delay_s) ** 2 + 2.0 * np.sin(2.0 * np.pi * f_arr * t_delay_s) ** 2
     if variant == "derived":
         comb = DelayedCombination(((1.0, 0.0), (-0.5, t_delay_s), (-0.5, 3.0 * t_delay_s)))
         return combination_factor(comb, f_arr)
@@ -138,7 +134,8 @@ def atm_variant_report(t_delay_s: float, f_grid):
     printed = meas_transfer_atm(f, t_delay_s, "printed")
     derived = meas_transfer_atm(f, t_delay_s, "derived")
     ratio = np.full(f.shape, np.nan)
-    ok = (printed > 0) & (derived > 0)
+    null = (6.0 * np.pi * np.finfo(float).eps * f * t_delay_s) ** 2  # the rounding of the widest phase, 6 pi f T
+    ok = (printed > null) & (derived > null)
     ratio[ok] = 10.0 * np.log10(derived[ok] / printed[ok])
     ratio[f == 0] = LOW_F_ATM_RATIO_DB
     return {"freqs": f, "printed": printed, "derived": derived, "ratio_db": ratio}

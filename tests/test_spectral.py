@@ -98,6 +98,22 @@ class TestTransfers:
         assert np.allclose(meas_transfer_secondary(f, T), sec, rtol=1e-12, atol=1e-12)
         assert np.allclose(meas_transfer_primary(f, T), pri, rtol=1e-12, atol=1e-12)
 
+    def test_leading_terms_at_low_frequency(self):
+        # at f T = 5e-10 (1 mHz on the 150 m link) a form built as 1 - cos would cancel to exactly 0
+        f = 5e-10 / T
+        x2 = (2.0 * np.pi * f * T) ** 2
+        assert meas_transfer_secondary(f, T) == pytest.approx(x2, rel=1e-9, abs=0.0)
+        assert meas_transfer_primary(f, T) == pytest.approx(x2, rel=1e-9, abs=0.0)
+        assert meas_transfer_atm(f, T, "printed") == pytest.approx(2.25 * x2, rel=1e-9, abs=0.0)  # see LOW_F_ATM_RATIO_DB
+
+    def test_match_delayed_copies_relatively(self):
+        # relative agreement with the delayed copies, down to f T = 1e-10 where the factors are ~4e-19
+        f = np.geomspace(1e-10, 0.45, 500) / T
+        sec = combination_factor(DelayedCombination(((1.0, 0.0), (-1.0, T))), f)
+        pri = combination_factor(DelayedCombination(((0.5, 0.0), (-0.5, 2.0 * T))), f)
+        np.testing.assert_allclose(meas_transfer_secondary(f, T), sec, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(meas_transfer_primary(f, T), pri, rtol=1e-12, atol=0.0)
+
     def test_periodicity(self):
         f = np.linspace(0, 1.0 / T, 64)
         assert np.allclose(
@@ -140,6 +156,11 @@ class TestAtmVariantReport:
         assert rep["printed"][0] == pytest.approx(0.0, abs=1e-12)
         assert rep["derived"][0] == pytest.approx(0.0, abs=1e-12)
         assert rep["ratio_db"][0] == pytest.approx(LOW_F_ATM_RATIO_DB, rel=1e-9)
+
+    def test_ratio_is_nan_at_the_nulls(self):
+        # at integer f T both factors vanish; what the floats leave there is rounding, not a ratio
+        rep = atm_variant_report(T, np.array([1.0, 2.0, 1.5]) / T)
+        assert np.isnan(rep["ratio_db"][:2]).all() and np.isfinite(rep["ratio_db"][2])
 
     def test_low_frequency_limit(self):
         rep = atm_variant_report(T, [1e-4 / T])
