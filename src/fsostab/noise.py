@@ -137,7 +137,7 @@ class PsdModel:
                     np.power(f_seg / self.ref_freq_hz, out_seg, out=out_seg)
                     out_seg *= seg.level
                 except FloatingPointError:
-                    raise OutOfRangeError(f"PSD extended past [{self.f_min_hz:g}, {self.f_max_hz:g}] Hz leaves float range") from None
+                    raise OutOfRangeError(f"PSD leaves float range past [{self.f_min_hz:g}, {self.f_max_hz:g}] Hz") from None
             # f = 0 is only reachable via extension; a negative slope diverges there
             if hi > lo and f_seg[0] <= 0.0:
                 out_seg[f_seg == 0] = 0.0 if seg.exponent > 0 or seg.level == 0 else np.inf
