@@ -24,6 +24,7 @@ import numpy as np
 from .config import load_config, resolved_dict
 from .errors import ConfigError, InvalidModelError, OutOfRangeError
 from .experiment import (
+    _checked_nperseg,
     channel_sweep,
     emit_outputs,
     log_bin_spectrum,
@@ -203,9 +204,10 @@ def _cmd_identity_check(args, config, models, experiment, out: Path):
 def _cmd_compare(args, config, models, experiment, out: Path):
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
     config.warmup_samples  # a warm-up over 10% of the run is rejected before any synthesis
+    nperseg = experiment.get("nperseg") and _checked_nperseg(config, experiment["nperseg"])  # simulate's rule
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
     meas, trace = run_link(config, inputs, mode=args.mode)
-    est = estimate_psd(meas, segment_len=max(64, min(2**18, meas.samples.size // 16)))
+    est = estimate_psd(meas, segment_len=nperseg or max(64, min(2**18, meas.samples.size // 16)))
     # bins below a few resolution bandwidths are estimator-limited
     mask = est.band_mask & (est.psd > 0) & (est.freqs >= 5.0 * est.resolution_bw_hz)
     ratio, scale = config.nu_s_hz / config.nu_p_hz, config.carrier_scale(args.mode)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import signal as _signal
+from scipy.linalg.blas import dtbsv
 
 from .errors import ConfigError
 from .noise import PhaseSeries, synthesize_phase_noise
@@ -45,6 +45,9 @@ ERROR_DIVERGENCE_RAD = 1.0e6
 #: The three runs the experiment compares: open loop, AOM (doppler) and
 #: fiber-stretcher (group-delay) correction. The mode alone sets how the loop closes.
 MODES = ("unstabilized", "doppler", "group-delay")
+
+#: Elements of the band Loop.solve fills once and reuses for every block: 2^16 doubles (512 KiB).
+_SOLVE_BAND = 2**16
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,22 @@ class Loop:
         a[1 : m + 2] += n
         a[k : k + m + 1] += n
         return cls(-n, a, k, _schur_stable(a))
+
+    def solve(self, d: np.ndarray) -> np.ndarray:
+        """theta for the forcing d, zero before t = 0: T theta = b * d, T the unit lower-triangular banded Toeplitz
+        matrix of a (a[0] == 1), solved by BLAS dtbsv a block of columns at a time in one reused band; each block
+        first takes the previous block's last p = len(a) - 1 outputs off its first p rows."""
+        n, p = d.size, self.a.size - 1
+        theta = np.convolve(d, self.b)[:n]
+        cols = max(p, _SOLVE_BAND // (p + 1))
+        band = np.empty((p + 1, cols), order="F")
+        band[:] = self.a[:, None]  # lower band storage: row i holds the i-th subdiagonal, a[i]
+        for start in range(0, n, cols):
+            if start:
+                head = theta[start : start + p]
+                head -= np.convolve(theta[start - p : start], self.a)[p : p + head.size]
+            theta = dtbsv(p, band[:, : min(cols, n - start)], theta, offx=start, lower=1, diag=1, overwrite_x=1)
+        return theta
 
     def error(self, d: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Round-trip servo error: the forcing plus both passes of the correction, zero before t = 0."""
@@ -441,13 +460,13 @@ def _run_reference(config, d, state):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _run_fast(config, d, state):
-    """Closed loop via lfilter; exact while no flag is raised.
+    """Closed loop via Loop.solve; exact while no flag is raised.
 
     A sum out of float range leaves inf or NaN, which the checks read as
     divergence or a clamp, so the run falls back and is flagged.
     """
     loop = config.loop
-    theta = _signal.lfilter(loop.b, loop.a, d)
+    theta = loop.solve(d)
     err = loop.error(d, theta)
     if not np.all(np.isfinite(theta)):
         state.flag("non-finite")

@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import InvalidModelError, OutOfRangeError, SegmentationError, TooShortError
 
@@ -294,6 +293,11 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
 _WELCH_BATCH_SAMPLES = 2**20
 
 
+def _hann(n: int) -> np.ndarray:
+    """The periodic Hann window of n >= 2 samples, bit for bit scipy.signal.get_window("hann", n)."""
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
+
+
 def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
     """Welch estimate of the one-sided PSD of a phase series (Welch 1967).
 
@@ -311,11 +315,11 @@ def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
     segment_len = int(segment_len)
     if segment_len > n:
         raise SegmentationError(f"segment_len {segment_len} exceeds series length {n}")
-    if segment_len < 1:
-        raise SegmentationError(f"segment_len {segment_len} must be >= 1")
+    if segment_len < 2:  # a one-sample Hann window is 0
+        raise SegmentationError(f"segment_len {segment_len} must be >= 2")
     step = segment_len - round(segment_len / 2)
     segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
-    w = signal.get_window("hann", segment_len)
+    w = _hann(segment_len)
     # the window carries the density scale 1 / sqrt(fs sum(w^2)), summed in
     # order, as scipy.signal.welch scales it, so the transforms match its own
     w_psd = w * (1.0 / np.sqrt(np.cumsum(w * w)[-1] / (1.0 / series.fs_hz)))

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +34,13 @@ def write_cfg(tmp_path, data, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))
     return p
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal's import costs about a second; the package takes its loop solve from scipy.linalg instead
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    code = "import sys, fsostab; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), timeout=60).returncode == 0
 
 
 class TestParseConfig:
@@ -479,6 +488,29 @@ class TestSubcommands:
         assert main(argv + ["--config", str(cfg)]) == EXIT_RUNTIME
         assert seen == [8192]
         assert not (tmp_path / "o").exists()
+
+    def test_compare_reads_nperseg(self, tmp_path, monkeypatch, caplog):
+        argv = ["compare", "--samples", "65536", "--out", str(tmp_path / "o")]
+        with monkeypatch.context() as m:
+            m.setattr(link, "synthesize_phase_noise", lambda *a, **k: pytest.fail("synthesized before validation"))
+            for nperseg in (8, 1_000_000_000):
+                caplog.clear()
+                cfg = write_cfg(tmp_path, {"experiment": {"nperseg": nperseg}})
+                assert main(argv + ["--config", str(cfg)]) == EXIT_VALIDATION
+                assert f"validation: nperseg {nperseg} outside" in caplog.text
+        assert not (tmp_path / "o").exists()
+        seen, estimate = [], cli.estimate_psd
+
+        def recorded(meas, segment_len):
+            seen.append(segment_len)
+            return estimate(meas, segment_len)
+
+        monkeypatch.setattr(cli, "estimate_psd", recorded)
+        cfg = write_cfg(tmp_path, {"experiment": {"nperseg": 8192}})
+        assert main(argv + ["--config", str(cfg)]) == EXIT_OK
+        assert main(argv) == EXIT_OK  # unset: compare's own (n - warm-up) / 16
+        warmup = LinkConfig(n_samples=65536).warmup_samples
+        assert seen == [8192, (65536 - warmup) // 16]
 
     def test_compare_scaled_mode(self, tmp_path, capsys):
         out = tmp_path / "cmp"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from fsostab import link
 from fsostab.errors import ConfigError
@@ -136,6 +137,44 @@ class TestMakeLink:
         for servo in (ServoConfig(kp=0.3, ki=0.0), ServoConfig(kp=0.2, ki=1e4), ServoConfig(kii=2e7)):
             loop = Loop.from_servo(servo, 5e-5, 3)
             assert np.min(np.abs(np.roots(loop.a) - 1.0)) > 1e-3
+
+
+#: kp only, PI and PI+I^2 (m = 0, 1, 2 integrators); each is stable at K = 1, 40 and 200 samples and 20 kHz. A
+#: double integrator amplifies rounding by about 1 / (1 - |pole|)^2 in lfilter and in the solve alike: at kp 0.1,
+#: ki 300/s, kii 1e4/s^2 and K = 1 lfilter is 6.6e-13 of the rms off a long-double recursion, the solve 3.7e-13,
+#: and the two 7.9e-13 apart, so these PI+I^2 gains are ones that keep the two well inside the tolerance (9e-14).
+SOLVE_SERVOS = (ServoConfig(kp=0.3, ki=0.0), ServoConfig(kp=0.2, ki=1e3), ServoConfig(kp=0.3, ki=3e3, kii=1e5))
+
+
+class TestLoopSolve:
+    @staticmethod
+    def block(loop):
+        p = loop.a.size - 1
+        return max(p, link._SOLVE_BAND // (p + 1))
+
+    @pytest.mark.parametrize("servo", SOLVE_SERVOS, ids=["kp", "pi", "pii"])
+    @pytest.mark.parametrize("k", [1, 40, 200])
+    def test_matches_lfilter(self, servo, k):
+        loop = Loop.from_servo(servo, 5e-5, k)
+        assert loop.stable
+        cols = self.block(loop)
+        rng = np.random.default_rng(k)
+        # inside one block, exactly one, and several with a ragged tail: one sample, then half a block
+        for n in (cols // 2 + 1, cols, 3 * cols + 1, 3 * cols + cols // 2):
+            d = np.cumsum(rng.standard_normal(n))
+            want = signal.lfilter(loop.b, loop.a, d)
+            got = loop.solve(d)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.sqrt(np.mean(want**2)), n
+
+    @pytest.mark.parametrize("servo", SOLVE_SERVOS, ids=["kp", "pi", "pii"])
+    def test_block_length_does_not_matter(self, servo, monkeypatch):
+        loop = Loop.from_servo(servo, 5e-5, 40)
+        d = np.cumsum(np.random.default_rng(4).standard_normal(20_000))
+        want = loop.solve(d)
+        for band in (1, 5_000, 2**22):  # blocks of p columns (the fewest), of about 120, and one for all of d
+            monkeypatch.setattr(link, "_SOLVE_BAND", band)
+            assert np.max(np.abs(loop.solve(d) - want)) <= 1e-12 * np.sqrt(np.mean(want**2)), band
 
 
 class TestErrorSignal:

@@ -9,6 +9,7 @@ from scipy import signal
 from fsostab.config import psd_model_from_dict, psd_model_to_dict
 from fsostab.errors import InvalidModelError, OutOfRangeError, SegmentationError, TooShortError
 from fsostab.experiment import calibrate_default_models, zero_model
+from fsostab import noise
 from fsostab.noise import (
     PhaseSeries,
     PsdModel,
@@ -394,6 +395,15 @@ class TestEstimatePsd:
         s = PhaseSeries(np.zeros(100), 10.0)
         with pytest.raises(SegmentationError):
             estimate_psd(s, segment_len=200)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 4093, 4096, 2**15, 2**18 + 1])
+    def test_window_is_scipys_hann(self, n):
+        assert np.array_equal(noise._hann(n), signal.get_window("hann", n))
+
+    def test_one_sample_segment_refused(self):
+        # a one-sample periodic Hann window is 0, so it would scale the periodogram by 0 / 0
+        with pytest.raises(SegmentationError, match=">= 2"):
+            estimate_psd(PhaseSeries(np.zeros(100), 10.0), segment_len=1)
 
     def test_metadata(self):
         s = PhaseSeries(np.zeros(4096), 100.0)
