@@ -167,6 +167,8 @@ class ScenarioResult:
 
 def _checked_nperseg(config: LinkConfig, nperseg: int | None) -> int:
     """Welch segment length for runs of ``config`` (the default when None), checked before any synthesis."""
+    if not config.fs_hz > 2 * SPOT_FREQ_HZ * 2**0.25:
+        raise ConfigError(f"fs_hz {config.fs_hz:g} puts the spot's half octave, {SPOT_FREQ_HZ:g} Hz x 2^+-0.25, at or above Nyquist")
     nperseg = nperseg or int(max(16, min(2**18, config.n_samples // 8)))
     lo, hi = config.fs_hz / SPOT_FREQ_HZ, config.n_samples - config.warmup_samples
     if not lo <= nperseg <= hi:

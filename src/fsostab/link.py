@@ -277,8 +277,13 @@ class NoiseInputs:
         """
         ts = config.t_one_way * config.fs_hz
         g_p = 2.0 * np.pi * config.nu_p_hz * self.dt_atm
-        d = fractional_delay(self.phi_p + g_p, 2.0 * ts) - self.phi_p + g_p
-        m_base = fractional_delay(self.phi_s, ts) - self.phi_s + (config.nu_s_hz / config.nu_p_hz) * g_p
+        d = fractional_delay(self.phi_p + g_p, 2.0 * ts)
+        d -= self.phi_p
+        d += g_p
+        m_base = fractional_delay(self.phi_s, ts)
+        m_base -= self.phi_s
+        g_p *= config.nu_s_hz / config.nu_p_hz
+        m_base += g_p
         return d, m_base, ts
 
     @classmethod
@@ -352,7 +357,10 @@ class LinkTrace:
 
     def measurement(self, scale: float) -> PhaseSeries:
         """The measurement with the correction applied at ``scale``, a LinkConfig.carrier_scale."""
-        return PhaseSeries(self.base_rad if scale == 0 else self.base_rad + scale * self.correction_rad, self.fs_hz)
+        if scale == 0:
+            return PhaseSeries(self.base_rad, self.fs_hz)
+        out = self.correction_rad * scale
+        return PhaseSeries(np.add(out, self.base_rad, out=out), self.fs_hz)
 
 
 def make_link(config: LinkConfig) -> LinkState:
@@ -462,8 +470,8 @@ def _run_reference(config, d, state):
 def _run_fast(config, d, state):
     """Closed loop via Loop.solve; exact while no flag is raised.
 
-    A sum out of float range leaves inf or NaN, which the checks read as
-    divergence or a clamp, so the run falls back and is flagged.
+    A sum out of float range leaves inf or NaN, which the checks read as divergence or a clamp, so the run
+    falls back and is flagged. max|a| is max(a.max(), -a.min()), scaled after the max: rounding is monotone.
     """
     loop = config.loop
     theta = loop.solve(d)
@@ -471,14 +479,15 @@ def _run_fast(config, d, state):
     if not np.all(np.isfinite(theta)):
         state.flag("non-finite")
     else:
-        if np.max(np.abs(err)) > ERROR_DIVERGENCE_RAD:
+        if max(err.max(), -err.min()) > ERROR_DIVERGENCE_RAD:
             state.flag("error-divergence")
-        s1 = np.cumsum(err) * config.dt_s
-        if config.servo.ki > 0 and not np.all(np.abs(config.servo.ki * s1) <= ANTI_WINDUP_RAD):  # NaN too
+        s1 = np.cumsum(err)
+        if config.servo.ki > 0 and not config.servo.ki * (max(s1.max(), -s1.min()) * config.dt_s) <= ANTI_WINDUP_RAD:  # NaN too
             state.flag("integrator-clamp")
         elif config.servo.kii > 0:
-            s2 = np.cumsum(s1) * config.dt_s
-            if not np.all(np.abs(config.servo.kii * s2) <= ANTI_WINDUP_RAD):
+            s1 *= config.dt_s
+            s2 = np.cumsum(s1)
+            if not config.servo.kii * (max(s2.max(), -s2.min()) * config.dt_s) <= ANTI_WINDUP_RAD:
                 state.flag("integrator-clamp")
     return theta, err
 

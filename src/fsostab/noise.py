@@ -240,9 +240,9 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
     A&A 300, 707, 1995): independent complex-normal rFFT bins are
     scaled to sqrt(S(f) df) and inverse-transformed. Circular
     correlation is mitigated by shaping a 2x-length series and keeping
-    a copy of the first half, so the 2n-point transform is freed on
-    return. The DC bin is zeroed (series is mean-free); fractional
-    slopes are realized exactly. The shaping runs in place: one
+    its first half, computed from transforms of at most n points. The
+    DC bin is zeroed (series is mean-free); fractional slopes are
+    realized exactly. The shaping runs in place: one
     amplitude array, one draw buffer and the complex bins. An all-zero
     model gives zeros without drawing or transforming anything.
 
@@ -281,11 +281,40 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
     nyquist = draws[-1] * n2 * np.sqrt(psd_nyquist * df)
     rng.standard_normal(out=draws)
     np.multiply(amp, draws[1:], out=bins.imag[1:])
-    del amp, draws  # freed before the transform, which needs the bins and its own 2n points
+    del amp, draws  # freed before the transform, which needs the bins and its own n points
     bins[0] = 0.0
     bins[-1] = nyquist
-    x = np.fft.irfft(bins, n=n2)
-    return PhaseSeries(x[:n].copy(), fs_hz)
+    return PhaseSeries(_first_half_irfft(bins), fs_hz)
+
+
+def _first_half_irfft(bins: np.ndarray) -> np.ndarray:
+    """np.fft.irfft(bins, 2n)[:n], n = bins.size - 1, from numpy.fft transforms of at most n points.
+
+    x[:n] = (p + q) / 2, p[t] = x[t] + x[t+n] from the even bins and q[t] = x[t] - x[t+n] from the odd bins O.
+    For even n = 2N, q[t] = (2/n) (C[t] - D[N-t]) and q[n-t] = -(2/n) (C[t] + D[N-t]), C and D the DCT-IIs of
+    Re O and of (-1)^j Im O, each an N-point rfft of [v[0::2], v[1::2][::-1]] times e^(-i pi k / 2N) (Makhoul,
+    IEEE TASSP 28, 27, 1980).
+    """
+    n = bins.size - 1
+    x = np.fft.irfft(bins[0::2], n)  # a strided input is not copied first
+    x *= 0.5
+    if n % 2:  # q[t] = (-1)^t irfft(conj(bins[n::-2]), n)
+        return x + np.fft.irfft(np.conj(bins[n::-2]), n) * np.resize([0.5, -0.5], n)
+    m, h = n // 2, (n // 2 + 1) // 2
+    k = np.arange(int(np.sqrt(m // 2)) + 1) * (-0.5j * np.pi / m)  # e^(-i pi k / 2N) / n from two short tables: exp is slow
+    twiddle = np.multiply.outer(np.exp(k * k.size) / n, np.exp(k)).ravel()[: m // 2 + 1]
+    buf = np.empty(m)
+    for part, sign, head, tail in ((bins.real[1::2], 1.0, x[:m], x[:m:-1]), (bins.imag[1::2], -1.0, x[m:0:-1], x[m + 1 :])):
+        buf[:h] = part[0::2]
+        np.multiply(part[1::2][::-1], sign, out=buf[h:])
+        z = np.fft.rfft(buf)
+        z *= twiddle
+        buf[: m // 2 + 1] = z.real  # C / n (or D / n) up to N/2, the rest from the imaginary parts backwards
+        np.negative(z.imag[(m - 1) // 2 : 0 : -1], out=buf[m // 2 + 1 :])
+        del z
+        head += sign * buf
+        tail -= buf[1:]
+    return x
 
 
 #: Samples per batch of Welch segments (8 MB of float64), so long segments

@@ -489,6 +489,22 @@ class TestSubcommands:
         assert seen == [8192]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv, block",
+        [
+            (["simulate", "--fs-hz", "20"], {}),  # exited 0 with a "10 Hz" spot taken at Nyquist
+            (["sweep", "--fs-hz", "20"], {}),
+            (["simulate", "--fs-hz", "10"], {"experiment": {"nperseg": 1}}),  # exited 2 after the run
+            (["simulate", "--fs-hz", "23.7"], {}),  # just below 2 x 10 x 2^0.25 = 23.78 Hz
+        ],
+    )
+    def test_spot_at_or_above_nyquist_rejected(self, tmp_path, caplog, no_synthesis, argv, block):
+        cfg = write_cfg(tmp_path, {"servo": {"kp": 0.2, "ki_per_s": 1}, **block})
+        out = tmp_path / "o"
+        assert main(argv + ["--samples", "4096", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert "at or above Nyquist" in caplog.text
+        assert not out.exists()
+
     def test_compare_reads_nperseg(self, tmp_path, monkeypatch, caplog):
         argv = ["compare", "--samples", "65536", "--out", str(tmp_path / "o")]
         with monkeypatch.context() as m:

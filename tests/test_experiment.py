@@ -35,7 +35,7 @@ from fsostab.experiment import (
 )
 from fsostab.link import MODES, LinkConfig, NoiseInputs, ServoConfig, run_link
 from fsostab.noise import PhaseSeries, SpectrumEstimate, estimate_psd, ssb_phase_noise
-from fsostab.spectral import meas_transfer_primary, meas_transfer_secondary
+from fsostab.spectral import meas_transfer_primary, meas_transfer_secondary, predicted_mode_psd
 
 
 class TestCalibration:
@@ -141,6 +141,37 @@ def sized_pools(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", sized_pool)
     return pool_sizes
+
+
+#: 10 Hz spots (dBc/Hz; unstabilized, doppler, group-delay) of run_three_modes at 2^16 samples, as the
+#: parent of the n-point synthesis printed them. A change that moves one by more than 1e-9 dB changes
+#: numerics on purpose: it updates this table and lists old -> new in CHANGES.md.
+PINNED_SPOTS = {
+    ("default", 0): (-9.748894268368847, -40.25703863120051, -40.25703863120051),
+    ("default", 101): (-10.298279069525742, -41.971215967745266, -41.971215967745266),
+    ("197.2 THz", 0): (-9.56697315356048, -37.90036657950698, -40.2466016271758),
+    ("197.2 THz", 101): (-10.114801446968743, -40.929353052331486, -41.960350197265655),
+    ("scaled 1 ms", 0): (25.445400621831993, 25.430851962674772, 25.430851962674772),
+    ("scaled 1 ms", 101): (23.714519485114803, 23.751792074270437, 23.751792074270437),
+}
+PINNED_CONFIGS = {
+    "default": LinkConfig(n_samples=2**16),
+    "197.2 THz": LinkConfig(n_samples=2**16, nu_s_hz=197.2e12),
+    "scaled 1 ms": LinkConfig(n_samples=2**16, link_length_m=None, t_one_way_s=1e-3),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_SPOTS))
+def test_pinned_spots(name, seed):
+    res = run_three_modes(PINNED_CONFIGS[name], calibrate_default_models(), seed)
+    assert not res.flags
+    assert [res.spots_dbc[m] for m in MODES] == pytest.approx(PINNED_SPOTS[name, seed], rel=0, abs=1e-9)
+
+
+def test_pinned_predicted_total():
+    # predict's closed-form total at 10 Hz, the stabilized default channel
+    total = predicted_mode_psd(calibrate_default_models(), LinkConfig().t_one_way, 1.0, 1.0, np.array([10.0]))["total"]
+    assert ssb_phase_noise(total[0]) == pytest.approx(-40.79990589426083, rel=0, abs=1e-9)
 
 
 class TestRunThreeModes:

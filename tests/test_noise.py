@@ -47,8 +47,8 @@ def gather_eval(model, f):
     return float(out[0]) if np.ndim(f) == 0 else out
 
 
-def direct_synthesis(model, fs_hz, n, seed):
-    """synthesize_phase_noise by the direct formula: every array built whole, the first half a view."""
+def direct_bins(model, fs_hz, n, seed):
+    """The n + 1 bins synthesize_phase_noise shapes, by the direct formula: every array built whole."""
     n2 = 2 * n
     freqs = np.fft.rfftfreq(n2, d=1.0 / fs_hz)
     psd = np.zeros_like(freqs)
@@ -62,7 +62,7 @@ def direct_synthesis(model, fs_hz, n, seed):
     bins = amp * (re + 1j * im)
     bins[0] = 0.0
     bins[-1] = re[-1] * n2 * np.sqrt(psd[-1] * df)
-    return np.fft.irfft(bins, n=n2)[:n]
+    return bins
 
 
 def kernel_models():
@@ -288,13 +288,41 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("name", sorted(kernel_models()))
     @pytest.mark.parametrize("n", [4096, 4097])
-    def test_matches_direct_formula(self, name, n):
-        # the in-place shaping draws and rounds exactly as the direct formula
+    def test_matches_direct_formula(self, name, n, monkeypatch):
+        # the in-place shaping draws and rounds exactly as the direct formula; the series is the first half
+        # of the bins' 2n-point irfft to rounding
         m = kernel_models()[name]
         seed = np.random.SeedSequence(5, spawn_key=(1,))
+        shaped, transform = [], noise._first_half_irfft
+        monkeypatch.setattr(noise, "_first_half_irfft", lambda bins: shaped.append(bins) or transform(bins))
         s = synthesize_phase_noise(m, 20e3, n, seed)
-        assert np.array_equal(s.samples, direct_synthesis(m, 20e3, n, seed))
-        assert s.samples.base is None  # a copy: the 2n-point transform is not kept alive
+        bins = direct_bins(m, 20e3, n, seed)
+        assert len(shaped) == (not m.is_zero)  # an all-zero model transforms nothing
+        assert all(np.array_equal(b, bins) for b in shaped)
+        x = np.fft.irfft(bins, 2 * n)[:n]
+        assert np.max(np.abs(s.samples - x)) <= 1e-15 * np.max(np.abs(x))
+        assert s.samples.base is None  # no view into a larger transform is kept alive
+
+    @pytest.mark.parametrize("n", [4096, 4097])
+    def test_transforms_at_most_n_points(self, n, monkeypatch):
+        sizes = []
+        for name, default_n in (("irfft", lambda a: 2 * (len(a) - 1)), ("rfft", len)):
+            def counted(a, n=None, *args, _fft=getattr(np.fft, name), _default_n=default_n, **kwargs):
+                sizes.append(_default_n(a) if n is None else n)
+                return _fft(a, n, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        synthesize_phase_noise(calibrate_default_models()["primary"], 20e3, n, 0)
+        assert sizes and max(sizes) <= n
+
+    @pytest.mark.parametrize("n", [*range(16, 80), 4096, 4097, 4098, 4099, 131220, 2**18, 3**9])
+    def test_first_half_irfft(self, n):
+        # odd n, n = 2 and n = 0 (mod 4); 131220 is the identity oracle's length. The imaginary parts of the
+        # first and last bins are random too: irfft ignores them, and so must the split
+        rng = np.random.default_rng(n)
+        bins = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        x = np.fft.irfft(bins, 2 * n)[:n]
+        assert np.max(np.abs(noise._first_half_irfft(bins) - x)) <= 2e-15 * np.max(np.abs(x))
 
     def test_zero_model_gives_zeros(self):
         m = PsdModel.flat(0.0, 1e-3, 1e3)
