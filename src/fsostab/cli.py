@@ -37,10 +37,12 @@ from .link import MODES, NoiseInputs, run_link
 from .noise import estimate_psd, ssb_phase_noise
 from .spectral import (
     LOW_F_ATM_RATIO_DB,
+    MEDIAN_BANDS_PER_DECADE,
     dbc_curves,
     atm_variant_report,
     identity_check_suite,
     log_band_medians,
+    log_bands,
     meas_transfer_atm,
     predicted_mode_psd,
 )
@@ -203,28 +205,28 @@ def _cmd_identity_check(args, config, models, experiment, out: Path):
 
 def _cmd_compare(args, config, models, experiment, out: Path):
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
-    config.warmup_samples  # a warm-up over 10% of the run is rejected before any synthesis
-    nperseg = experiment.get("nperseg") and _checked_nperseg(config, experiment["nperseg"])  # simulate's rule
+    nperseg = _checked_nperseg(config, experiment.get("nperseg"))  # simulate's segment and checks, before synthesis
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
     meas, trace = run_link(config, inputs, mode=args.mode)
-    est = estimate_psd(meas, segment_len=nperseg or max(64, min(2**18, meas.samples.size // 16)))
+    est = estimate_psd(meas, segment_len=nperseg)
     # bins below a few resolution bandwidths are estimator-limited
     mask = est.band_mask & (est.psd > 0) & (est.freqs >= 5.0 * est.resolution_bw_hz)
     ratio, scale = config.nu_s_hz / config.nu_p_hz, config.carrier_scale(args.mode)
     with np.errstate(over="ignore", invalid="ignore"):  # a prediction out of float range is flagged below
         pred = predicted_mode_psd(models, config.t_one_way, ratio, scale, est.freqs[mask])["total"]
         keep = pred > 1e-4 * pred.max(initial=0.0)  # transfer nulls are excluded from the table
+    fr, s_sim, s_pred = est.freqs[mask][keep], est.psd[mask][keep], pred[keep]
+    counts = np.unique(log_bands(fr, MEDIAN_BANDS_PER_DECADE)[1], return_counts=True)[1] if fr.size else np.zeros(0)
+    full = counts >= 8  # per band of log_band_medians(fr, ...): the median of fewer bins is a few chi^2 draws
     outputs = []
     if not (np.isfinite(est.psd).all() and np.isfinite(pred).all()):
         _log.warning("compare[%s]: the simulated spectrum or its prediction is not finite", args.mode)
-    elif not keep.any():
-        _log.warning("compare[%s]: no band left, the prediction vanishes at every estimated frequency", args.mode)
+    elif not full.any():
+        _log.warning("compare[%s]: no band left, none holds 8 Welch bins above the prediction's nulls", args.mode)
     else:
-        fr = est.freqs[mask][keep]
-        dev = 10.0 * np.log10(est.psd[mask][keep] / pred[keep])
-        fb, devb = log_band_medians(fr, dev)
-        _, simb = log_band_medians(fr, ssb_phase_noise(est.psd[mask][keep]))
-        _, predb = log_band_medians(fr, ssb_phase_noise(pred[keep]))
+        fb, devb = log_band_medians(fr, 10.0 * np.log10(s_sim / s_pred))
+        simb, predb = (log_band_medians(fr, ssb_phase_noise(s))[1] for s in (s_sim, s_pred))
+        fb, simb, predb, devb = fb[full], simb[full], predb[full], devb[full]
         path = out / "compare.csv"
         write_table_csv(path, ["band_center_hz", "sim_dbc_per_hz", "pred_dbc_per_hz", "dev_db"], [fb, simb, predb, devb])
         outputs.append(path)

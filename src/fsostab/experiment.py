@@ -95,7 +95,7 @@ def spot_phase_noise(spectrum: SpectrumEstimate, f_target_hz: float) -> float:
 
     Method (fixed): the estimate is log-log interpolated onto 33
     log-spaced points over the half octave around the target, clipped to
-    the estimate's grid, and the dB values are averaged.
+    the estimate's grid, and the dB values are averaged; -inf when no bin is positive.
     """
     pos = spectrum.freqs > 0
     freqs = spectrum.freqs[pos]
@@ -103,7 +103,8 @@ def spot_phase_noise(spectrum: SpectrumEstimate, f_target_hz: float) -> float:
     if f_target_hz < freqs[0] or f_target_hz > freqs[-1]:
         raise OutOfRangeError(f"spot target {f_target_hz} Hz outside estimate grid")
     grid = np.geomspace(max(freqs[0], f_target_hz / 2**0.25), min(freqs[-1], f_target_hz * 2**0.25), 33)
-    good = psd > 0
+    if not (good := psd > 0).any():
+        return -np.inf
     interp = np.interp(np.log(grid), np.log(freqs[good]), np.log(psd[good]))
     return float(np.mean(ssb_phase_noise(np.exp(interp))))
 
@@ -122,8 +123,8 @@ class SummaryStats:
 
 def summarize_spots(spots: list[float]) -> SummaryStats:
     arr = np.asarray(spots, dtype=float)
-    mean = float(arr.mean())
-    return SummaryStats(mean, float(arr.max() - mean), float(mean - arr.min()))
+    mean = float(arr.mean())  # Python floats: an all -inf set gives nan spreads without a warning
+    return SummaryStats(mean, float(arr.max()) - mean, mean - float(arr.min()))
 
 
 @dataclass

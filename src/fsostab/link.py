@@ -439,31 +439,26 @@ def _run_reference(config, d, state):
     The recursion runs on Python floats: about 0.8 us per sample on a
     shared 2-vCPU Xeon, where indexing the arrays and doing numpy scalar
     arithmetic took about 4 us. Python floats are the same IEEE doubles
-    combined in the same order, so theta, the error and the flags are
-    bit for bit those of a loop over the arrays. d is read one block at
-    a time, and ``past`` holds theta's last K values (zeros before
-    t = 0), so the lists stay small however long the run.
+    combined in the same order, so theta, the flags and the error, which
+    ``Loop.error`` forms afterwards as in the fast engine, are bit for bit
+    those of a loop over the arrays. d is read one block at a time, and
+    ``past`` holds theta's last K values (zeros before t = 0).
     """
-    n = d.size
     dt = config.dt_s
     k = config.loop.k
     servo = config.servo
-    theta = np.empty(n)
-    err = np.empty(n)
+    theta = np.empty(d.size)
     past = [0.0] * k
-    for start in range(0, n, _REFERENCE_BLOCK):
-        th, es = past, []
+    for start in range(0, d.size, _REFERENCE_BLOCK):
+        th = past
         for d_i in d[start : start + _REFERENCE_BLOCK].tolist():
             e = d_i + th[-1] + th[-k]
             if not -ERROR_DIVERGENCE_RAD <= e <= ERROR_DIVERGENCE_RAD:  # also true for NaN
                 state.flag("error-divergence" if math.isfinite(e) else "non-finite")
             th.append(servo_update(servo, e, dt, state))
-            es.append(e)
-        stop = start + len(es)
-        theta[start:stop] = th[k:]
-        err[start:stop] = es
+        theta[start : start + len(th) - k] = th[k:]
         past = th[-k:]
-    return theta, err
+    return theta, config.loop.error(d, theta)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -26,6 +26,8 @@ from .noise import PhaseSeries, PsdModel, estimate_psd, ssb_phase_noise, synthes
 #: while the printed closed form opens as 2.25*(2 pi f T)^2.
 LOW_F_ATM_RATIO_DB = 10.0 * np.log10(16.0 / 9.0)
 
+MEDIAN_BANDS_PER_DECADE = 12  # the bands of log_band_medians, the smoothing of every sim-vs-prediction comparison
+
 #: Identity oracle suite: 2..ORACLE_MAX_TERMS copies, 0..ORACLE_MAX_DELAY samples apart, of
 #: ORACLE_N samples of white noise at ORACLE_FS_HZ, Welch segments of ORACLE_NPERSEG samples;
 #: each bin is judged within ORACLE_TOL_DB.
@@ -153,7 +155,7 @@ def log_bands(freqs, bands_per_decade: int):
 
 
 def log_band_medians(freqs, values):
-    """Median of ``values`` in log-spaced frequency bands, 12 per decade.
+    """Median of ``values`` in log-spaced frequency bands, MEDIAN_BANDS_PER_DECADE (12) per decade.
 
     Standard smoothing for comparing noisy PSD estimates against smooth
     model curves: per-bin chi^2 scatter collapses while real spectral
@@ -162,7 +164,7 @@ def log_band_medians(freqs, values):
     """
     freqs, values = np.asarray(freqs, dtype=float), np.asarray(values, dtype=float)
     pos = freqs > 0
-    edges, idx = log_bands(freqs[pos], 12)
+    edges, idx = log_bands(freqs[pos], MEDIAN_BANDS_PER_DECADE)
     bands, values = np.unique(idx), values[pos]
     return np.sqrt(edges[bands] * edges[bands + 1]), np.array([np.median(values[idx == k]) for k in bands])
 

@@ -28,6 +28,7 @@ from fsostab.config import (
 from fsostab.errors import ConfigError
 from fsostab.experiment import calibrate_default_models
 from fsostab.link import LinkConfig, NoiseInputs, ServoConfig, run_link
+from fsostab.spectral import MEDIAN_BANDS_PER_DECADE, log_bands
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -496,6 +497,8 @@ class TestSubcommands:
             (["sweep", "--fs-hz", "20"], {}),
             (["simulate", "--fs-hz", "10"], {"experiment": {"nperseg": 1}}),  # exited 2 after the run
             (["simulate", "--fs-hz", "23.7"], {}),  # just below 2 x 10 x 2^0.25 = 23.78 Hz
+            (["compare", "--fs-hz", "20"], {}),  # exited 0 with its own segment, and 1 only with experiment.nperseg
+            (["compare", "--fs-hz", "20"], {"experiment": {"nperseg": 256}}),
         ],
     )
     def test_spot_at_or_above_nyquist_rejected(self, tmp_path, caplog, no_synthesis, argv, block):
@@ -524,9 +527,59 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "estimate_psd", recorded)
         cfg = write_cfg(tmp_path, {"experiment": {"nperseg": 8192}})
         assert main(argv + ["--config", str(cfg)]) == EXIT_OK
-        assert main(argv) == EXIT_OK  # unset: compare's own (n - warm-up) / 16
-        warmup = LinkConfig(n_samples=65536).warmup_samples
-        assert seen == [8192, (65536 - warmup) // 16]
+        assert main(argv) == EXIT_OK  # unset: simulate's n / 8
+        assert seen == [8192, 65536 // 8]
+
+    @pytest.mark.parametrize("mode", ["doppler", "group-delay"])
+    def test_compare_estimates_what_simulate_does(self, tmp_path, monkeypatch, mode):
+        # one segment rule, one seed stream: compare's spectrum is the one simulate --mode reports, bit for bit
+        cfg = write_cfg(tmp_path, {"servo": {"ki_per_s": 800.0}})
+        estimates, simulated = [], []
+
+        def recording(fn, results):
+            def recorded(*args, **kwargs):
+                results.append(fn(*args, **kwargs))
+                return results[-1]
+
+            return recorded
+
+        monkeypatch.setattr(cli, "estimate_psd", recording(cli.estimate_psd, estimates))
+        monkeypatch.setattr(cli, "run_three_modes", recording(cli.run_three_modes, simulated))
+        for command in ("compare", "simulate"):
+            argv = [command, "--config", str(cfg), "--mode", mode, "--channel-thz", "197.2", "--out", str(tmp_path / command)]
+            assert main(argv + SMALL) == EXIT_OK
+        (est,), (res,) = estimates, simulated
+        assert est.freqs.size == 32768 // 8 // 2 + 1
+        assert np.array_equal(est.freqs, res.spectra[mode].freqs) and np.array_equal(est.psd, res.spectra[mode].psd)
+
+    def test_compare_drops_bands_of_few_bins(self, tmp_path, monkeypatch):
+        # at 2^16 the lowest log bands hold 2 or 3 Welch bins, whose median is a few chi^2 draws: the table keeps
+        # exactly the bands of log_band_medians that hold 8 bins or more
+        seen, medians = [], cli.log_band_medians
+
+        def recorded(freqs, values):
+            seen.append(freqs)
+            return medians(freqs, values)
+
+        monkeypatch.setattr(cli, "log_band_medians", recorded)
+        out = tmp_path / "c"
+        assert main(["compare", "--samples", "65536", "--out", str(out)]) == EXIT_OK
+        edges, idx = log_bands(seen[0], MEDIAN_BANDS_PER_DECADE)
+        bands, counts = np.unique(idx, return_counts=True)
+        assert counts.min() < 8
+        full = bands[counts >= 8]
+        table = np.loadtxt(out / "compare.csv", delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_allclose(table[:, 0], np.sqrt(edges[full] * edges[full + 1]), rtol=1e-9)
+
+    def test_all_zero_spectrum_is_flagged(self, tmp_path):
+        # every model at level 0: the spot has no positive bin to read, which flags each mode, not a runtime fault
+        zero = psd_model_to_dict(experiment.zero_model())
+        cfg = write_cfg(tmp_path, {"models": {name: zero for name in ("primary", "secondary", "atmosphere")}})
+        for command, line in (("simulate", "doppler: -inf dBc/Hz"), ("sweep", "ch197.2:group-delay:non-finite")):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--samples", "16384", "--out", str(out)]) == EXIT_FLAGGED
+            assert line in (out / "summary.txt").read_text()
+            assert (out / "manifest.json").exists()
 
     def test_compare_scaled_mode(self, tmp_path, capsys):
         out = tmp_path / "cmp"

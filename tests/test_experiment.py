@@ -35,7 +35,7 @@ from fsostab.experiment import (
 )
 from fsostab.link import MODES, LinkConfig, NoiseInputs, ServoConfig, run_link
 from fsostab.noise import PhaseSeries, SpectrumEstimate, estimate_psd, ssb_phase_noise
-from fsostab.spectral import meas_transfer_primary, meas_transfer_secondary, predicted_mode_psd
+from fsostab.spectral import identity_check_suite, meas_transfer_primary, meas_transfer_secondary, predicted_mode_psd
 
 
 class TestCalibration:
@@ -172,6 +172,43 @@ def test_pinned_predicted_total():
     # predict's closed-form total at 10 Hz, the stabilized default channel
     total = predicted_mode_psd(calibrate_default_models(), LinkConfig().t_one_way, 1.0, 1.0, np.array([10.0]))["total"]
     assert ssb_phase_noise(total[0]) == pytest.approx(-40.79990589426083, rel=0, abs=1e-9)
+
+
+def test_pinned_identity_oracle():
+    # criterion 1's worst in-tolerance fraction and worst deviation (dB) at its seed, over 3 combinations
+    suite = identity_check_suite(n_combos=3, seed=2026)
+    assert min(row["frac_within_tol"] for row in suite) == 1.0
+    assert max(row["max_abs_dev_db"] for row in suite) == pytest.approx(0.7255042739461719, rel=0, abs=1e-9)
+
+
+#: compare's band deviations (dB) at 2^16 samples and 197.2 THz, where the two stabilized modes differ, as
+#: recorded once compare took simulate's segment and dropped the bands of fewer than 8 bins.
+PINNED_COMPARE_DEVS = {
+    "doppler": (
+        -0.3411803879688003, 0.23783666517218366, 0.8328152710797565, -0.6661314569652603, 0.39384191335320423,
+        -0.07890985961186452, -0.12031164012015214, -0.063902955588573, -0.07794826815239958, -0.44235781879312114,
+        -0.0076246263774500935, -0.15914305443144125, -0.16664332899632064, -0.039465394257445496,
+        -0.25920575924080014, -0.3254792429572618, -0.2193754387821962, -0.45538557680114455, -0.7442535871002716,
+        -0.7179111346281947, -1.0136503975436595, -1.537861881507351, -2.275378218029587, -3.277153732764535,
+    ),
+    "group-delay": (
+        -0.36894200521555787, 0.2408597547842129, 0.8342343515918016, -0.6622050213025926, 0.3928687155853904,
+        -0.07944866993599786, -0.120643296036342, -0.06339871009958287, -0.07747876264736199, -0.44236574055804845,
+        -0.0077033164763705645, -0.15938767740233295, -0.166642311796097, -0.03952462496586645, -0.2592249797562251,
+        -0.3256718056783888, -0.2194057957868694, -0.45533737276069364, -0.7443141757262424, -0.7179237398345777,
+        -1.0136247186820415, -1.5377976515318783, -2.275433992929486, -3.2770475244283777,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_COMPARE_DEVS))
+def test_pinned_compare_deviations(tmp_path, monkeypatch, mode):
+    tables = []
+    monkeypatch.setattr(cli, "write_table_csv", lambda path, header, columns: tables.append(columns))
+    argv = ["compare", "--samples", "65536", "--channel-thz", "197.2", "--mode", mode, "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    (table,) = tables
+    assert list(table[3]) == pytest.approx(PINNED_COMPARE_DEVS[mode], rel=0, abs=1e-9)
 
 
 class TestRunThreeModes:
