@@ -110,11 +110,8 @@ def _cmd_predict(args, config, models, experiment, out: Path):
     db = dbc_curves(curves)
     path = out / "predicted_curves.csv"
     cols = ["primary", "secondary", "atm_printed", "atm_derived", "total"]
-    write_table_csv(
-        path,
-        ["freq_hz"] + [f"s_meas_{c}" for c in cols] + [f"l_meas_{c}_dbc_per_hz" for c in cols],
-        [f] + [curves[c] for c in cols] + [db[c] for c in cols],
-    )
+    header = ["freq_hz"] + [f"s_meas_{c}" for c in cols] + [f"l_meas_{c}_dbc_per_hz" for c in cols]
+    write_table_csv((path, header, [f] + [curves[c] for c in cols] + [db[c] for c in cols]))
     if f[0] <= 10.0 <= f[-1]:
         at10 = float(np.interp(np.log(10.0), np.log(f), db["total"]))
         print(f"predicted total at 10 Hz: {at10:.2f} dBc/Hz")
@@ -135,15 +132,13 @@ def _cmd_simulate(args, config, models, experiment, out: Path):
     if args.emit_trace:  # from the run the spectra came from; the open loop's error is the forcing, its command 0
         tr = res.trace
         t = tr.t0_s + np.arange(tr.error_rad.size) / tr.fs_hz
+        header, tables = ["t_s", "error_rad", "actuator_cmd", "meas_phase_rad"], []
         for mode in modes:
             loop = (tr.error_rad, tr.act_phase_rad) if mode != "unstabilized" else (tr.forcing_rad, np.zeros_like(t))
-            path = out / f"trace_{mode}.csv"
-            write_table_csv(
-                path,
-                ["t_s", "error_rad", "actuator_cmd", "meas_phase_rad"],
-                [t, *loop, tr.measurement(config.carrier_scale(mode)).samples],
-            )
-            outputs.append(path)
+            meas = tr.measurement(config.carrier_scale(mode)).samples
+            tables.append((out / f"trace_{mode}.csv", header, [t, *loop, meas]))
+        write_table_csv(*tables)  # one write formats t_s and the shared loop columns once for every file
+        outputs += [path for path, _, _ in tables]
     lines = [f"channel {config.nu_s_hz / 1e12:.1f} THz, spot 10 Hz"]
     for mode, spot in res.spots_dbc.items():
         lines.append(f"{mode}: {spot:.2f} dBc/Hz")
@@ -174,25 +169,19 @@ def _cmd_sweep(args, config, models, experiment, out: Path):
 def _cmd_identity_check(args, config, models, experiment, out: Path):
     report = identity_check_suite(n_combos=args.combos, seed=experiment["base_seed"])
     combo_path = out / "identity_combos.csv"
-    write_table_csv(
-        combo_path,
-        ["combo", "terms", "n_bins", "frac_within_1db", "max_abs_dev_db"],
-        [
-            np.arange(len(report)),
-            [";".join(f"{c:+.3f}@{tau:.6g}s" for c, tau in r["combo"].terms) for r in report],
-            [r["n_bins"] for r in report],
-            [f"{r['frac_within_tol']:.4f}" for r in report],  # a report: rounded, as text
-            [f"{r['max_abs_dev_db']:.3f}" for r in report],
-        ],
-    )
+    columns = [
+        np.arange(len(report)),
+        [";".join(f"{c:+.3f}@{tau:.6g}s" for c, tau in r["combo"].terms) for r in report],
+        [r["n_bins"] for r in report],
+        [f"{r['frac_within_tol']:.4f}" for r in report],  # a report: rounded, as text
+        [f"{r['max_abs_dev_db']:.3f}" for r in report],
+    ]
+    write_table_csv((combo_path, ["combo", "terms", "n_bins", "frac_within_1db", "max_abs_dev_db"], columns))
     f = np.geomspace(1e-4 / config.t_one_way, 2.0 / config.t_one_way, 400)
     rep = atm_variant_report(config.t_one_way, f)
     eq_path = out / "atm_variants.csv"
-    write_table_csv(
-        eq_path,
-        ["freq_hz", "printed", "derived", "ratio_db"],
-        [rep["freqs"], rep["printed"], rep["derived"], rep["ratio_db"]],
-    )
+    columns = [rep["freqs"], rep["printed"], rep["derived"], rep["ratio_db"]]
+    write_table_csv((eq_path, ["freq_hz", "printed", "derived", "ratio_db"], columns))
     worst = min(r["frac_within_tol"] for r in report)
     print(f"identity oracle: {len(report)} combinations, worst in-tolerance fraction {worst:.3f}")
     print(
@@ -208,6 +197,7 @@ def _cmd_compare(args, config, models, experiment, out: Path):
     nperseg = _checked_nperseg(config, experiment.get("nperseg"))  # simulate's segment and checks, before synthesis
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
     meas, trace = run_link(config, inputs, mode=args.mode)
+    del inputs  # released before Welch and the prediction, as run_three_modes releases them
     est = estimate_psd(meas, segment_len=nperseg)
     # bins below a few resolution bandwidths are estimator-limited
     mask = est.band_mask & (est.psd > 0) & (est.freqs >= 5.0 * est.resolution_bw_hz)
@@ -228,7 +218,7 @@ def _cmd_compare(args, config, models, experiment, out: Path):
         simb, predb = (log_band_medians(fr, ssb_phase_noise(s))[1] for s in (s_sim, s_pred))
         fb, simb, predb, devb = fb[full], simb[full], predb[full], devb[full]
         path = out / "compare.csv"
-        write_table_csv(path, ["band_center_hz", "sim_dbc_per_hz", "pred_dbc_per_hz", "dev_db"], [fb, simb, predb, devb])
+        write_table_csv((path, ["band_center_hz", "sim_dbc_per_hz", "pred_dbc_per_hz", "dev_db"], [fb, simb, predb, devb]))
         outputs.append(path)
         print(f"compare[{args.mode}]: max |deviation| {np.max(np.abs(devb)):.2f} dB over {fb.size} bands")
     write_manifest(out, resolved_dict(config, models, experiment), experiment["base_seed"], outputs)  # also when flagged

@@ -8,6 +8,7 @@ sweep land on the reference spot values by construction.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -282,30 +283,25 @@ def channel_sweep(
 #: The one number format of every CSV output: the same bytes as "{:.10g}".
 _NUMBER = "%.10g"
 
-#: Rows of a table formatted by one % operation.
+#: Rows of a table formatted by one % operation per distinct column.
 _BLOCK_ROWS = 4096
 
 
-def _format_block(row: str, columns) -> str:
-    """The text of one block of rows: ``row`` filled once per row from Python values of the column slices."""
-    values = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
-    return (row * len(columns[0])) % tuple(values)
+def _format_column(column) -> list:
+    """The text of each value of a column slice: text as it is, numbers by one % of ``_NUMBER`` lines, then split."""
+    if column.dtype.kind == "U":
+        return column.tolist()
+    return ("\n".join([_NUMBER] * len(column)) % tuple(column.tolist())).split("\n")
 
 
-def write_table_csv(path: Path, header: list, columns):
-    """Write a CSV table, the package's one CSV writer: the ``header`` row, then row i of every column.
+def _format_block(layout, columns) -> tuple:
+    """One block of rows of each table: every column slice formatted once, table i's rows joined from ``layout[i]``."""
+    texts = [_format_column(c) for c in columns]
+    return tuple("\r\n".join(map(",".join, zip(*(texts[j] for j in table)))) + "\r\n" for table in layout)
 
-    ``columns`` holds one 1-D array per header name, all of one length, or
-    ValueError is raised. Text columns (dtype kind ``U`` or ``S``) are
-    written as they are, other values in ``_NUMBER``; a name or text that
-    ``csv.writer`` would quote (holding ``,``, ``"``, CR or LF) raises
-    ValueError. Lines end in CRLF, as in ``csv.writer``. Each block of
-    ``_BLOCK_ROWS`` rows is formatted by one printf-style %, the blocks
-    through ``_fork_map``, and each is written as it comes. The table goes
-    to ``<name>.partial``, moved onto ``path`` after the last block and
-    removed on an exception, so no truncated table is left; the exception
-    reaches the caller. A missing parent directory is made first.
-    """
+
+def _checked_columns(header: list, columns) -> list:
+    """The columns of one table as arrays, checked against its header and each other, or ValueError."""
     columns = [c.astype(str) if c.dtype.kind == "S" else c for c in map(np.asarray, columns)]
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for a header of {len(header)} names")
@@ -315,18 +311,49 @@ def write_table_csv(path: Path, header: list, columns):
     labels = [*header, *itertools.chain.from_iterable(c.tolist() for c in columns if c.dtype.kind == "U")]
     if quoted := [s for s in labels if any(ch in s for ch in ',"\r\n')]:
         raise ValueError(f"labels {quoted} would need CSV quoting")
-    n = lengths[0] if lengths else 0
-    row = ",".join("%s" if c.dtype.kind == "U" else _NUMBER for c in columns) + "\r\n"
-    blocks = [[c[start : start + _BLOCK_ROWS] for c in columns] for start in range(0, n, _BLOCK_ROWS)]
-    partial = path.with_name(path.name + ".partial")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    return columns
+
+
+def write_table_csv(*tables):
+    """The package's one CSV writer: each (path, header, columns) table as the header row, then row i of every column.
+
+    ``columns`` holds one 1-D array per header name, all of one length, and
+    every table has that many rows, or ValueError is raised before any file
+    is opened. Text columns (dtype kind ``U`` or ``S``) are written as they
+    are, other values in ``_NUMBER``; a name or text that ``csv.writer``
+    would quote (holding ``,``, ``"``, CR or LF) raises ValueError. Lines
+    end in CRLF, as in ``csv.writer``. The rows go in blocks of
+    ``_BLOCK_ROWS``: a block formats each distinct column object once,
+    whichever tables share it, by one printf-style %, and joins every
+    table's rows from those texts. The blocks run through one
+    ``_fork_map`` and each is written as it comes. Each table goes to
+    ``<name>.partial``; all are moved onto their paths after the last
+    block and removed on an exception, so no truncated table is left; the
+    exception reaches the caller. Missing parent directories are made first.
+    """
+    columns = [_checked_columns(header, table_columns) for _, header, table_columns in tables]
+    if len(rows := sorted({len(table[0]) if table else 0 for table in columns})) > 1:
+        raise ValueError(f"tables differ in row count: {rows}")
+    distinct = list({id(c): c for table in columns for c in table}.values())
+    index = {id(c): i for i, c in enumerate(distinct)}
+    layout = tuple(tuple(index[id(c)] for c in table) for table in columns)
+    blocks = [[c[start : start + _BLOCK_ROWS] for c in distinct] for start in range(0, rows[0] if rows else 0, _BLOCK_ROWS)]
+    partials = [path.with_name(path.name + ".partial") for path, _, _ in tables]
+    for path, _, _ in tables:
+        path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        with open(partial, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            fh.writelines(_fork_map(functools.partial(_format_block, row), blocks))
-        os.replace(partial, path)
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(partial, "w", newline="")) for partial in partials]
+            for fh, (_, header, _) in zip(files, tables):
+                fh.write(",".join(header) + "\r\n")
+            for texts in _fork_map(functools.partial(_format_block, layout), blocks):
+                for fh, text in zip(files, texts):
+                    fh.write(text)
+        for (path, _, _), partial in zip(tables, partials):
+            os.replace(partial, path)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        for partial in partials:
+            partial.unlink(missing_ok=True)
         raise
 
 
@@ -334,9 +361,7 @@ def write_spectrum_csv(path: Path, freqs, psd):
     """Spectrum CSV: freq_hz, s_phi_rad2_per_hz, l_dbc_per_hz (positive bins)."""
     f, p = np.asarray(freqs), np.asarray(psd)
     keep = (f > 0) & (p > 0)
-    write_table_csv(
-        path, ["freq_hz", "s_phi_rad2_per_hz", "l_dbc_per_hz"], [f[keep], p[keep], ssb_phase_noise(p[keep])]
-    )
+    write_table_csv((path, ["freq_hz", "s_phi_rad2_per_hz", "l_dbc_per_hz"], [f[keep], p[keep], ssb_phase_noise(p[keep])]))
 
 
 def config_digest(resolved: dict) -> str:
@@ -374,11 +399,8 @@ def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict):
     suppression = result.suppression_db
     sweep_path = out_dir / "sweep.csv"
     keys = [(ch, mode) for ch in result.channels_thz for mode in MODES]
-    write_table_csv(
-        sweep_path,
-        ["channel_thz", "mode", "l10_dbc_per_hz", "suppression_db"],
-        [*zip(*keys), [result.spots_dbc[k] for k in keys], [suppression.get(k, 0.0) for k in keys]],
-    )
+    columns = [*zip(*keys), [result.spots_dbc[k] for k in keys], [suppression.get(k, 0.0) for k in keys]]
+    write_table_csv((sweep_path, ["channel_thz", "mode", "l10_dbc_per_hz", "suppression_db"], columns))
     outputs = [sweep_path]
     spec_dir = out_dir / "spectra"
     for (ch, mode), (f, p) in sorted(result.spectra.items()):

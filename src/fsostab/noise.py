@@ -349,22 +349,24 @@ def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
     step = segment_len - round(segment_len / 2)
     segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
     w = _hann(segment_len)
+    ww = w * w
+    rbw = series.fs_hz * float(np.sum(ww) / np.sum(w) ** 2)
     # the window carries the density scale 1 / sqrt(fs sum(w^2)), summed in
     # order, as scipy.signal.welch scales it, so the transforms match its own
-    w_psd = w * (1.0 / np.sqrt(np.cumsum(w * w)[-1] / (1.0 / series.fs_hz)))
+    w *= 1.0 / np.sqrt(np.cumsum(ww, out=ww)[-1] / (1.0 / series.fs_hz))
+    del ww
     batch = max(1, _WELCH_BATCH_SAMPLES // segment_len)
     power = np.zeros(segment_len // 2 + 1)
     for i in range(0, len(segments), batch):
         seg = segments[i : i + batch]
         seg = seg - seg.mean(axis=1, keepdims=True)
-        seg *= w_psd
+        seg *= w
         spec = np.fft.rfft(seg, axis=1)
         with np.errstate(over="ignore"):  # an overflow leaves inf, which the caller flags
             power += (spec.real**2 + spec.imag**2).sum(axis=0)
     psd = power / len(segments)
     psd[1 : (segment_len + 1) // 2] *= 2.0  # one-sided: every bin but DC and an even length's Nyquist
     freqs = np.fft.rfftfreq(segment_len, d=1.0 / series.fs_hz)
-    rbw = series.fs_hz * float(np.sum(w**2) / np.sum(w) ** 2)
     return SpectrumEstimate(freqs, psd, rbw)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import InvalidModelError
 from .noise import PhaseSeries, PsdModel, estimate_psd, ssb_phase_noise, synthesize_phase_noise
@@ -169,6 +168,19 @@ def log_band_medians(freqs, values):
     return np.sqrt(edges[bands] * edges[bands + 1]), np.array([np.median(values[idx == k]) for k in bands])
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c at or above n >= 1: the length scipy.fft.next_fast_len(n, real=True) picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, seed):
     """Time-domain check of combination_factor against synthesized noise.
 
@@ -187,7 +199,7 @@ def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, s
         delays.append(int(round(m)))
     m_max = max(delays)
     model = PsdModel.flat(1.0, 0.0, fs_hz)
-    x = synthesize_phase_noise(model, fs_hz, next_fast_len(n + m_max, real=True), seed).samples[: n + m_max]
+    x = synthesize_phase_noise(model, fs_hz, _next_fast_len(n + m_max), seed).samples[: n + m_max]
     y = np.zeros(n)
     for (c, _), m in zip(comb.terms, delays):
         y += c * x[m_max - m : m_max - m + n]

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,9 +39,10 @@ def write_cfg(tmp_path, data, name="cfg.json"):
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal's import costs about a second; the package takes its loop solve from scipy.linalg instead
+    # scipy.signal's import costs about a second, scipy.fft's about 30 ms and 5 MB; the package takes its loop
+    # solve from scipy.linalg and its transforms from numpy.fft instead
     path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    code = "import sys, fsostab; sys.exit('scipy.signal' in sys.modules)"
+    code = "import sys, fsostab; sys.exit('scipy.signal' in sys.modules or 'scipy.fft' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), timeout=60).returncode == 0
 
 
@@ -329,6 +331,28 @@ class TestSubcommands:
             name = f"trace_{mode}.csv"
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
+    def test_emit_trace_formats_each_shared_column_once(self, tmp_path, monkeypatch):
+        # the three traces go in one write, which formats per block t_s, the loop's error and command, the open
+        # loop's forcing and zero command and the three measurements once each: 8 arrays, where a write per file
+        # formats 12; each spectrum file formats its 3 columns in one block
+        sizes, format_column = [], experiment._format_column
+
+        def spied(column):
+            sizes.append(len(column))
+            return format_column(column)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # in-process, where the spy sees every block
+        monkeypatch.setattr(experiment, "_format_column", spied)
+        assert main(["simulate", "--samples", "16384", "--emit-trace", "--out", str(tmp_path)]) == EXIT_OK
+        rows = {name: (tmp_path / f"{name}.csv").read_bytes().count(b"\r\n") - 1
+                for name in [f"{kind}_{mode}" for kind in ("trace", "spectrum") for mode in link.MODES]}
+        block = experiment._BLOCK_ROWS
+        trace_rows = rows["trace_doppler"]
+        assert trace_rows > 3 * block and {rows[f"trace_{mode}"] for mode in link.MODES} == {trace_rows}
+        blocks = [min(block, trace_rows - start) for start in range(0, trace_rows, block)]
+        spectra = [rows[f"spectrum_{mode}"] for mode in link.MODES]
+        assert sorted(sizes) == sorted(8 * blocks + 3 * spectra)
+
     def test_emit_trace_synthesizes_once(self, tmp_path, monkeypatch):
         # the trace runs reuse the spectra's inputs: one synthesis per source, not two
         calls, synthesize = [], link.synthesize_phase_noise
@@ -551,6 +575,23 @@ class TestSubcommands:
         (est,), (res,) = estimates, simulated
         assert est.freqs.size == 32768 // 8 // 2 + 1
         assert np.array_equal(est.freqs, res.spectra[mode].freqs) and np.array_equal(est.psd, res.spectra[mode].psd)
+
+    def test_compare_releases_inputs_before_welch(self, tmp_path, monkeypatch):
+        # as run_three_modes does: the link's record holds what compare needs, so the inputs are freed before Welch
+        refs, from_models, estimate = [], NoiseInputs.from_models, cli.estimate_psd
+
+        def kept(*args):
+            inputs = from_models(*args)
+            refs.append(weakref.ref(inputs))
+            return inputs
+
+        def released(*args, **kwargs):
+            assert len(refs) == 1 and refs[0]() is None
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(NoiseInputs, "from_models", kept)
+        monkeypatch.setattr(cli, "estimate_psd", released)
+        assert main(["compare", "--samples", "65536", "--out", str(tmp_path)]) == EXIT_OK
 
     def test_compare_drops_bands_of_few_bins(self, tmp_path, monkeypatch):
         # at 2^16 the lowest log bands hold 2 or 3 Welch bins, whose median is a few chi^2 draws: the table keeps

@@ -204,7 +204,7 @@ PINNED_COMPARE_DEVS = {
 @pytest.mark.parametrize("mode", sorted(PINNED_COMPARE_DEVS))
 def test_pinned_compare_deviations(tmp_path, monkeypatch, mode):
     tables = []
-    monkeypatch.setattr(cli, "write_table_csv", lambda path, header, columns: tables.append(columns))
+    monkeypatch.setattr(cli, "write_table_csv", lambda *written: tables.extend(columns for _, _, columns in written))
     argv = ["compare", "--samples", "65536", "--channel-thz", "197.2", "--mode", mode, "--out", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_OK
     (table,) = tables
@@ -446,7 +446,7 @@ class TestWriteTableCsv:
         for cpus in (1, 2):
             pool_sizes = sized_pools(monkeypatch, cpus)
             path = tmp_path / f"table{cpus}.csv"
-            write_table_csv(path, header, columns)
+            write_table_csv((path, header, columns))
             assert path.read_bytes() == want
             assert path.read_bytes().count(b"\r\n") == rows + 1
             workers = min(blocks, cpus)
@@ -467,34 +467,77 @@ class TestWriteTableCsv:
         signal.alarm(60)
         try:
             with pytest.raises(OverflowError):
-                write_table_csv(tmp_path / "t.csv", ["x", "big"], [np.arange(rows), big])
+                write_table_csv((tmp_path / "t.csv", ["x", "big"], [np.arange(rows), big]))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert list(tmp_path.iterdir()) == []  # neither t.csv nor t.csv.partial is left
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_shared_columns_write_the_bytes_of_separate_tables(self, tmp_path, monkeypatch, cpus):
+        # three traces sharing t_s and two loop columns, as simulate writes them: one write, one pool at most,
+        # and each file holds the bytes that a write of its table alone gives
+        rows = 2 * experiment._BLOCK_ROWS + 7
+        rng = np.random.default_rng(5)
+        t, err, cmd, forcing = np.arange(rows) / 20e3, *rng.standard_normal((3, rows))
+        header = ["t_s", "error_rad", "actuator_cmd", "meas_phase_rad"]
+        tables = {
+            "doppler": [t, err, cmd, rng.standard_normal(rows)],
+            "unstabilized": [t, forcing, np.zeros(rows), forcing * 3.0],
+            "group-delay": [t, err, cmd, -err],
+        }
+        pool_sizes = sized_pools(monkeypatch, cpus)
+        write_table_csv(*((tmp_path / "one" / f"{mode}.csv", header, columns) for mode, columns in tables.items()))
+        assert pool_sizes == ([] if cpus == 1 else [cpus])
+        for mode, columns in tables.items():
+            write_table_csv((tmp_path / "alone" / f"{mode}.csv", header, columns))
+            alone = (tmp_path / "alone" / f"{mode}.csv").read_bytes()
+            assert (tmp_path / "one" / f"{mode}.csv").read_bytes() == alone == per_value_csv(header, columns)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_error_in_any_table_leaves_no_file(self, tmp_path, monkeypatch, cpus, bad):
+        # a value out of float range in one table's last block: no table is moved into place and no .partial is left
+        sized_pools(monkeypatch, cpus)
+        rows = 2 * experiment._BLOCK_ROWS + 1
+        x = np.arange(rows)
+        big = np.ones(rows, dtype=object)
+        big[-1] = 10**400
+        with pytest.raises(OverflowError):
+            write_table_csv(*((tmp_path / f"t{i}.csv", ["x", "y"], [x, big if i == bad else x * 0.5]) for i in range(3)))
+        assert list(tmp_path.iterdir()) == []
+
     def test_text_columns_written_as_they_are(self, tmp_path):
         path = tmp_path / "t.csv"
         columns = [np.arange(2), ["doppler", "group-delay"], np.array([b"a", b"b"]), ["0.1230", "1.000"], [0.5, 0.0]]
-        write_table_csv(path, ["n", "mode", "tag", "frac", "x"], columns)
+        write_table_csv((path, ["n", "mode", "tag", "frac", "x"], columns))
         assert path.read_bytes() == b"n,mode,tag,frac,x\r\n0,doppler,a,0.1230,0.5\r\n1,group-delay,b,1.000,0\r\n"
 
     @pytest.mark.parametrize("label", ["a,b", 'say "x"', "cr\r", "lf\n"])
     def test_label_needing_quotes_rejected(self, tmp_path, label):
         # csv.writer would quote such a label; the writer's rows are never quoted, so it refuses them
         with pytest.raises(ValueError, match="CSV quoting"):
-            write_table_csv(tmp_path / "t.csv", ["x", label], [np.arange(2.0), np.arange(2.0)])
+            write_table_csv((tmp_path / "t.csv", ["x", label], [np.arange(2.0), np.arange(2.0)]))
         with pytest.raises(ValueError, match="CSV quoting"):
-            write_table_csv(tmp_path / "t.csv", ["x", "mode"], [np.arange(2.0), ["doppler", label]])
+            write_table_csv((tmp_path / "t.csv", ["x", "mode"], [np.arange(2.0), ["doppler", label]]))
         assert list(tmp_path.iterdir()) == []
 
     def test_columns_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"length: \[3, 5\]"):
-            write_table_csv(tmp_path / "t.csv", ["x", "y"], [np.arange(3.0), np.arange(5.0)])
+            write_table_csv((tmp_path / "t.csv", ["x", "y"], [np.arange(3.0), np.arange(5.0)]))
+
+    def test_tables_of_unequal_row_count_rejected(self, tmp_path):
+        # every table is checked before the first file is opened, so a valid first table is not written either
+        first = (tmp_path / "a.csv", ["x"], [np.arange(3.0)])
+        with pytest.raises(ValueError, match=r"row count: \[3, 5\]"):
+            write_table_csv(first, (tmp_path / "b.csv", ["y"], [np.arange(5.0)]))
+        with pytest.raises(ValueError, match="CSV quoting"):
+            write_table_csv(first, (tmp_path / "b.csv", ["y,z"], [np.arange(3.0)]))
+        assert list(tmp_path.iterdir()) == []
 
     def test_column_count_must_match_header(self, tmp_path):
         a = np.arange(4.0)
         with pytest.raises(ValueError, match="3 columns for a header of 2"):
-            write_table_csv(tmp_path / "t.csv", ["x", "y"], [a, a, a])
+            write_table_csv((tmp_path / "t.csv", ["x", "y"], [a, a, a]))
         with pytest.raises(ValueError, match="1 columns for a header of 2"):
-            write_table_csv(tmp_path / "t.csv", ["x", "y"], [a])
+            write_table_csv((tmp_path / "t.csv", ["x", "y"], [a]))

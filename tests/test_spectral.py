@@ -14,6 +14,8 @@ from fsostab.noise import PsdModel, PsdSegment
 from fsostab.spectral import (
     LOW_F_ATM_RATIO_DB,
     ORACLE_FS_HZ,
+    ORACLE_MAX_DELAY,
+    ORACLE_N,
     DelayedCombination,
     combination_factor,
     delayed_combination_oracle,
@@ -24,6 +26,7 @@ from fsostab.spectral import (
     meas_transfer_secondary,
     predicted_mode_psd,
     random_combination,
+    _next_fast_len,
 )
 
 T = 5.003461427972280e-07  # 150 m one-way
@@ -193,6 +196,15 @@ class TestOracle:
             keep[:3] = False
             dev = 10 * np.log10(ratio[keep] / factor[keep])
             assert np.mean(np.abs(dev) <= 1.0) >= 0.95
+
+    def test_synthesis_length_is_scipys_fast_length(self):
+        # the 5-smooth search picks scipy.fft.next_fast_len(k, real=True), which the package no longer imports;
+        # every length the oracle needs, ORACLE_N plus a delay of 1 to ORACLE_MAX_DELAY samples, stays 131220
+        from scipy.fft import next_fast_len
+
+        lengths = [*range(1, 2000), *range(2000, 300_000, 7), 2**20 + 1, 3**13 + 1, 10**7 + 3]
+        assert [_next_fast_len(k) for k in lengths] == [next_fast_len(k, real=True) for k in lengths]
+        assert {_next_fast_len(ORACLE_N + m) for m in range(1, ORACLE_MAX_DELAY + 1)} == {131220}
 
     def test_non_integer_delay_rejected(self):
         comb = DelayedCombination(((1.0, 0.0), (-1.0, 1.5 / 100.0)))
