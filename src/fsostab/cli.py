@@ -24,6 +24,7 @@ import numpy as np
 from .config import load_config, resolved_dict
 from .errors import ConfigError, InvalidModelError, OutOfRangeError
 from .experiment import (
+    SPOT_FREQ_HZ,
     _checked_nperseg,
     channel_sweep,
     emit_outputs,
@@ -37,12 +38,10 @@ from .link import MODES, NoiseInputs, run_link
 from .noise import estimate_psd, ssb_phase_noise
 from .spectral import (
     LOW_F_ATM_RATIO_DB,
-    MEDIAN_BANDS_PER_DECADE,
     dbc_curves,
     atm_variant_report,
     identity_check_suite,
     log_band_medians,
-    log_bands,
     meas_transfer_atm,
     predicted_mode_psd,
 )
@@ -112,9 +111,9 @@ def _cmd_predict(args, config, models, experiment, out: Path):
     cols = ["primary", "secondary", "atm_printed", "atm_derived", "total"]
     header = ["freq_hz"] + [f"s_meas_{c}" for c in cols] + [f"l_meas_{c}_dbc_per_hz" for c in cols]
     write_table_csv((path, header, [f] + [curves[c] for c in cols] + [db[c] for c in cols]))
-    if f[0] <= 10.0 <= f[-1]:
-        at10 = float(np.interp(np.log(10.0), np.log(f), db["total"]))
-        print(f"predicted total at 10 Hz: {at10:.2f} dBc/Hz")
+    if f[0] <= SPOT_FREQ_HZ <= f[-1]:
+        spot = float(np.interp(np.log(SPOT_FREQ_HZ), np.log(f), db["total"]))
+        print(f"predicted total at {SPOT_FREQ_HZ:g} Hz: {spot:.2f} dBc/Hz")
     write_manifest(out, resolved_dict(config, models, experiment), experiment["base_seed"], [path])
     return EXIT_OK
 
@@ -139,7 +138,7 @@ def _cmd_simulate(args, config, models, experiment, out: Path):
             tables.append((out / f"trace_{mode}.csv", header, [t, *loop, meas]))
         write_table_csv(*tables)  # one write formats t_s and the shared loop columns once for every file
         outputs += [path for path, _, _ in tables]
-    lines = [f"channel {config.nu_s_hz / 1e12:.1f} THz, spot 10 Hz"]
+    lines = [f"channel {config.nu_s_hz / 1e12:.1f} THz, spot {SPOT_FREQ_HZ:g} Hz"]
     for mode, spot in res.spots_dbc.items():
         lines.append(f"{mode}: {spot:.2f} dBc/Hz")
     for mode, sup in res.suppression_db.items():
@@ -206,16 +205,15 @@ def _cmd_compare(args, config, models, experiment, out: Path):
         pred = predicted_mode_psd(models, config.t_one_way, ratio, scale, est.freqs[mask])["total"]
         keep = pred > 1e-4 * pred.max(initial=0.0)  # transfer nulls are excluded from the table
     fr, s_sim, s_pred = est.freqs[mask][keep], est.psd[mask][keep], pred[keep]
-    counts = np.unique(log_bands(fr, MEDIAN_BANDS_PER_DECADE)[1], return_counts=True)[1] if fr.size else np.zeros(0)
-    full = counts >= 8  # per band of log_band_medians(fr, ...): the median of fewer bins is a few chi^2 draws
+    columns = ssb_phase_noise(s_sim), ssb_phase_noise(s_pred), 10.0 * np.log10(s_sim / s_pred)
+    fb, counts, (simb, predb, devb) = log_band_medians(fr, *columns)
+    full = counts >= 8  # the median of fewer bins is a few chi^2 draws
     outputs = []
     if not (np.isfinite(est.psd).all() and np.isfinite(pred).all()):
         _log.warning("compare[%s]: the simulated spectrum or its prediction is not finite", args.mode)
     elif not full.any():
         _log.warning("compare[%s]: no band left, none holds 8 Welch bins above the prediction's nulls", args.mode)
     else:
-        fb, devb = log_band_medians(fr, 10.0 * np.log10(s_sim / s_pred))
-        simb, predb = (log_band_medians(fr, ssb_phase_noise(s))[1] for s in (s_sim, s_pred))
         fb, simb, predb, devb = fb[full], simb[full], predb[full], devb[full]
         path = out / "compare.csv"
         write_table_csv((path, ["band_center_hz", "sim_dbc_per_hz", "pred_dbc_per_hz", "dev_db"], [fb, simb, predb, devb]))

@@ -153,19 +153,21 @@ def log_bands(freqs, bands_per_decade: int):
     return edges, np.clip(np.searchsorted(edges, freqs, side="right") - 1, 0, n_bands - 1)
 
 
-def log_band_medians(freqs, values):
-    """Median of ``values`` in log-spaced frequency bands, MEDIAN_BANDS_PER_DECADE (12) per decade.
+def log_band_medians(freqs, *columns):
+    """Median of each of ``columns`` in log-spaced frequency bands, MEDIAN_BANDS_PER_DECADE (12) per decade.
 
-    Standard smoothing for comparing noisy PSD estimates against smooth
-    model curves: per-bin chi^2 scatter collapses while real spectral
-    structure wider than a band survives. Returns (band_centers, medians)
-    for the non-empty bands; freqs <= 0 are ignored.
+    Standard smoothing for comparing noisy PSD estimates against smooth model curves: per-bin
+    chi^2 scatter collapses while real spectral structure wider than a band survives. Returns
+    (band_centers, bin counts, [medians of each column]) for the non-empty bands of positive freqs.
     """
-    freqs, values = np.asarray(freqs, dtype=float), np.asarray(values, dtype=float)
+    freqs = np.asarray(freqs, dtype=float)
     pos = freqs > 0
+    if not pos.any():
+        return np.zeros(0), np.zeros(0, dtype=int), [np.zeros(0) for _ in columns]
     edges, idx = log_bands(freqs[pos], MEDIAN_BANDS_PER_DECADE)
-    bands, values = np.unique(idx), values[pos]
-    return np.sqrt(edges[bands] * edges[bands + 1]), np.array([np.median(values[idx == k]) for k in bands])
+    bands, counts = np.unique(idx, return_counts=True)
+    medians = [np.array([np.median(v[idx == k]) for k in bands]) for v in (np.asarray(c, dtype=float)[pos] for c in columns)]
+    return np.sqrt(edges[bands] * edges[bands + 1]), counts, medians
 
 
 def _next_fast_len(n: int) -> int:

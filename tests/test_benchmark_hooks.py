@@ -6,6 +6,7 @@ changed call shape would only show as the benchmark's failed operations.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -89,3 +90,7 @@ def test_workload_runs_clean(name, tmp_path):
     workloads = load_perfbench("workloads")
     outcome = workloads.WORKLOADS[name](experiment.calibrate_default_models(), 0, tmp_path)
     assert outcome.failed == []
+    # the benchmark also marks a run incorrect when its spot names differ from the stored references, as when
+    # compare's Welch no longer goes through cli.estimate_psd or simulate no longer calls cli.run_three_modes
+    references = json.loads((PERFBENCH / "references.json").read_text())
+    assert set(outcome.spots) == set(references[name]["0"])

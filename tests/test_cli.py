@@ -598,13 +598,14 @@ class TestSubcommands:
         # exactly the bands of log_band_medians that hold 8 bins or more
         seen, medians = [], cli.log_band_medians
 
-        def recorded(freqs, values):
+        def recorded(freqs, *columns):
             seen.append(freqs)
-            return medians(freqs, values)
+            return medians(freqs, *columns)
 
         monkeypatch.setattr(cli, "log_band_medians", recorded)
         out = tmp_path / "c"
         assert main(["compare", "--samples", "65536", "--out", str(out)]) == EXIT_OK
+        assert len(seen) == 1  # one binning for the whole table
         edges, idx = log_bands(seen[0], MEDIAN_BANDS_PER_DECADE)
         bands, counts = np.unique(idx, return_counts=True)
         assert counts.min() < 8

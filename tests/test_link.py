@@ -428,7 +428,7 @@ class TestRunLink:
         factor = meas_transfer_secondary(est.freqs[sel], cfg.t_one_way)
         keep = factor > 1e-3 * 4
         dev = 10 * np.log10(est.psd[sel][keep] / (factor[keep] * model.eval(est.freqs[sel][keep])))
-        _, med = log_band_medians(est.freqs[sel][keep], dev)
+        _, _, (med,) = log_band_medians(est.freqs[sel][keep], dev)
         assert np.max(np.abs(med)) < 1.5
 
     def test_engines_agree(self):

@@ -19,8 +19,10 @@ from fsostab.spectral import (
     DelayedCombination,
     combination_factor,
     delayed_combination_oracle,
+    MEDIAN_BANDS_PER_DECADE,
     atm_variant_report,
     log_band_medians,
+    log_bands,
     meas_transfer_atm,
     meas_transfer_primary,
     meas_transfer_secondary,
@@ -286,12 +288,44 @@ class TestLogBandMedians:
         rng = np.random.default_rng(1)
         f = np.linspace(10.0, 1000.0, 40000)  # two decades: 24 bands, the lowest holding 86 bins
         noisy = 5.0 + rng.normal(0, 1.0, f.size)
-        fb, med = log_band_medians(f, noisy)
+        fb, counts, (med,) = log_band_medians(f, noisy)
         assert np.all(np.abs(med - 5.0) < 1.0)
-        assert fb.size == 24
+        assert fb.size == 24 and counts.min() == 86
 
     def test_keeps_both_end_frequencies(self):
         # the top edge of the half-open bands can round to or below freqs.max(); that value stays in the last band
-        fb, med = log_band_medians([1.0, 10.0], [1.0, 2.0])
-        assert np.array_equal(med, [1.0, 2.0])
+        fb, counts, (med,) = log_band_medians([1.0, 10.0], [1.0, 2.0])
+        assert np.array_equal(med, [1.0, 2.0]) and np.array_equal(counts, [1, 1])
         assert fb == pytest.approx([10 ** (1 / 24), 10 ** (23 / 24)], rel=1e-12)
+
+    def test_columns_binned_once_match_one_call_each(self):
+        # unordered frequencies, some of them <= 0 and so ignored
+        rng = np.random.default_rng(2)
+        f = rng.permutation(np.concatenate(([0.0, -1.0], rng.uniform(0.5, 5000.0, 3000))))
+        columns = [rng.normal(size=f.size) for _ in range(3)]
+        fb, counts, medians = log_band_medians(f, *columns)
+        assert len(medians) == 3
+        for column, med in zip(columns, medians):
+            fb_one, counts_one, (med_one,) = log_band_medians(f, column)
+            assert fb_one.tobytes() == fb.tobytes() and np.array_equal(counts_one, counts)
+            assert med_one.tobytes() == med.tobytes()
+
+    def test_counts_match_an_independent_recount(self):
+        # two clusters a decade and more apart, so some bands between them hold no bin and are left out
+        rng = np.random.default_rng(3)
+        f = np.concatenate((rng.uniform(1.0, 10.0, 400), rng.uniform(500.0, 2000.0, 4000), [0.0]))
+        values = rng.normal(size=f.size)
+        fb, counts, (med,) = log_band_medians(f, values)
+        pos = f > 0
+        edges, idx = log_bands(f[pos], MEDIAN_BANDS_PER_DECADE)
+        bands, expected = np.unique(idx, return_counts=True)
+        assert bands.size < edges.size - 1
+        assert np.array_equal(counts, expected) and counts.sum() == pos.sum()
+        assert fb.tobytes() == np.sqrt(edges[bands] * edges[bands + 1]).tobytes()
+        assert med.tobytes() == np.array([np.median(values[pos][idx == k]) for k in bands]).tobytes()
+
+    @pytest.mark.parametrize("freqs", [[], [0.0, -3.0]])
+    def test_no_positive_frequency_gives_no_band(self, freqs):
+        fb, counts, medians = log_band_medians(freqs, np.ones(len(freqs)), np.ones(len(freqs)))
+        assert fb.size == 0 and counts.size == 0
+        assert [m.size for m in medians] == [0, 0]
