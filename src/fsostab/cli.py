@@ -114,7 +114,7 @@ def _cmd_predict(args, config, models, experiment, out: Path):
     if f[0] <= SPOT_FREQ_HZ <= f[-1]:
         spot = float(np.interp(np.log(SPOT_FREQ_HZ), np.log(f), db["total"]))
         print(f"predicted total at {SPOT_FREQ_HZ:g} Hz: {spot:.2f} dBc/Hz")
-    write_manifest(out, resolved_dict(config, models, experiment), experiment["base_seed"], [path])
+    write_manifest(out, resolved_dict(config, models, experiment), [path])
     return EXIT_OK
 
 
@@ -147,7 +147,7 @@ def _cmd_simulate(args, config, models, experiment, out: Path):
     summary.write_text("\n".join(lines) + "\n")
     outputs.append(summary)
     print("\n".join(lines))
-    write_manifest(out, resolved_dict(config, models, experiment), experiment["base_seed"], outputs)
+    write_manifest(out, resolved_dict(config, models, experiment), outputs)
     return EXIT_FLAGGED if res.flags else EXIT_OK
 
 
@@ -187,7 +187,7 @@ def _cmd_identity_check(args, config, models, experiment, out: Path):
         f"atmospheric-variant low-frequency ratio: {rep['ratio_db'][0]:.3f} dB "
         f"(analytic limit {LOW_F_ATM_RATIO_DB:.3f} dB)"
     )
-    write_manifest(out, resolved_dict(config, models, experiment), experiment["base_seed"], [combo_path, eq_path])
+    write_manifest(out, resolved_dict(config, models, experiment), [combo_path, eq_path])
     return EXIT_OK if worst >= 0.95 else EXIT_FLAGGED
 
 
@@ -219,7 +219,7 @@ def _cmd_compare(args, config, models, experiment, out: Path):
         write_table_csv((path, ["band_center_hz", "sim_dbc_per_hz", "pred_dbc_per_hz", "dev_db"], [fb, simb, predb, devb]))
         outputs.append(path)
         print(f"compare[{args.mode}]: max |deviation| {np.max(np.abs(devb)):.2f} dB over {fb.size} bands")
-    write_manifest(out, resolved_dict(config, models, experiment), experiment["base_seed"], outputs)  # also when flagged
+    write_manifest(out, resolved_dict(config, models, experiment), outputs)  # also when flagged
     return EXIT_FLAGGED if trace.flagged or not outputs else EXIT_OK
 
 

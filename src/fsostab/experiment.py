@@ -152,7 +152,6 @@ class ScenarioResult:
     channels_thz: list
     spots_dbc: dict  # (channel, mode) -> float
     spectra: dict  # (channel, mode) -> (freqs, psd) compact log-binned
-    base_seed: int | None
     flags: list = field(default_factory=list)
 
     @property
@@ -277,7 +276,7 @@ def channel_sweep(
         flags.extend(f"ch{ch}:{f}" for f in ch_flags)
     if set(channels) != set(CHANNEL_GRID_THZ):
         flags.append("incomplete-grid")
-    return ScenarioResult(channels, spots, spectra, base_seed, flags)
+    return ScenarioResult(channels, spots, spectra, flags)
 
 
 #: The one number format of every CSV output: the same bytes as "{:.10g}".
@@ -370,18 +369,16 @@ def config_digest(resolved: dict) -> str:
     ).hexdigest()
 
 
-def write_manifest(out_dir: Path, resolved_config: dict, base_seed, outputs: list, extra: dict | None = None):
+def write_manifest(out_dir: Path, resolved_config: dict, outputs: list):
+    """The run's record, manifest.json: the resolved config (the seed included) that replays it, and its outputs."""
     manifest = {
         "tool": "fsostab",
         "version": _version,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "base_seed": base_seed,
         "resolved_config": resolved_config,
         "config_sha256": config_digest(resolved_config),
         "outputs": sorted(str(p) for p in outputs),
     }
-    if extra:
-        manifest.update(extra)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -423,17 +420,5 @@ def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict):
         lines.append("flags: " + ",".join(result.flags))
     summary_path.write_text("\n".join(lines) + "\n")
     outputs.append(summary_path)
-    write_manifest(
-        out_dir,
-        resolved_config,
-        result.base_seed,
-        outputs,
-        extra={
-            "anchors": {
-                "unstabilized_dbc_at_10hz": UNSTABILIZED_ANCHOR_DBC,
-                "stabilized_floor_dbc_at_10hz": STABILIZED_FLOOR_DBC,
-                "primary_meas_rad2_at_10hz": PRIMARY_MEAS_ANCHOR_RAD2,
-            }
-        },
-    )
+    write_manifest(out_dir, resolved_config, outputs)
     return outputs, 3 if result.flags else 0

@@ -215,11 +215,12 @@ class PhaseSeries:
 
 @dataclass
 class SpectrumEstimate:
-    """One-sided averaged-periodogram PSD estimate."""
+    """One-sided averaged-periodogram PSD estimate from segments of ``segment_len`` samples."""
 
     freqs: np.ndarray
     psd: np.ndarray
     resolution_bw_hz: float
+    segment_len: int
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=float)
@@ -227,9 +228,9 @@ class SpectrumEstimate:
 
     @property
     def band_mask(self) -> np.ndarray:
-        """True at ordinary bins; flags out DC and (if present) Nyquist."""
+        """True at ordinary bins; flags out DC and Nyquist, the last bin of an even segment's grid only."""
         mask = self.freqs > 0
-        mask[-1] = False  # rfft grid ends at Nyquist
+        mask[-1] &= self.segment_len % 2 == 1
         return mask
 
 
@@ -367,7 +368,7 @@ def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
     psd = power / len(segments)
     psd[1 : (segment_len + 1) // 2] *= 2.0  # one-sided: every bin but DC and an even length's Nyquist
     freqs = np.fft.rfftfreq(segment_len, d=1.0 / series.fs_hz)
-    return SpectrumEstimate(freqs, psd, rbw)
+    return SpectrumEstimate(freqs, psd, rbw, segment_len)
 
 
 def ssb_phase_noise(psd_value):

@@ -306,6 +306,24 @@ class TestSubcommands:
             assert rc == EXIT_VALIDATION
             assert "validation: " in caplog.text and message in caplog.text
 
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            ('{"n_samples": 65536, "duration_s": 4.0}', [], "n_samples and duration_s are mutually exclusive"),
+            ('{"duration_s": 1e308}', [], "duration_s must give a finite sample count"),
+            ("[1, 2]", [], "config root must be a JSON object"),
+            ('{"experiment": 5}', ["--seed", "3"], "experiment must be a JSON object"),  # the flag is laid in first
+        ],
+        ids=["samples-and-duration", "duration-inf", "root-list", "flag-into-number"],
+    )
+    def test_bad_config_file_exits_1_before_synthesis(self, tmp_path, caplog, no_synthesis, text, argv, message):
+        # no --samples here: the flag would drop the file's duration_s
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")] + argv) == EXIT_VALIDATION
+        assert f"validation: {message}" in caplog.text
+        assert not (tmp_path / "o").exists()
+
     def test_emit_trace_is_the_spectra_realization(self, tmp_path):
         # the trace re-run draws the seed's children 0-2, as the run behind the spectra and summary did
         cfg = write_cfg(tmp_path, {"servo": {"ki_per_s": 800.0}})
@@ -467,6 +485,15 @@ class TestSubcommands:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "low"), "--samples", "16384"])
         assert rc == EXIT_VALIDATION
         assert "validation: " in caplog.text and "nu_p_hz" in caplog.text
+
+    def test_realized_dt_atm_peak_is_validation_error(self, tmp_path, caplog):
+        # at nu_p_hz = 100 kHz the expected rms, 0.34 sample interval, passes the pre-check (under 1), while the
+        # realized time of flight peaks near a whole sample interval, past the 0.1 of one that the peak rule allows
+        cfg = write_cfg(tmp_path, {"nu_p_hz": 1e5})
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "peak"), "--samples", "16384"])
+        assert rc == EXIT_VALIDATION
+        assert "validation: dt_atm reaches" in caplog.text
+        assert not (tmp_path / "peak").exists()
 
     def test_compare_warmup_rejected_before_synthesis(self, tmp_path, caplog, no_synthesis):
         # a warm-up of 250,033 samples is over 10% of the default 2^21
@@ -665,6 +692,27 @@ class TestSubcommands:
         assert rc == EXIT_FLAGGED
         rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 * 3
+
+    def test_manifest_is_the_resolved_config_and_replays(self, tmp_path):
+        # every command's manifest holds the seed once, in its resolved config, and none records fixed model
+        # anchors, here for models of the run's own (the secondary 20 dB above the calibrated one); replaying
+        # the manifest rewrites every output byte for byte
+        models = {name: psd_model_to_dict(m) for name, m in calibrate_default_models().items()}
+        models["secondary"]["segments"] = [dict(s, level=100.0 * s["level"]) for s in models["secondary"]["segments"]]
+        cfg = write_cfg(tmp_path, {"fs_hz": 4000.0, "n_samples": 32768, "servo": {"ki_per_s": 1000.0}, "models": models,
+                                   "experiment": {"channels_thz": [193.2, 197.2], "nperseg": 4096}})
+        for argv in (["predict", "--points", "50"], ["simulate", "--emit-trace"], ["sweep"],
+                     ["identity-check", "--combos", "2"], ["compare"]):
+            out, replay = tmp_path / argv[0], tmp_path / f"{argv[0]}-replay"
+            rc = main(argv + ["--config", str(cfg), "--seed", "7", "--out", str(out)])
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert set(manifest) == {"tool", "version", "created_utc", "resolved_config", "config_sha256", "outputs"}
+            assert manifest["resolved_config"]["experiment"]["base_seed"] == 7
+            assert main(argv + ["--config", str(out / "manifest.json"), "--out", str(replay)]) == rc
+            assert json.loads((replay / "manifest.json").read_text())["config_sha256"] == manifest["config_sha256"]
+            assert manifest["outputs"], argv
+            for path in map(Path, manifest["outputs"]):
+                assert (replay / path.relative_to(out)).read_bytes() == path.read_bytes(), path
 
     @pytest.mark.parametrize(
         "fault, code, message",

@@ -95,25 +95,25 @@ class TestCalibration:
 class TestSpotPhaseNoise:
     def test_flat_spectrum(self):
         f = np.linspace(0.0, 100.0, 2001)
-        est = SpectrumEstimate(f, np.full_like(f, 2.0), 0.05)
+        est = SpectrumEstimate(f, np.full_like(f, 2.0), 0.05, 4000)
         assert spot_phase_noise(est, 10.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_power_law_spot_is_its_value_at_the_target(self):
         # log-log interpolation is exact on a power law and the half-octave grid is symmetric in log f
         f = np.arange(1.0, 101.0)
-        est = SpectrumEstimate(f, 3.0 / f**2, 1.0)
+        est = SpectrumEstimate(f, 3.0 / f**2, 1.0, 200)
         assert spot_phase_noise(est, 10.0) == pytest.approx(ssb_phase_noise(0.03), rel=1e-9)
 
     def test_loglog_interpolation_midpoint(self):
         # slope -2 sampled at decade points: value at sqrt(10) is 0.1
         f = np.array([0.1, 1.0, 10.0, 100.0])
         psd = 1.0 / f**2 * 1.0
-        est = SpectrumEstimate(f, psd, 0.1)
+        est = SpectrumEstimate(f, psd, 0.1, 2000)
         got = spot_phase_noise(est, np.sqrt(10.0))
         assert got == pytest.approx(ssb_phase_noise(0.1), rel=1e-9)
 
     def test_out_of_range(self):
-        est = SpectrumEstimate(np.linspace(0, 10, 11), np.ones(11), 1.0)
+        est = SpectrumEstimate(np.linspace(0, 10, 11), np.ones(11), 1.0, 20)
         with pytest.raises(OutOfRangeError):
             spot_phase_noise(est, 100.0)
 
@@ -321,7 +321,7 @@ class TestSweepAndOutputs:
         assert "incomplete-grid" in result.flags
         assert len(result.spots_dbc) == 9
         # the spots are the one stored fact; suppression and summaries derive from them
-        assert [f.name for f in fields(ScenarioResult)] == ["channels_thz", "spots_dbc", "spectra", "base_seed", "flags"]
+        assert [f.name for f in fields(ScenarioResult)] == ["channels_thz", "spots_dbc", "spectra", "flags"]
         spots = result.spots_dbc
         assert result.suppression_db == {
             (ch, m): spots[(ch, "unstabilized")] - spots[(ch, m)]
@@ -392,7 +392,9 @@ class TestSweepAndOutputs:
         assert (out1 / "sweep.csv") in outputs
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert manifest["tool"] == "fsostab"
-        assert "config_sha256" in manifest
+        # the resolved config, seed included, is the one record of the run; no fixed model anchors ride along
+        assert set(manifest) == {"tool", "version", "created_utc", "resolved_config", "config_sha256", "outputs"}
+        assert manifest["resolved_config"] == {"n": 1}
         sweep1 = (out1 / "sweep.csv").read_bytes()
         sweep2 = (out2 / "sweep.csv").read_bytes()
         assert sweep1 == sweep2

@@ -511,6 +511,47 @@ class TestRunLink:
         assert tr.engine == "reference"
         assert np.all(np.isfinite(m.samples))
 
+    def test_second_integrator_clamp_falls_back(self, monkeypatch):
+        # a PI+I^2 loop tracks a time-of-flight ramp with S2: in the loop's unclamped solution, which the fast
+        # engine checks, S2 passes ANTI_WINDUP_RAD / kii while S1 stays under ANTI_WINDUP_RAD / ki
+        cfg = scaled_config(servo=ServoConfig(kp=0.2, ki=50.0, kii=2000.0))
+        inp = quiet_inputs(cfg.n_samples, cfg.fs_hz, dt_atm=1.5e-10 * np.arange(cfg.n_samples) / cfg.fs_hz)
+        d, _, _ = inp.forcing(cfg)
+        s1 = np.cumsum(cfg.loop.error(d, cfg.loop.solve(d))) * cfg.dt_s
+        assert np.max(np.abs(s1)) < ANTI_WINDUP_RAD / cfg.servo.ki
+        assert np.max(np.abs(np.cumsum(s1) * cfg.dt_s)) > ANTI_WINDUP_RAD / cfg.servo.kii
+        integ1 = []
+
+        def recording(servo, error, dt, state):
+            command = servo_update(servo, error, dt, state)
+            integ1.append(abs(state.integ1))
+            return command
+
+        monkeypatch.setattr(link, "servo_update", recording)
+        m_fast, t_fast = run_link(cfg, inp, mode="doppler")
+        m_ref, t_ref = run_link(cfg, inp, mode="doppler", engine="reference")
+        assert t_fast.flags == t_ref.flags == ["integrator-clamp"]
+        assert t_fast.engine == "reference"
+        assert np.array_equal(m_fast.samples, m_ref.samples)
+        # the reference engine clamps the second integrator alone
+        assert max(integ1) < ANTI_WINDUP_RAD / cfg.servo.ki
+
+    def test_overflowed_theta_falls_back(self, caplog):
+        # a finite forcing near float range at Nyquist, where this loop's gain theta/d is about 9.5: the solve
+        # overflows theta itself, which the fast engine flags non-finite, and the reference engine's run is kept
+        cfg = scaled_config(t_samples=1.5, servo=ServoConfig(kp=0.9, ki=100.0))
+        inp = quiet_inputs(cfg.n_samples, cfg.fs_hz, phi_p=1e307 * np.resize([1.0, -1.0], cfg.n_samples))
+        d, _, _ = inp.forcing(cfg)
+        assert np.all(np.isfinite(d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(cfg.loop.solve(d)))
+        m_fast, t_fast = run_link(cfg, inp, mode="doppler")
+        m_ref, t_ref = run_link(cfg, inp, mode="doppler", engine="reference")
+        assert "fast path flagged (['non-finite'])" in caplog.text
+        assert t_fast.engine == "reference" and t_fast.flags == t_ref.flags
+        assert "non-finite" in t_fast.flags
+        assert np.all(np.isfinite(m_fast.samples)) and np.array_equal(m_fast.samples, m_ref.samples)
+
     def test_engines_agree_without_marginal_pole(self):
         # kii = 0 once left a common (1 - z^-1) factor, a pole on the
         # unit circle, in the fast engine: 1.4e-9 rad apart at 0.55 rad rms
@@ -536,6 +577,16 @@ class TestRunLink:
         series = {"phi_p": np.zeros(100), "phi_s": np.zeros(100), "dt_atm": np.zeros(100), name: x}
         with pytest.raises(ValueError, match=name):
             NoiseInputs(**series, fs_hz=1000.0)
+
+    def test_dt_atm_peak_rejected(self):
+        # the realized time of flight must peak below DT_ATM_PEAK_SAMPLES / fs_hz, however it was made
+        fs = 1000.0
+        dt_atm = np.zeros(100)
+        dt_atm[37] = -link.DT_ATM_PEAK_SAMPLES / fs
+        with pytest.raises(ConfigError, match="dt_atm reaches"):
+            NoiseInputs(np.zeros(100), np.zeros(100), dt_atm, fs)
+        dt_atm[37] = np.nextafter(dt_atm[37], 0.0)
+        assert len(NoiseInputs(np.zeros(100), np.zeros(100), dt_atm, fs)) == 100
 
     def test_sample_rate_mismatch_rejected(self):
         # noise synthesized at 4 kHz is not read as 20 kHz

@@ -439,6 +439,18 @@ class TestEstimatePsd:
         # hann equivalent noise bandwidth is 1.5 bins
         assert est.resolution_bw_hz == pytest.approx(1.5 * 100.0 / 512, rel=1e-6)
         assert not est.band_mask[0] and not est.band_mask[-1]
+        assert est.segment_len == 512
+
+    @pytest.mark.parametrize("segment_len, nyquist", [(64, True), (65, False)])
+    def test_band_mask_drops_dc_and_only_nyquist(self, segment_len, nyquist):
+        # only an even segment's grid ends at Nyquist, the one bin besides DC left undoubled; an odd
+        # segment's last bin (49.23 Hz of 50) is an ordinary one-sided bin of white noise's 2 / fs
+        fs = 100.0
+        est = estimate_psd(PhaseSeries(np.random.default_rng(3).standard_normal(2**14), fs), segment_len=segment_len)
+        assert (est.freqs[-1] == fs / 2) == nyquist
+        assert not est.band_mask[0] and est.band_mask[1:-1].all()
+        assert est.band_mask[-1] == (not nyquist)
+        assert est.psd[-1] == pytest.approx(1.0 / fs if nyquist else 2.0 / fs, rel=0.2)
 
     def test_averaging_consistency(self):
         # doubling the average count shrinks the per-bin estimator
