@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -62,28 +61,18 @@ _FLAG_KEYS = {
     "scaled_delay": "t_one_way_s",
     "channel_hz": "nu_s_hz",
     "seed": "experiment.base_seed",
+    "mode": "experiment.mode",
+    "emit_trace": "experiment.emit_trace",
+    "combos": "experiment.combos",
+    "points": "experiment.points",
+    "f_min_hz": "experiment.f_min_hz",
+    "f_max_hz": "experiment.f_max_hz",
 }
 
 
 def thz(text: str) -> float:
     """A carrier given in THz, in Hz."""
     return float(text) * 1e12
-
-
-def count(text: str) -> int:
-    """An integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not at least 1")
-    return value
-
-
-def frequency(text: str) -> float:
-    """A finite frequency above 0 Hz."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"{value} Hz is not finite and above 0")
-    return value
 
 
 def _add_common(p):
@@ -95,14 +84,17 @@ def _add_common(p):
     p.add_argument("--scaled-delay", action="store_const", const=SCALED_DELAY_T_S, help=f"t_one_way_s = {SCALED_DELAY_T_S:g}")
 
 
-def _add_channel(p, mode_default):
+def _add_channel(p):
     """The flags of the single-channel subcommands: carrier and run mode."""
     p.add_argument("--channel-thz", dest="channel_hz", type=thz, help="nu_s_hz, given in THz")
-    p.add_argument("--mode", default=mode_default, choices=MODES)
+    p.add_argument("--mode", help=f"experiment.mode: {', '.join(MODES)}")
 
 
-def _cmd_predict(args, config, models, experiment, out: Path):
-    f = np.geomspace(args.f_min_hz, args.f_max_hz, args.points)
+def _cmd_predict(config, models, experiment, out: Path):
+    f_min, f_max = experiment.get("f_min_hz", 0.1), experiment.get("f_max_hz", 1e4)
+    if not f_min < f_max:
+        raise ConfigError(f"experiment.f_min_hz {f_min:g} is not below experiment.f_max_hz {f_max:g}")
+    f = np.geomspace(f_min, f_max, experiment.get("points", 600))
     curves = predicted_mode_psd(models, config.t_one_way, 1.0, 1.0, f)  # the stabilized closed forms at nu_p
     curves["atm_derived"] = curves.pop("atmosphere")
     curves["atm_printed"] = meas_transfer_atm(f, config.t_one_way, "printed") * models["atmosphere"].eval(f)
@@ -118,9 +110,9 @@ def _cmd_predict(args, config, models, experiment, out: Path):
     return EXIT_OK
 
 
-def _cmd_simulate(args, config, models, experiment, out: Path):
+def _cmd_simulate(config, models, experiment, out: Path):
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
-    modes = (args.mode,) if args.mode else MODES
+    modes = (experiment["mode"],) if "mode" in experiment else MODES
     res = run_three_modes(config, models, seed, nperseg=experiment.get("nperseg"), modes=modes)
     outputs = []
     for mode, est in res.spectra.items():
@@ -128,7 +120,7 @@ def _cmd_simulate(args, config, models, experiment, out: Path):
         path = out / f"spectrum_{mode}.csv"
         write_spectrum_csv(path, fb, pb)
         outputs.append(path)
-    if args.emit_trace:  # from the run the spectra came from; the open loop's error is the forcing, its command 0
+    if experiment.get("emit_trace"):  # from the spectra's run; the open loop's error is the forcing, its command 0
         tr = res.trace
         t = tr.t0_s + np.arange(tr.error_rad.size) / tr.fs_hz
         header, tables = ["t_s", "error_rad", "actuator_cmd", "meas_phase_rad"], []
@@ -151,7 +143,7 @@ def _cmd_simulate(args, config, models, experiment, out: Path):
     return EXIT_FLAGGED if res.flags else EXIT_OK
 
 
-def _cmd_sweep(args, config, models, experiment, out: Path):
+def _cmd_sweep(config, models, experiment, out: Path):
     result = channel_sweep(
         config,
         models,
@@ -165,8 +157,10 @@ def _cmd_sweep(args, config, models, experiment, out: Path):
     return EXIT_FLAGGED if status == 3 else EXIT_OK
 
 
-def _cmd_identity_check(args, config, models, experiment, out: Path):
-    report = identity_check_suite(n_combos=args.combos, seed=experiment["base_seed"])
+def _cmd_identity_check(config, models, experiment, out: Path):
+    if not config.t_one_way > 2.0 / sys.float_info.max:  # the variant table spans 1e-4 / T to 2 / T Hz
+        raise ConfigError(f"identity-check needs a one-way delay above 0 s, got {config.t_one_way:g} s")
+    report = identity_check_suite(n_combos=experiment.get("combos", 20), seed=experiment["base_seed"])
     combo_path = out / "identity_combos.csv"
     columns = [
         np.arange(len(report)),
@@ -191,16 +185,17 @@ def _cmd_identity_check(args, config, models, experiment, out: Path):
     return EXIT_OK if worst >= 0.95 else EXIT_FLAGGED
 
 
-def _cmd_compare(args, config, models, experiment, out: Path):
+def _cmd_compare(config, models, experiment, out: Path):
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
+    mode = experiment.get("mode", "doppler")
     nperseg = _checked_nperseg(config, experiment.get("nperseg"))  # simulate's segment and checks, before synthesis
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
-    meas, trace = run_link(config, inputs, mode=args.mode)
+    meas, trace = run_link(config, inputs, mode=mode)
     del inputs  # released before Welch and the prediction, as run_three_modes releases them
     est = estimate_psd(meas, segment_len=nperseg)
     # bins below a few resolution bandwidths are estimator-limited
     mask = est.band_mask & (est.psd > 0) & (est.freqs >= 5.0 * est.resolution_bw_hz)
-    ratio, scale = config.nu_s_hz / config.nu_p_hz, config.carrier_scale(args.mode)
+    ratio, scale = config.nu_s_hz / config.nu_p_hz, config.carrier_scale(mode)
     with np.errstate(over="ignore", invalid="ignore"):  # a prediction out of float range is flagged below
         pred = predicted_mode_psd(models, config.t_one_way, ratio, scale, est.freqs[mask])["total"]
         keep = pred > 1e-4 * pred.max(initial=0.0)  # transfer nulls are excluded from the table
@@ -210,15 +205,15 @@ def _cmd_compare(args, config, models, experiment, out: Path):
     full = counts >= 8  # the median of fewer bins is a few chi^2 draws
     outputs = []
     if not (np.isfinite(est.psd).all() and np.isfinite(pred).all()):
-        _log.warning("compare[%s]: the simulated spectrum or its prediction is not finite", args.mode)
+        _log.warning("compare[%s]: the simulated spectrum or its prediction is not finite", mode)
     elif not full.any():
-        _log.warning("compare[%s]: no band left, none holds 8 Welch bins above the prediction's nulls", args.mode)
+        _log.warning("compare[%s]: no band left, none holds 8 Welch bins above the prediction's nulls", mode)
     else:
         fb, simb, predb, devb = fb[full], simb[full], predb[full], devb[full]
         path = out / "compare.csv"
         write_table_csv((path, ["band_center_hz", "sim_dbc_per_hz", "pred_dbc_per_hz", "dev_db"], [fb, simb, predb, devb]))
         outputs.append(path)
-        print(f"compare[{args.mode}]: max |deviation| {np.max(np.abs(devb)):.2f} dB over {fb.size} bands")
+        print(f"compare[{mode}]: max |deviation| {np.max(np.abs(devb)):.2f} dB over {fb.size} bands")
     write_manifest(out, resolved_dict(config, models, experiment), outputs)  # also when flagged
     return EXIT_FLAGGED if trace.flagged or not outputs else EXIT_OK
 
@@ -233,15 +228,15 @@ def build_parser():
 
     p = sub.add_parser("predict", help="closed-form measurement PSD curves")
     _add_common(p)
-    p.add_argument("--f-min-hz", type=frequency, default=0.1)
-    p.add_argument("--f-max-hz", type=frequency, default=1e4)
-    p.add_argument("--points", type=count, default=600)
+    p.add_argument("--f-min-hz", type=float, help="experiment.f_min_hz")
+    p.add_argument("--f-max-hz", type=float, help="experiment.f_max_hz")
+    p.add_argument("--points", type=int, help="experiment.points")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("simulate", help="three paired-mode runs on one channel")
     _add_common(p)
-    _add_channel(p, None)
-    p.add_argument("--emit-trace", action="store_true", help="write full per-sample trace CSVs")
+    _add_channel(p)
+    p.add_argument("--emit-trace", action="store_const", const=True, help="experiment.emit_trace: per-sample CSVs")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="19-channel WDM sweep")
@@ -250,12 +245,12 @@ def build_parser():
 
     p = sub.add_parser("identity-check", help="delayed-copy identity oracle suite")
     _add_common(p)
-    p.add_argument("--combos", type=count, default=20)
+    p.add_argument("--combos", type=int, help="experiment.combos")
     p.set_defaults(func=_cmd_identity_check)
 
     p = sub.add_parser("compare", help="simulated vs predicted spectrum overlay")
     _add_common(p)
-    _add_channel(p, "doppler")
+    _add_channel(p)
     p.set_defaults(func=_cmd_compare)
     return parser
 
@@ -264,8 +259,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "predict" and not args.f_min_hz < args.f_max_hz:
-            parser.error(f"--f-min-hz {args.f_min_hz:g} is not below --f-max-hz {args.f_max_hz:g}")
     except SystemExit as exc:  # argparse exits 2 on a usage error; 1 is the validation code
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     logging.basicConfig(
@@ -277,7 +270,7 @@ def main(argv=None) -> int:
     try:
         config, models, experiment = load_config(args.config, overrides)
         # the output directory is made by the run's first file, so a run stopped before it leaves none
-        return args.func(args, config, models, experiment, args.out or Path("runs") / args.command)
+        return args.func(config, models, experiment, args.out or Path("runs") / args.command)
     except (ConfigError, InvalidModelError, OutOfRangeError, FileNotFoundError, json.JSONDecodeError) as exc:
         _log.error("validation: %s", exc)
         return EXIT_VALIDATION

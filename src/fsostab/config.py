@@ -22,6 +22,8 @@ Command-line flags are config keys, laid over the file before any check
 and checked like it; a flag replaces the file key stating the same fact
 (``n_samples`` drops ``duration_s``, ``t_one_way_s`` drops
 ``link_length_m``), and ``duration_s`` converts at the effective fs_hz.
+An ``experiment`` key left unset stays out of the resolved config, and
+the command that reads it applies its own default.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 
 from .errors import ConfigError, InvalidModelError
 from .experiment import calibrate_default_models
-from .link import LinkConfig, ServoConfig
+from .link import MODES, LinkConfig, ServoConfig
 from .noise import PsdModel, PsdSegment
 
 DEFAULT_SEED = 101
@@ -52,7 +54,9 @@ _KINDS = {
     "number": ("a finite number", _number),
     "integer": ("an integer", _integer),
     "seed": ("an integer >= 0", lambda v: _integer(v) and v >= 0),
-    "nperseg": ("an integer >= 1", lambda v: _integer(v) and v >= 1),
+    "count": ("an integer >= 1", lambda v: _integer(v) and v >= 1),
+    "frequency": ("a finite number > 0", lambda v: _number(v) and v > 0),
+    "mode": (f"one of {', '.join(MODES)}", lambda v: v in MODES),
     "bool": ("true or false", lambda v: type(v) is bool),
     "numbers": ("a list of finite numbers", lambda v: type(v) is list and all(map(_number, v))),
     "object": ("a JSON object", lambda v: type(v) is dict),
@@ -64,7 +68,8 @@ _LINK_FIELDS = {"nu_p_hz": "number", "nu_s_hz": "number", "link_length_m": "numb
                 "fs_hz": "number", "n_samples": "integer", "approximate_roundtrip": "bool"}
 _ROOT = {**_LINK_FIELDS, "duration_s": "number", "servo": "object", "models": "object", "experiment": "object"}
 _SERVO = {"kp": "number", "ki_per_s": "number", "kii_per_s2": "number"}
-_EXPERIMENT = {"base_seed": "seed", "nperseg": "nperseg", "channels_thz": "numbers"}
+_EXPERIMENT = {"base_seed": "seed", "nperseg": "count", "channels_thz": "numbers", "mode": "mode", "emit_trace": "bool",
+               "combos": "count", "points": "count", "f_min_hz": "frequency", "f_max_hz": "frequency"}
 _MODELS = dict.fromkeys(("primary", "secondary", "atmosphere"), "object")
 _MODEL = {"kind": "string", "ref_freq_hz": "number", "segments": "objects", "f_min_hz": "number", "f_max_hz": "number"}
 _SEGMENT = {"f_break_hz": "number", "exponent": "number", "level": "number"}
@@ -88,7 +93,7 @@ def _checked(d: dict, table: dict, where: str, required: bool = False) -> dict:
         want, ok = _KINDS[table[key]]
         if not ok(value):
             raise ConfigError(f"{where}{'.' if where else ''}{key} must be {want}, got {value!r}")
-        out[_FIELD_NAMES.get(key, key)] = float(value) if table[key] == "number" else value
+        out[_FIELD_NAMES.get(key, key)] = float(value) if table[key] in ("number", "frequency") else value
     return out
 
 

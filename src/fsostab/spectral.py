@@ -222,7 +222,7 @@ def random_combination(rng: np.random.Generator) -> DelayedCombination:
     return DelayedCombination(tuple((c, m / ORACLE_FS_HZ) for c, m in zip(coeffs, delays)))
 
 
-def identity_check_suite(n_combos: int = 20, seed: int = 0):
+def identity_check_suite(n_combos: int, seed: int):
     """Run the delayed-copy identity oracle on random combinations.
 
     For each combination, bins whose analytic factor sits less than

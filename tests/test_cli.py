@@ -227,7 +227,7 @@ def _diverging_cfg(tmp_path):
 class TestSubcommands:
     def test_predict(self, tmp_path):
         out = tmp_path / "pred"
-        rc = main(["predict", "--out", str(out), "--points", "50"])
+        rc = main(["predict", "--out", str(out)])
         assert rc == EXIT_OK
         header = (out / "predicted_curves.csv").read_text().splitlines()[0]
         for col in (
@@ -240,9 +240,25 @@ class TestSubcommands:
         ):
             assert col in header
         # the resolved default config, and so its hash, is pinned; it moved once, when the calibrated levels moved
-        # by about 1e-8 with the closed forms written without cancellation (older manifests replay their own levels)
+        # by about 1e-8 with the closed forms written without cancellation (older manifests replay their own levels).
+        # A flagless run records no experiment key but the seed; a given flag is recorded as its key
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"] == "15b110ba363798e1a248d604d61d0b689194e6322fa09d30e04d3541178dfe42"
+        assert manifest["resolved_config"]["experiment"] == {"base_seed": DEFAULT_SEED}
+        assert len((out / "predicted_curves.csv").read_text().splitlines()) == 1 + 600
+        assert main(["predict", "--out", str(tmp_path / "p50"), "--points", "50"]) == EXIT_OK
+        manifest = json.loads((tmp_path / "p50" / "manifest.json").read_text())
+        assert manifest["resolved_config"]["experiment"] == {"base_seed": DEFAULT_SEED, "points": 50}
+
+    def test_identity_check_needs_a_delay(self, tmp_path, caplog, monkeypatch):
+        # the atmospheric-variant table spans 1e-4 / T to 2 / T: a zero-length link is rejected before the oracle
+        # suite runs, so no identity_combos.csv is left without its manifest
+        monkeypatch.setattr(cli, "identity_check_suite", lambda *a, **k: pytest.fail("the oracle ran before validation"))
+        cfg = write_cfg(tmp_path, {"link_length_m": 0})
+        out = tmp_path / "idc"
+        assert main(["identity-check", "--config", str(cfg), "--combos", "2", "--out", str(out)]) == EXIT_VALIDATION
+        assert "validation: identity-check needs a one-way delay above 0 s" in caplog.text
+        assert not out.exists()
 
     def test_identity_check(self, tmp_path, capsys):
         out = tmp_path / "idc"
@@ -695,22 +711,27 @@ class TestSubcommands:
 
     def test_manifest_is_the_resolved_config_and_replays(self, tmp_path):
         # every command's manifest holds the seed once, in its resolved config, and none records fixed model
-        # anchors, here for models of the run's own (the secondary 20 dB above the calibrated one); replaying
-        # the manifest rewrites every output byte for byte
+        # anchors, here for models of the run's own (the secondary 20 dB above the calibrated one); the manifest
+        # alone, with no flag but --out, replays the run, each of the six experiment flags set off its default,
+        # and rewrites the same outputs byte for byte
         models = {name: psd_model_to_dict(m) for name, m in calibrate_default_models().items()}
         models["secondary"]["segments"] = [dict(s, level=100.0 * s["level"]) for s in models["secondary"]["segments"]]
         cfg = write_cfg(tmp_path, {"fs_hz": 4000.0, "n_samples": 32768, "servo": {"ki_per_s": 1000.0}, "models": models,
                                    "experiment": {"channels_thz": [193.2, 197.2], "nperseg": 4096}})
-        for argv in (["predict", "--points", "50"], ["simulate", "--emit-trace"], ["sweep"],
-                     ["identity-check", "--combos", "2"], ["compare"]):
+        for argv in (["predict", "--points", "50", "--f-min-hz", "1", "--f-max-hz", "2000"],
+                     ["simulate", "--mode", "group-delay", "--emit-trace"], ["sweep"],
+                     ["identity-check", "--combos", "2"], ["compare", "--mode", "group-delay"]):
             out, replay = tmp_path / argv[0], tmp_path / f"{argv[0]}-replay"
             rc = main(argv + ["--config", str(cfg), "--seed", "7", "--out", str(out)])
             manifest = json.loads((out / "manifest.json").read_text())
             assert set(manifest) == {"tool", "version", "created_utc", "resolved_config", "config_sha256", "outputs"}
             assert manifest["resolved_config"]["experiment"]["base_seed"] == 7
-            assert main(argv + ["--config", str(out / "manifest.json"), "--out", str(replay)]) == rc
-            assert json.loads((replay / "manifest.json").read_text())["config_sha256"] == manifest["config_sha256"]
+            assert main([argv[0], "--config", str(out / "manifest.json"), "--out", str(replay)]) == rc
+            replayed = json.loads((replay / "manifest.json").read_text())
+            assert replayed["config_sha256"] == manifest["config_sha256"]
             assert manifest["outputs"], argv
+            assert [Path(p).relative_to(replay) for p in replayed["outputs"]] == \
+                [Path(p).relative_to(out) for p in manifest["outputs"]]
             for path in map(Path, manifest["outputs"]):
                 assert (replay / path.relative_to(out)).read_bytes() == path.read_bytes(), path
 
@@ -748,12 +769,23 @@ class TestSubcommands:
             {"channels_thz": [193.2, -5.0]},
             {"channels_thz": [193.2, float("nan")]},
             {"channels_thz": [193.2, 193.2]},
+            {"points": 0},
+            {"combos": -1},
+            {"f_min_hz": 0},
+            {"f_max_hz": float("nan")},
+            {"f_min_hz": 100.0, "f_max_hz": 10.0},
+            {"f_min_hz": 10.0, "f_max_hz": 10.0},
+            {"mode": "none"},
+            {"emit_trace": 1},
         ],
     )
     def test_bad_experiment_block_rejected_before_any_run(self, tmp_path, no_run, block):
+        # each value is checked against its kind on load; the band's order is checked by predict, which reads it
         cfg = write_cfg(tmp_path, {"experiment": block})
-        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--samples", "65536"])
+        command = "predict" if {"f_min_hz", "f_max_hz"} <= set(block) else "sweep"
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--samples", "65536"])
         assert rc == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -844,7 +876,8 @@ _FUZZ_DEFAULTS = {
     "t_one_way_s": 1e-3,
     "duration_s": 104.8576,
     "models": {name: psd_model_to_dict(m) for name, m in calibrate_default_models().items()},
-    "experiment": {"base_seed": DEFAULT_SEED, "nperseg": 2048, "channels_thz": [193.2]},
+    "experiment": {"base_seed": DEFAULT_SEED, "nperseg": 2048, "channels_thz": [193.2], "mode": "doppler",
+                   "emit_trace": False, "combos": 20, "points": 600, "f_min_hz": 0.1, "f_max_hz": 1e4},
 }
 
 
@@ -893,7 +926,7 @@ def test_fuzzed_config_never_a_runtime_fault(tmp_path_factory, edits, unknown):
     # a config fails validation (1), runs (0) or runs flagged (3); it is never a runtime fault (2),
     # and a run that exits 0 writes only finite spectra and comparisons
     tree = copy.deepcopy(_FUZZ_DEFAULTS)
-    del tree["t_one_way_s"], tree["duration_s"]
+    del tree["t_one_way_s"], tree["duration_s"], tree["experiment"]["mode"]  # unset, simulate runs every mode
     for path, value in edits:
         tree.pop(_RESTATES.get(path), None)
         _set(tree, path, value)
