@@ -1,11 +1,4 @@
-"""Command-line entry point.
-
-Subcommands:
-  predict        closed-form measurement-PSD curves from the noise models
-  simulate       three paired-mode runs on one channel
-  sweep          19-channel WDM sweep with summary statistics
-  identity-check delayed-copy identity oracle + atmospheric-variant report
-  compare        overlay one simulated spectrum against its prediction
+"""Command-line entry point: five subcommands, each declared with its handler and flags in ``_COMMANDS``.
 
 Exit codes: 0 ok, 1 validation error, 2 runtime fault, 3 flagged result.
 """
@@ -54,40 +47,28 @@ EXIT_FLAGGED = 3
 
 SCALED_DELAY_T_S = 1.0e-3
 
-#: flag -> the config key it sets; load_config lays each given one (not None, so a 0 too) over the file and checks it
-_FLAG_KEYS = {
-    "samples": "n_samples",
-    "fs_hz": "fs_hz",
-    "scaled_delay": "t_one_way_s",
-    "channel_hz": "nu_s_hz",
-    "seed": "experiment.base_seed",
-    "mode": "experiment.mode",
-    "emit_trace": "experiment.emit_trace",
-    "combos": "experiment.combos",
-    "points": "experiment.points",
-    "f_min_hz": "experiment.f_min_hz",
-    "f_max_hz": "experiment.f_max_hz",
-}
-
 
 def thz(text: str) -> float:
     """A carrier given in THz, in Hz."""
     return float(text) * 1e12
 
 
-def _add_common(p):
-    p.add_argument("--config", type=Path, default=None, help="JSON config (or a previous manifest.json)")
-    p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--seed", type=int, help="experiment.base_seed")
-    p.add_argument("--samples", type=int, help="n_samples")
-    p.add_argument("--fs-hz", type=float, help="fs_hz")
-    p.add_argument("--scaled-delay", action="store_const", const=SCALED_DELAY_T_S, help=f"t_one_way_s = {SCALED_DELAY_T_S:g}")
-
-
-def _add_channel(p):
-    """The flags of the single-channel subcommands: carrier and run mode."""
-    p.add_argument("--channel-thz", dest="channel_hz", type=thz, help="nu_s_hz, given in THz")
-    p.add_argument("--mode", help=f"experiment.mode: {', '.join(MODES)}")
+#: flag -> (the config key it sets, a note for its help, its argparse keywords); each given one (not None, so a 0 too)
+#: is laid over the config file by load_config and checked with it
+_FLAGS = {
+    "--seed": ("experiment.base_seed", "", {"type": int}),
+    "--samples": ("n_samples", "", {"type": int}),
+    "--fs-hz": ("fs_hz", "", {"type": float}),
+    "--scaled-delay": ("t_one_way_s", f" = {SCALED_DELAY_T_S:g}", {"action": "store_const", "const": SCALED_DELAY_T_S}),
+    "--channel-thz": ("nu_s_hz", ", given in THz", {"type": thz}),
+    "--mode": ("experiment.mode", f": {', '.join(MODES)}", {}),
+    "--emit-trace": ("experiment.emit_trace", ": per-sample CSVs", {"action": "store_const", "const": True}),
+    "--combos": ("experiment.combos", "", {"type": int}),
+    "--points": ("experiment.points", "", {"type": int}),
+    "--f-min-hz": ("experiment.f_min_hz", "", {"type": float}),
+    "--f-max-hz": ("experiment.f_max_hz", "", {"type": float}),
+}
+_COMMON_FLAGS = ("--seed", "--samples", "--fs-hz", "--scaled-delay")
 
 
 def _cmd_predict(config, models, experiment, out: Path):
@@ -154,7 +135,7 @@ def _cmd_sweep(config, models, experiment, out: Path):
     _, status = emit_outputs(result, out, resolved_dict(config, models, experiment))
     for mode, stats in result.summaries.items():
         print(f"{mode}: {stats}")
-    return EXIT_FLAGGED if status == 3 else EXIT_OK
+    return status
 
 
 def _cmd_identity_check(config, models, experiment, out: Path):
@@ -218,6 +199,16 @@ def _cmd_compare(config, models, experiment, out: Path):
     return EXIT_FLAGGED if trace.flagged or not outputs else EXIT_OK
 
 
+#: subcommand -> (its handler, its help, the flags it takes beyond --config, --out and _COMMON_FLAGS)
+_COMMANDS = {
+    "predict": (_cmd_predict, "closed-form measurement PSD curves", ("--f-min-hz", "--f-max-hz", "--points")),
+    "simulate": (_cmd_simulate, "three paired-mode runs on one channel", ("--channel-thz", "--mode", "--emit-trace")),
+    "sweep": (_cmd_sweep, "19-channel WDM sweep", ()),
+    "identity-check": (_cmd_identity_check, "delayed-copy identity oracle suite", ("--combos",)),
+    "compare": (_cmd_compare, "simulated vs predicted spectrum overlay", ("--channel-thz", "--mode")),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fsostab",
@@ -225,33 +216,14 @@ def build_parser():
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("predict", help="closed-form measurement PSD curves")
-    _add_common(p)
-    p.add_argument("--f-min-hz", type=float, help="experiment.f_min_hz")
-    p.add_argument("--f-max-hz", type=float, help="experiment.f_max_hz")
-    p.add_argument("--points", type=int, help="experiment.points")
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("simulate", help="three paired-mode runs on one channel")
-    _add_common(p)
-    _add_channel(p)
-    p.add_argument("--emit-trace", action="store_const", const=True, help="experiment.emit_trace: per-sample CSVs")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep", help="19-channel WDM sweep")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("identity-check", help="delayed-copy identity oracle suite")
-    _add_common(p)
-    p.add_argument("--combos", type=int, help="experiment.combos")
-    p.set_defaults(func=_cmd_identity_check)
-
-    p = sub.add_parser("compare", help="simulated vs predicted spectrum overlay")
-    _add_common(p)
-    _add_channel(p)
-    p.set_defaults(func=_cmd_compare)
+    for name, (func, text, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", type=Path, help="JSON config (or a previous manifest.json)")
+        p.add_argument("--out", type=Path, help="output directory")
+        for flag in _COMMON_FLAGS + own:  # dest is the config key, so the parsed flags are the overrides
+            key, note, kwargs = _FLAGS[flag]
+            p.add_argument(flag, dest=key, metavar=flag[2:].upper().replace("-", "_"), help=key + note, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -266,7 +238,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s %(message)s",
         stream=sys.stderr,
     )
-    overrides = {key: v for flag, key in _FLAG_KEYS.items() if (v := getattr(args, flag, None)) is not None}
+    overrides = {key: v for key, _, _ in _FLAGS.values() if (v := getattr(args, key, None)) is not None}
     try:
         config, models, experiment = load_config(args.config, overrides)
         # the output directory is made by the run's first file, so a run stopped before it leaves none

@@ -161,9 +161,13 @@ def load_config(path: str | Path | None, overrides: dict | None = None):
     file key stating the same fact before anything is checked. Accepts a
     manifest.json from a previous run and replays its resolved snapshot.
     Returns (LinkConfig, models, experiment settings), with the calibrated
-    models and base seed DEFAULT_SEED wherever the config sets none.
+    models and base seed DEFAULT_SEED wherever the config sets none. A
+    path that cannot be read as UTF-8 text is a ConfigError naming it.
     """
-    raw = "" if path is None else Path(path).read_text()
+    try:
+        raw = "" if path is None else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 path is bad input too
+        raise ConfigError(f"cannot read config {str(path)!r}: {getattr(exc, 'strerror', None) or exc}") from None
     data = json.loads(raw) if raw.strip() else {}
     if isinstance(data, dict) and "resolved_config" in data:
         data = data["resolved_config"]

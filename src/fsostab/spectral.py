@@ -36,6 +36,9 @@ ORACLE_TOL_DB = 1.0
 ORACLE_MAX_DELAY = 64
 ORACLE_NPERSEG = 4096
 ORACLE_MAX_TERMS = 5
+#: The oracle's synthesis length, 2^2 3^8 5: the least 5-smooth (fast transform) length at or above
+#: ORACLE_N + m for every delay m of 1 to ORACLE_MAX_DELAY samples.
+ORACLE_SYNTH_N = 131_220
 
 
 @dataclass(frozen=True)
@@ -170,38 +173,25 @@ def log_band_medians(freqs, *columns):
     return np.sqrt(edges[bands] * edges[bands + 1]), counts, medians
 
 
-def _next_fast_len(n: int) -> int:
-    """The smallest 2^a 3^b 5^c at or above n >= 1: the length scipy.fft.next_fast_len(n, real=True) picks."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:  # p35 times the least power of two that reaches n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def delayed_combination_oracle(comb: DelayedCombination, fs_hz: float, n: int, seed):
+def delayed_combination_oracle(comb: DelayedCombination, seed):
     """Time-domain check of combination_factor against synthesized noise.
 
-    Synthesizes white phase noise, forms the delayed combination with
-    integer-sample shifts, and returns (freqs, psd_ratio, factor) where
-    psd_ratio is the Welch estimate of the combination divided by that
-    of the source. Delays must be integer multiples of 1/fs. The source
-    is synthesized at the next fast transform length at or above the
-    n + max delay samples it needs, and cut to them.
+    Synthesizes white phase noise at ORACLE_FS_HZ, forms the delayed
+    combination of ORACLE_N samples with integer-sample shifts, and returns
+    (freqs, psd_ratio, factor) where psd_ratio is the Welch estimate of the
+    combination divided by that of the source. Delays must be integer
+    multiples of 1/ORACLE_FS_HZ, up to ORACLE_MAX_DELAY samples. The source
+    is synthesized at ORACLE_SYNTH_N samples and cut to the ORACLE_N plus
+    largest delay it needs.
     """
-    delays = []
-    for _, tau in comb.terms:
-        m = tau * fs_hz
-        if abs(m - round(m)) > 1e-9:
-            raise ValueError("oracle needs delays that are integer multiples of 1/fs")
-        delays.append(int(round(m)))
+    fs_hz, n = ORACLE_FS_HZ, ORACLE_N
+    delays = [tau * fs_hz for _, tau in comb.terms]
+    if any(abs(m - round(m)) > 1e-9 or round(m) > ORACLE_MAX_DELAY for m in delays):
+        raise ValueError(f"oracle needs delays of 0 to {ORACLE_MAX_DELAY} whole samples at {fs_hz:g} Hz")
+    delays = [int(round(m)) for m in delays]
     m_max = max(delays)
     model = PsdModel.flat(1.0, 0.0, fs_hz)
-    x = synthesize_phase_noise(model, fs_hz, _next_fast_len(n + m_max), seed).samples[: n + m_max]
+    x = synthesize_phase_noise(model, fs_hz, ORACLE_SYNTH_N, seed).samples[: n + m_max]
     y = np.zeros(n)
     for (c, _), m in zip(comb.terms, delays):
         y += c * x[m_max - m : m_max - m + n]
@@ -234,7 +224,7 @@ def identity_check_suite(n_combos: int, seed: int):
     report = []
     for k in range(n_combos):
         comb = random_combination(rng)
-        freqs, ratio, factor = delayed_combination_oracle(comb, ORACLE_FS_HZ, ORACLE_N, rng.integers(2**63))
+        freqs, ratio, factor = delayed_combination_oracle(comb, rng.integers(2**63))
         keep = np.isfinite(ratio) & (factor > 1e-4 * factor.max())
         keep[:3] = False
         dev = 10.0 * np.log10(ratio[keep] / factor[keep])

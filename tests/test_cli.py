@@ -1,9 +1,12 @@
 """CLI subcommands, config validation, exit codes, rerun determinism."""
 
+import argparse
 import copy
+import itertools
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -850,6 +853,53 @@ class TestSubcommands:
     def test_help_exits_ok(self):
         assert main(["--help"]) == EXIT_OK
         assert main(["compare", "--help"]) == EXIT_OK
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
+    def test_unreadable_config_is_validation_error(self, tmp_path, caplog, kind):
+        # a --config path that cannot be read is bad input, named in the message, and leaves no output directory
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "not-utf8":
+            cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert f"validation: cannot read config {str(cfg)!r}" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_names_each_flags_config_key(self, capsys, command):
+        assert main([command, "--help"]) == EXIT_OK
+        text = capsys.readouterr().out
+        own = cli._COMMANDS[command][2]
+        for flag in cli._COMMON_FLAGS + own:
+            assert f"{flag} " in text and cli._FLAGS[flag][0] in text, flag
+        if "--mode" in own:
+            assert all(mode in text for mode in link.MODES)
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _readme_table(header):
+    """The README table whose header row starts with ``header``: first cell, unquoted -> second cell."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"| {header} "))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2 :])
+    return {first.strip(" `"): second for first, second, *_ in (line.strip("|").split("|") for line in rows)}
+
+
+def test_readme_flag_tables_match_the_parser():
+    # README's flag tables state the flags each subcommand takes and the config key each sets; a flag added to
+    # the code and not to the README, or the other way round, fails here
+    keys = {flag: re.findall(r"`([^`]+)`", cell)[0] for flag, cell in _readme_table("flag").items()}
+    assert keys == {flag: key for flag, (key, _, _) in cli._FLAGS.items()}
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"} for name, p in sub.choices.items()}
+    common = set.intersection(*flags.values())
+    takes = re.search(r"Every subcommand takes (.*?);", README.read_text(), re.S)[1]
+    assert common == set(re.findall(r"`(--[a-z-]+)`", takes))
+    own = {name: set(re.findall(r"`(--[a-z-]+)`", cell)) for name, cell in _readme_table("subcommand").items()}
+    assert own == {name: f - common for name, f in flags.items()}
 
 
 def _sweep_two_workers(tmp_path, monkeypatch, timeout_s=120):

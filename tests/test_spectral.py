@@ -16,6 +16,7 @@ from fsostab.spectral import (
     ORACLE_FS_HZ,
     ORACLE_MAX_DELAY,
     ORACLE_N,
+    ORACLE_SYNTH_N,
     DelayedCombination,
     combination_factor,
     delayed_combination_oracle,
@@ -28,7 +29,6 @@ from fsostab.spectral import (
     meas_transfer_secondary,
     predicted_mode_psd,
     random_combination,
-    _next_fast_len,
 )
 
 T = 5.003461427972280e-07  # 150 m one-way
@@ -188,30 +188,25 @@ class TestOracle:
         # time-domain brute-force check: the PSD ratio of the delayed
         # combination of white noise reproduces the analytic factor
         rng = np.random.default_rng(12)
-        fs = ORACLE_FS_HZ  # the rate random_combination's delays are whole samples of
         for k in range(5):
             comb = random_combination(rng)
-            freqs, ratio, factor = delayed_combination_oracle(
-                comb, fs, 2**16, seed=int(rng.integers(2**62))
-            )
+            freqs, ratio, factor = delayed_combination_oracle(comb, seed=int(rng.integers(2**62)))
             keep = np.isfinite(ratio) & (factor > 1e-4 * factor.max())
             keep[:3] = False
             dev = 10 * np.log10(ratio[keep] / factor[keep])
             assert np.mean(np.abs(dev) <= 1.0) >= 0.95
 
     def test_synthesis_length_is_scipys_fast_length(self):
-        # the 5-smooth search picks scipy.fft.next_fast_len(k, real=True), which the package no longer imports;
-        # every length the oracle needs, ORACLE_N plus a delay of 1 to ORACLE_MAX_DELAY samples, stays 131220
+        # the fixed synthesis length is scipy.fft.next_fast_len(k, real=True), which the package does not import,
+        # for every length the oracle needs: ORACLE_N plus a delay of 1 to ORACLE_MAX_DELAY samples
         from scipy.fft import next_fast_len
 
-        lengths = [*range(1, 2000), *range(2000, 300_000, 7), 2**20 + 1, 3**13 + 1, 10**7 + 3]
-        assert [_next_fast_len(k) for k in lengths] == [next_fast_len(k, real=True) for k in lengths]
-        assert {_next_fast_len(ORACLE_N + m) for m in range(1, ORACLE_MAX_DELAY + 1)} == {131220}
+        assert {next_fast_len(ORACLE_N + m, real=True) for m in range(1, ORACLE_MAX_DELAY + 1)} == {ORACLE_SYNTH_N}
 
     def test_non_integer_delay_rejected(self):
-        comb = DelayedCombination(((1.0, 0.0), (-1.0, 1.5 / 100.0)))
+        comb = DelayedCombination(((1.0, 0.0), (-1.0, 1.5 / ORACLE_FS_HZ)))
         with pytest.raises(ValueError):
-            delayed_combination_oracle(comb, 99.0, 1024, 0)
+            delayed_combination_oracle(comb, 0)
 
 
 class TestPredictedPsd:
