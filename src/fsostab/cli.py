@@ -6,7 +6,6 @@ Exit codes: 0 ok, 1 validation error, 2 runtime fault, 3 flagged result.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -175,7 +174,7 @@ def _cmd_compare(config, models, experiment, out: Path):
     del inputs  # released before Welch and the prediction, as run_three_modes releases them
     est = estimate_psd(meas, segment_len=nperseg)
     # bins below a few resolution bandwidths are estimator-limited
-    mask = est.band_mask & (est.psd > 0) & (est.freqs >= 5.0 * est.resolution_bw_hz)
+    mask = (est.psd > 0) & (est.freqs >= 5.0 * est.resolution_bw_hz)
     ratio, scale = config.nu_s_hz / config.nu_p_hz, config.carrier_scale(mode)
     with np.errstate(over="ignore", invalid="ignore"):  # a prediction out of float range is flagged below
         pred = predicted_mode_psd(models, config.t_one_way, ratio, scale, est.freqs[mask])["total"]
@@ -243,7 +242,7 @@ def main(argv=None) -> int:
         config, models, experiment = load_config(args.config, overrides)
         # the output directory is made by the run's first file, so a run stopped before it leaves none
         return args.func(config, models, experiment, args.out or Path("runs") / args.command)
-    except (ConfigError, InvalidModelError, OutOfRangeError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, InvalidModelError, OutOfRangeError) as exc:
         _log.error("validation: %s", exc)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary

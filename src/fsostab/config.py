@@ -162,13 +162,16 @@ def load_config(path: str | Path | None, overrides: dict | None = None):
     manifest.json from a previous run and replays its resolved snapshot.
     Returns (LinkConfig, models, experiment settings), with the calibrated
     models and base seed DEFAULT_SEED wherever the config sets none. A
-    path that cannot be read as UTF-8 text is a ConfigError naming it.
+    path that cannot be read as UTF-8 text, or parsed as JSON, is a
+    ConfigError naming it.
     """
     try:
         raw = "" if path is None else Path(path).read_text()
+        data = json.loads(raw) if raw.strip() else {}
     except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 path is bad input too
         raise ConfigError(f"cannot read config {str(path)!r}: {getattr(exc, 'strerror', None) or exc}") from None
-    data = json.loads(raw) if raw.strip() else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {str(path)!r} is not JSON: {exc}") from None
     if isinstance(data, dict) and "resolved_config" in data:
         data = data["resolved_config"]
     if not isinstance(data, dict):  # flags are laid into the root and its blocks before any check

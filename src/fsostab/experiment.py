@@ -98,9 +98,7 @@ def spot_phase_noise(spectrum: SpectrumEstimate, f_target_hz: float) -> float:
     log-spaced points over the half octave around the target, clipped to
     the estimate's grid, and the dB values are averaged; -inf when no bin is positive.
     """
-    pos = spectrum.freqs > 0
-    freqs = spectrum.freqs[pos]
-    psd = spectrum.psd[pos]
+    freqs, psd = spectrum.freqs, spectrum.psd
     if f_target_hz < freqs[0] or f_target_hz > freqs[-1]:
         raise OutOfRangeError(f"spot target {f_target_hz} Hz outside estimate grid")
     grid = np.geomspace(max(freqs[0], f_target_hz / 2**0.25), min(freqs[-1], f_target_hz * 2**0.25), 33)
@@ -214,12 +212,10 @@ def run_three_modes(
 
 def log_bin_spectrum(est: SpectrumEstimate):
     """Compact log-binned copy of an estimate (for file outputs): mean frequency and PSD in 64 bands per decade."""
-    pos = est.freqs > 0
-    f, p = est.freqs[pos], est.psd[pos]
-    _, idx = log_bands(f, 64)
+    _, idx = log_bands(est.freqs, 64)
     counts = np.bincount(idx)
     nz = counts > 0
-    return np.bincount(idx, weights=f)[nz] / counts[nz], np.bincount(idx, weights=p)[nz] / counts[nz]
+    return np.bincount(idx, weights=est.freqs)[nz] / counts[nz], np.bincount(idx, weights=est.psd)[nz] / counts[nz]
 
 
 def _fork_map(fn, jobs):
@@ -357,9 +353,9 @@ def write_table_csv(*tables):
 
 
 def write_spectrum_csv(path: Path, freqs, psd):
-    """Spectrum CSV: freq_hz, s_phi_rad2_per_hz, l_dbc_per_hz (positive bins)."""
+    """Spectrum CSV: freq_hz, s_phi_rad2_per_hz, l_dbc_per_hz (bins of positive PSD)."""
     f, p = np.asarray(freqs), np.asarray(psd)
-    keep = (f > 0) & (p > 0)
+    keep = p > 0
     write_table_csv((path, ["freq_hz", "s_phi_rad2_per_hz", "l_dbc_per_hz"], [f[keep], p[keep], ssb_phase_noise(p[keep])]))
 
 

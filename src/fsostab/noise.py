@@ -215,23 +215,15 @@ class PhaseSeries:
 
 @dataclass
 class SpectrumEstimate:
-    """One-sided averaged-periodogram PSD estimate from segments of ``segment_len`` samples."""
+    """One-sided averaged-periodogram PSD estimate at its data bins only: no DC, no Nyquist bin."""
 
     freqs: np.ndarray
     psd: np.ndarray
     resolution_bw_hz: float
-    segment_len: int
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=float)
         self.psd = np.asarray(self.psd, dtype=float)
-
-    @property
-    def band_mask(self) -> np.ndarray:
-        """True at ordinary bins; flags out DC and Nyquist, the last bin of an even segment's grid only."""
-        mask = self.freqs > 0
-        mask[-1] &= self.segment_len % 2 == 1
-        return mask
 
 
 def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> PhaseSeries:
@@ -338,7 +330,9 @@ def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
     and no padding, to within rounding; segments are transformed in
     batches of about 2^20 samples, so no copy of the whole segmented
     series is made. The resolution bandwidth reported is the window's
-    equivalent noise bandwidth, fs * sum(w^2) / sum(w)^2.
+    equivalent noise bandwidth, fs * sum(w^2) / sum(w)^2. Only the data
+    bins are returned, 1 .. ceil(segment_len / 2) - 1, the ones one-sided
+    doubling applies to: DC and an even segment's Nyquist bin are dropped.
     """
     x = series.samples
     n = x.size
@@ -365,10 +359,10 @@ def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
         spec = np.fft.rfft(seg, axis=1)
         with np.errstate(over="ignore"):  # an overflow leaves inf, which the caller flags
             power += (spec.real**2 + spec.imag**2).sum(axis=0)
-    psd = power / len(segments)
-    psd[1 : (segment_len + 1) // 2] *= 2.0  # one-sided: every bin but DC and an even length's Nyquist
-    freqs = np.fft.rfftfreq(segment_len, d=1.0 / series.fs_hz)
-    return SpectrumEstimate(freqs, psd, rbw, segment_len)
+    data = slice(1, (segment_len + 1) // 2)  # the bins one-sided doubling applies to: never DC or an even length's Nyquist
+    psd = power[data] / len(segments)
+    psd *= 2.0
+    return SpectrumEstimate(np.fft.rfftfreq(segment_len, d=1.0 / series.fs_hz)[data], psd, rbw)
 
 
 def ssb_phase_noise(psd_value):

@@ -69,7 +69,7 @@ def run_source_only(models, src, mode, config, seed=7):
 
 
 def banded_model_deviation(est, model_psd_fn, factor_fn, f_lo, f_hi, null_floor):
-    sel = est.band_mask & (est.freqs > f_lo) & (est.freqs < f_hi)
+    sel = (est.freqs > f_lo) & (est.freqs < f_hi)
     f = est.freqs[sel]
     factor = factor_fn(f)
     keep = factor > null_floor * factor.max()
@@ -155,7 +155,7 @@ def test_criterion_3_atmospheric_variant(models):
     unstab, _ = run_link(config, inputs, mode="unstabilized")
     es = estimate_psd(stab, segment_len=2**18)
     eu = estimate_psd(unstab, segment_len=2**18)
-    sel = es.band_mask & (es.freqs > 2.0) & (es.freqs < 100.0)
+    sel = (es.freqs > 2.0) & (es.freqs < 100.0)
     meas_factor = es.psd[sel] / eu.psd[sel]
     f = es.freqs[sel]
     _, _, (dev_derived,) = log_band_medians(f, 10 * np.log10(meas_factor / meas_transfer_atm(f, SCALED_T, "derived")))
@@ -272,7 +272,7 @@ def test_criterion_6_actuator_physics(models):
         assert not trace.flagged, trace.flags
         est[mode] = estimate_psd(meas, segment_len=2**19)
     e = est["doppler"]
-    sel = e.band_mask & (e.freqs >= 1.0) & (e.freqs <= 30.0)
+    sel = (e.freqs >= 1.0) & (e.freqs <= 30.0)
     f = e.freqs[sel]
     dop, gd, un = (est[mode].psd[sel] for mode in ("doppler", "group-delay", "unstabilized"))
     _, _, (dop_vs_un, gd_vs_dop) = log_band_medians(f, 10 * np.log10(dop / un), 10 * np.log10(gd / dop))

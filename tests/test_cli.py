@@ -619,7 +619,7 @@ class TestSubcommands:
             argv = [command, "--config", str(cfg), "--mode", mode, "--channel-thz", "197.2", "--out", str(tmp_path / command)]
             assert main(argv + SMALL) == EXIT_OK
         (est,), (res,) = estimates, simulated
-        assert est.freqs.size == 32768 // 8 // 2 + 1
+        assert est.freqs.size == 32768 // 8 // 2 - 1  # the data bins: no DC, no Nyquist
         assert np.array_equal(est.freqs, res.spectra[mode].freqs) and np.array_equal(est.psd, res.spectra[mode].psd)
 
     def test_compare_releases_inputs_before_welch(self, tmp_path, monkeypatch):
@@ -865,6 +865,23 @@ class TestSubcommands:
         assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert f"validation: cannot read config {str(cfg)!r}" in caplog.text
         assert not (tmp_path / "o").exists()
+
+    def test_unparseable_config_is_validation_error(self, tmp_path, caplog):
+        # a config that is not JSON is bad input too: named by its path, no output directory
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_samples": 65536,')
+        assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert f"validation: config {str(cfg)!r} is not JSON: Expecting property name" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_file_in_a_run_is_runtime_fault(self, tmp_path, monkeypatch, caplog):
+        # once the config is read, a FileNotFoundError is an output-side fault, not bad input
+        def fault(*args, **kwargs):
+            raise FileNotFoundError("injected")
+
+        monkeypatch.setattr(cli, "write_table_csv", fault)
+        assert main(["predict", "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert "runtime fault: injected" in caplog.text
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_help_names_each_flags_config_key(self, capsys, command):

@@ -35,7 +35,7 @@ from fsostab.experiment import (
 )
 from fsostab.link import MODES, LinkConfig, NoiseInputs, ServoConfig, run_link
 from fsostab.noise import PhaseSeries, SpectrumEstimate, estimate_psd, ssb_phase_noise
-from fsostab.spectral import identity_check_suite, meas_transfer_primary, meas_transfer_secondary, predicted_mode_psd
+from fsostab.spectral import identity_check_suite, log_bands, meas_transfer_primary, meas_transfer_secondary, predicted_mode_psd
 
 
 class TestCalibration:
@@ -94,26 +94,26 @@ class TestCalibration:
 
 class TestSpotPhaseNoise:
     def test_flat_spectrum(self):
-        f = np.linspace(0.0, 100.0, 2001)
-        est = SpectrumEstimate(f, np.full_like(f, 2.0), 0.05, 4000)
+        f = np.arange(1, 2000) * 0.05  # the data bins of a 4000-sample segment at 200 Hz
+        est = SpectrumEstimate(f, np.full_like(f, 2.0), 0.05)
         assert spot_phase_noise(est, 10.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_power_law_spot_is_its_value_at_the_target(self):
         # log-log interpolation is exact on a power law and the half-octave grid is symmetric in log f
         f = np.arange(1.0, 101.0)
-        est = SpectrumEstimate(f, 3.0 / f**2, 1.0, 200)
+        est = SpectrumEstimate(f, 3.0 / f**2, 1.0)
         assert spot_phase_noise(est, 10.0) == pytest.approx(ssb_phase_noise(0.03), rel=1e-9)
 
     def test_loglog_interpolation_midpoint(self):
         # slope -2 sampled at decade points: value at sqrt(10) is 0.1
         f = np.array([0.1, 1.0, 10.0, 100.0])
         psd = 1.0 / f**2 * 1.0
-        est = SpectrumEstimate(f, psd, 0.1, 2000)
+        est = SpectrumEstimate(f, psd, 0.1)
         got = spot_phase_noise(est, np.sqrt(10.0))
         assert got == pytest.approx(ssb_phase_noise(0.1), rel=1e-9)
 
     def test_out_of_range(self):
-        est = SpectrumEstimate(np.linspace(0, 10, 11), np.ones(11), 1.0, 20)
+        est = SpectrumEstimate(np.arange(1.0, 10.0), np.ones(9), 1.0)
         with pytest.raises(OutOfRangeError):
             spot_phase_noise(est, 100.0)
 
@@ -411,7 +411,20 @@ class TestSweepAndOutputs:
         f, p = log_bin_spectrum(est)
         assert f.size < est.freqs.size / 4
         assert np.all(np.diff(f) > 0)
-        assert np.mean(p) == pytest.approx(np.mean(est.psd[est.freqs > 0]), rel=0.1)
+        assert np.mean(p) == pytest.approx(np.mean(est.psd), rel=0.1)
+
+    def test_log_bin_spectrum_averages_the_data_bins(self):
+        # each band is the mean of the estimate's bins in it: no DC, and no even segment's half-weight Nyquist
+        fs, segment_len = 1000.0, 2**12
+        est = estimate_psd(PhaseSeries(np.random.default_rng(4).standard_normal(2**14), fs), segment_len=segment_len)
+        data = np.fft.rfftfreq(segment_len, 1.0 / fs)[1 : segment_len // 2]
+        assert np.array_equal(est.freqs, data)
+        f, p = log_bin_spectrum(est)
+        _, idx = log_bands(data, 64)
+        bands = np.unique(idx)
+        np.testing.assert_allclose(f, [data[idx == k].mean() for k in bands], rtol=1e-12)
+        np.testing.assert_allclose(p, [est.psd[idx == k].mean() for k in bands], rtol=1e-12)
+        assert f[-1] < data[-1] < fs / 2
 
 
 def per_value_csv(header, columns) -> bytes:

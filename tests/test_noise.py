@@ -384,7 +384,7 @@ class TestEstimatePsd:
         assert np.mean(oracle[1:-1]) == pytest.approx(expected, rel=0.2)
         big = PhaseSeries(np.random.default_rng(9).standard_normal(2**15), fs)
         est = estimate_psd(big, segment_len=1024)
-        assert np.mean(est.psd[1:-1]) == pytest.approx(2.0 / fs, rel=0.05)
+        assert np.mean(est.psd) == pytest.approx(2.0 / fs, rel=0.05)
 
     def test_zero_series(self):
         est = estimate_psd(PhaseSeries(np.zeros(4096), 100.0), segment_len=512)
@@ -408,6 +408,7 @@ class TestEstimatePsd:
         ],
     )
     def test_matches_scipy_welch(self, n, segment_len):
+        # scipy's one-sided grid at its data bins: no DC, no even segment's Nyquist
         fs = 250.0
         x = np.cumsum(np.random.default_rng(n).standard_normal(n))  # red: 60+ dB of dynamic range
         est = estimate_psd(PhaseSeries(x, fs), segment_len=segment_len)
@@ -416,8 +417,9 @@ class TestEstimatePsd:
             x, fs=fs, window=w, nperseg=segment_len, noverlap=round(segment_len / 2),
             detrend="constant", return_onesided=True, scaling="density",
         )
-        assert np.array_equal(est.freqs, freqs)
-        np.testing.assert_allclose(est.psd, psd, rtol=1e-10, atol=0)
+        data = slice(1, (segment_len + 1) // 2)
+        assert np.array_equal(est.freqs, freqs[data])
+        np.testing.assert_allclose(est.psd, psd[data], rtol=1e-10, atol=0)
 
     def test_segment_too_long(self):
         s = PhaseSeries(np.zeros(100), 10.0)
@@ -438,19 +440,17 @@ class TestEstimatePsd:
         est = estimate_psd(s, segment_len=512)
         # hann equivalent noise bandwidth is 1.5 bins
         assert est.resolution_bw_hz == pytest.approx(1.5 * 100.0 / 512, rel=1e-6)
-        assert not est.band_mask[0] and not est.band_mask[-1]
-        assert est.segment_len == 512
+        assert est.freqs.size == est.psd.size == 255  # bins 1 .. 255 of 0 .. 256
 
-    @pytest.mark.parametrize("segment_len, nyquist", [(64, True), (65, False)])
-    def test_band_mask_drops_dc_and_only_nyquist(self, segment_len, nyquist):
-        # only an even segment's grid ends at Nyquist, the one bin besides DC left undoubled; an odd
-        # segment's last bin (49.23 Hz of 50) is an ordinary one-sided bin of white noise's 2 / fs
+    @pytest.mark.parametrize("segment_len", [64, 65])
+    def test_estimate_holds_only_data_bins(self, segment_len):
+        # DC and an even segment's Nyquist are the bins one-sided doubling skips, so neither is returned;
+        # an odd segment's last bin (49.23 Hz of 50) is an ordinary one-sided bin of white noise's 2 / fs
         fs = 100.0
         est = estimate_psd(PhaseSeries(np.random.default_rng(3).standard_normal(2**14), fs), segment_len=segment_len)
-        assert (est.freqs[-1] == fs / 2) == nyquist
-        assert not est.band_mask[0] and est.band_mask[1:-1].all()
-        assert est.band_mask[-1] == (not nyquist)
-        assert est.psd[-1] == pytest.approx(1.0 / fs if nyquist else 2.0 / fs, rel=0.2)
+        assert np.array_equal(est.freqs, np.fft.rfftfreq(segment_len, 1.0 / fs)[1 : (segment_len + 1) // 2])
+        assert fs / 2 not in est.freqs  # the 1 / fs Nyquist bin is gone
+        np.testing.assert_allclose(est.psd, 2.0 / fs, rtol=0.25)
 
     def test_averaging_consistency(self):
         # doubling the average count shrinks the per-bin estimator
@@ -462,7 +462,7 @@ class TestEstimatePsd:
             for seed in range(24):
                 x = PhaseSeries(np.random.default_rng(seed).standard_normal(n), fs)
                 est = estimate_psd(x, segment_len=nper)
-                logs.append(np.log(est.psd[est.band_mask][: 128]))
+                logs.append(np.log(est.psd[:128]))
             per_bin_std[nper] = np.mean(np.std(np.array(logs), axis=0))
         ratio = per_bin_std[1024] / per_bin_std[512]
         assert ratio == pytest.approx(np.sqrt(2), rel=0.2)
