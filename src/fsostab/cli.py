@@ -102,10 +102,11 @@ def _cmd_simulate(config, models, experiment, out: Path):
         outputs.append(path)
     if experiment.get("emit_trace"):  # from the spectra's run; the open loop's error is the forcing, its command 0
         tr = res.trace
-        t = tr.t0_s + np.arange(tr.error_rad.size) / tr.fs_hz
+        t = tr.t0_s + np.arange(tr.base_rad.size) / tr.fs_hz
         header, tables = ["t_s", "error_rad", "actuator_cmd", "meas_phase_rad"], []
+        closed = (tr.error_rad, tr.act_phase_rad)  # formed on read: once here, so the stabilized tables share them
         for mode in modes:
-            loop = (tr.error_rad, tr.act_phase_rad) if mode != "unstabilized" else (tr.forcing_rad, np.zeros_like(t))
+            loop = closed if mode != "unstabilized" else (tr.forcing_rad, np.zeros_like(t))
             meas = tr.measurement(config.carrier_scale(mode)).samples
             tables.append((out / f"trace_{mode}.csv", header, [t, *loop, meas]))
         write_table_csv(*tables)  # one write formats t_s and the shared loop columns once for every file

@@ -196,11 +196,11 @@ def run_three_modes(
     nperseg = _checked_nperseg(config, nperseg)
     solved = next((m for m in modes if m != "unstabilized"), "unstabilized")
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
-    _, trace = run_link(config, inputs, mode=solved)
+    meas, trace = run_link(config, inputs, mode=solved)
     del inputs
     spectra, spots, flags = {}, {}, []
     for mode in modes:
-        est = estimate_psd(trace.measurement(config.carrier_scale(mode)), segment_len=nperseg)
+        est = estimate_psd(meas if mode == solved else trace.measurement(config.carrier_scale(mode)), segment_len=nperseg)
         spectra[mode] = est
         spots[mode] = spot_phase_noise(est, SPOT_FREQ_HZ)
         if mode != "unstabilized":

@@ -48,6 +48,8 @@ MODES = ("unstabilized", "doppler", "group-delay")
 
 #: Elements of the band Loop.solve fills once and reuses for every block: 2^16 doubles (512 KiB).
 _SOLVE_BAND = 2**16
+#: Samples fractional_delay adds its mu term over at once: 2^14 doubles (128 KiB).
+_DELAY_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,7 @@ class Loop:
             theta = dtbsv(p, band[:, : min(cols, n - start)], theta, offx=start, lower=1, diag=1, overwrite_x=1)
         return theta
 
+    @np.errstate(over="ignore", invalid="ignore")  # a diverged run's sums, whose overflow its flags record
     def error(self, d: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Round-trip servo error: the forcing plus both passes of the correction, zero before t = 0."""
         err = d.copy()
@@ -335,31 +338,54 @@ class LinkState:
 
 @dataclass
 class LinkTrace:
-    """The record of one run after its warm-up, from which every mode's measurement derives.
+    """The record of one run: only what no rule derives, full length; what it outputs starts after the warm-up.
 
-    forcing_rad and base_rad are d and m_base of NoiseInputs.forcing, correction_rad is theta as the
-    secondary receives it. With no loop solved the error is d, the command 0 and the correction None.
+    d and m_base are NoiseInputs.forcing's, delay_samples is T and theta the loop's command, None when no loop
+    ran (the error is then d and the command 0). The error, the command and each measurement form when read.
     """
 
     fs_hz: float
-    t0_s: float
-    error_rad: np.ndarray
-    act_phase_rad: np.ndarray
+    warmup: int
     engine: str
     flags: list
-    forcing_rad: np.ndarray
-    base_rad: np.ndarray
-    correction_rad: np.ndarray | None
+    d: np.ndarray
+    m_base: np.ndarray
+    theta: np.ndarray | None
+    loop: Loop
+    delay_samples: float
 
     @property
     def flagged(self) -> bool:
         return bool(self.flags)
 
+    @property
+    def t0_s(self) -> float:
+        return self.warmup * (1.0 / self.fs_hz)
+
+    @property
+    def forcing_rad(self) -> np.ndarray:
+        return self.d[self.warmup :]
+
+    @property
+    def base_rad(self) -> np.ndarray:
+        return self.m_base[self.warmup :]
+
+    @property
+    def error_rad(self) -> np.ndarray:
+        return self.forcing_rad if self.theta is None else self.loop.error(self.d, self.theta)[self.warmup :]
+
+    @property
+    def act_phase_rad(self) -> np.ndarray:
+        return np.zeros(self.d.size - self.warmup) if self.theta is None else self.theta[self.warmup :]
+
     def measurement(self, scale: float) -> PhaseSeries:
         """The measurement with the correction applied at ``scale``, a LinkConfig.carrier_scale."""
         if scale == 0:
             return PhaseSeries(self.base_rad, self.fs_hz)
-        out = self.correction_rad * scale
+        # theta[n] takes effect at sample n+1 (the same convention the error path uses), so the correction
+        # seen at transmission time t-T is theta delayed by T plus that one sample.
+        out = fractional_delay(self.theta, self.delay_samples + 1.0)[self.warmup :]
+        out *= scale
         return PhaseSeries(np.add(out, self.base_rad, out=out), self.fs_hz)
 
 
@@ -425,7 +451,8 @@ def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
     if m < n:
         np.multiply(x[: n - m], 1.0 - mu, out=out[m:])
         if mu != 0.0:
-            out[m + 1 :] += mu * x[: n - m - 1]
+            for i in range(m + 1, n, _DELAY_BLOCK):  # mu x, a block at a time, is never full length
+                out[i : i + _DELAY_BLOCK] += mu * x[i - m - 1 : min(i + _DELAY_BLOCK, n) - m - 1]
     return out
 
 
@@ -433,15 +460,14 @@ def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
 _REFERENCE_BLOCK = 4096
 
 
-@np.errstate(over="ignore", invalid="ignore")  # Loop.error repeats the per-sample sums, whose overflow is flagged
 def _run_reference(config, d, state):
-    """Closed loop, per sample, through the public servo_update (slow, clamping).
+    """Closed loop, per sample, through the public servo_update (slow, clamping); returns theta.
 
     The recursion runs on Python floats: about 0.5 us per sample on a
     shared 2-vCPU Xeon, where indexing the arrays and doing numpy scalar
     arithmetic took about 4 us. Python floats are the same IEEE doubles
     combined in the same order, so theta, the flags and the error, which
-    ``Loop.error`` forms afterwards as in the fast engine, are bit for bit
+    ``Loop.error`` forms from theta as for the fast engine, are bit for bit
     those of a loop over the arrays. d is read one block at a time, and
     ``past`` holds theta's last K values (zeros before t = 0).
     """
@@ -459,33 +485,34 @@ def _run_reference(config, d, state):
             th.append(servo_update(servo, e, dt, state))
         theta[start : start + len(th) - k] = th[k:]
         past = th[-k:]
-    return theta, config.loop.error(d, theta)
+    return theta
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _run_fast(config, d, state):
-    """Closed loop via Loop.solve; exact while no flag is raised.
+    """Closed loop via Loop.solve; returns theta, exact while no flag is raised.
 
     A sum out of float range leaves inf or NaN, which the checks read as divergence or a clamp, so the run
-    falls back and is flagged. max|a| is max(a.max(), -a.min()), scaled after the max: rounding is monotone.
+    falls back and is flagged. The error, then its sums S1 and S2, are formed in turn in one array; each max|a|
+    is max(a.max(), -a.min()), scaled after the max: rounding is monotone.
     """
     loop = config.loop
     theta = loop.solve(d)
-    err = loop.error(d, theta)
     if not np.all(np.isfinite(theta)):
         state.flag("non-finite")
     else:
-        if max(err.max(), -err.min()) > ERROR_DIVERGENCE_RAD:
+        s = loop.error(d, theta)
+        if max(s.max(), -s.min()) > ERROR_DIVERGENCE_RAD:
             state.flag("error-divergence")
-        s1 = np.cumsum(err)
-        if config.servo.ki > 0 and not config.servo.ki * (max(s1.max(), -s1.min()) * config.dt_s) <= ANTI_WINDUP_RAD:  # NaN too
+        np.cumsum(s, out=s)
+        if config.servo.ki > 0 and not config.servo.ki * (max(s.max(), -s.min()) * config.dt_s) <= ANTI_WINDUP_RAD:  # NaN too
             state.flag("integrator-clamp")
         elif config.servo.kii > 0:
-            s1 *= config.dt_s
-            s2 = np.cumsum(s1)
-            if not config.servo.kii * (max(s2.max(), -s2.min()) * config.dt_s) <= ANTI_WINDUP_RAD:
+            s *= config.dt_s
+            np.cumsum(s, out=s)
+            if not config.servo.kii * (max(s.max(), -s.min()) * config.dt_s) <= ANTI_WINDUP_RAD:
                 state.flag("integrator-clamp")
-    return theta, err
+    return theta
 
 
 def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "fast"):
@@ -495,9 +522,9 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
     engine runs and no flag is raised. Every other mode solves the same loop,
     with the "fast" engine as an LTI recursion; when a clamp or fault
     condition fires, the per-sample "reference" engine reruns it so the clamp
-    behavior and flags are honest, and the trace names the engine that
-    produced the result. The measurement is the trace's at the mode's carrier
-    scale. Identical config and inputs give bit-identical outputs.
+    behavior and flags are honest. The trace keeps d, m_base and the theta
+    of the engine it names; the measurement is the trace's at the mode's
+    carrier scale. Identical config and inputs give bit-identical outputs.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -509,32 +536,14 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
     if inputs.fs_hz != config.fs_hz:
         raise ValueError(f"inputs sampled at {inputs.fs_hz:g} Hz, config at {config.fs_hz:g} Hz")
     d, m_base, ts = inputs.forcing(config)
-    w = state.warmup_samples
-    if mode == "unstabilized":
-        theta, err, correction = np.zeros_like(d), d, None
-    else:
-        theta, err = (_run_fast if engine == "fast" else _run_reference)(config, d, state)
-        if engine == "fast" and state.flags:
-            _log.warning("fast path flagged (%s); re-running reference engine", state.flags)
-            fast_flags, state, engine = state.flags, LinkState(state.warmup_samples), "reference"
-            theta, err = _run_reference(config, d, state)
-            for fl in fast_flags:
-                state.flag(fl)
-        # theta[n] takes effect at sample n+1 (the same convention the error
-        # path uses), so the correction seen at transmission time t-T is
-        # theta delayed by T plus that one sample.
-        correction = fractional_delay(theta, ts + 1.0)[w:]
+    theta = None if mode == "unstabilized" else (_run_fast if engine == "fast" else _run_reference)(config, d, state)
+    if engine == "fast" and state.flags:  # only a loop that ran raises a flag
+        _log.warning("fast path flagged (%s); re-running reference engine", state.flags)
+        fast_flags, state, engine = state.flags, LinkState(state.warmup_samples), "reference"
+        theta = _run_reference(config, d, state)
+        for fl in fast_flags:
+            state.flag(fl)
     if state.flags:
         _log.warning("run flagged: %s", ",".join(state.flags))
-    trace = LinkTrace(
-        fs_hz=config.fs_hz,
-        t0_s=w * config.dt_s,
-        error_rad=err[w:],
-        act_phase_rad=theta[w:],
-        engine=engine,
-        flags=list(state.flags),
-        forcing_rad=d[w:],
-        base_rad=m_base[w:],
-        correction_rad=correction,
-    )
+    trace = LinkTrace(config.fs_hz, state.warmup_samples, engine, list(state.flags), d, m_base, theta, config.loop, ts)
     return trace.measurement(config.carrier_scale(mode)), trace

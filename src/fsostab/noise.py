@@ -339,8 +339,8 @@ def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
     segment_len = int(segment_len)
     if segment_len > n:
         raise SegmentationError(f"segment_len {segment_len} exceeds series length {n}")
-    if segment_len < 2:  # a one-sample Hann window is 0
-        raise SegmentationError(f"segment_len {segment_len} must be >= 2")
+    if segment_len < 3:  # a one-sample Hann window is 0, a two-sample segment holds DC and Nyquist alone
+        raise SegmentationError(f"segment_len {segment_len} must be >= 3")
     step = segment_len - round(segment_len / 2)
     segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
     w = _hann(segment_len)

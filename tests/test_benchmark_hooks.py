@@ -63,7 +63,8 @@ def test_traced_channel_records_every_layer(monkeypatch):
     assert layers["link.run"]["calls"] == 1
     assert solves == [config.n_samples]
     # the forcing's two delays (the primary and atmosphere's round trip, the secondary's one way), and theta's
-    assert layers["link.delay"]["calls"] == 2 + 1
+    # once for each stabilized measurement
+    assert layers["link.delay"]["calls"] == 2 + 2
 
 
 def test_traced_reference_engine_counts_every_sample():

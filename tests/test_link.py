@@ -1,6 +1,7 @@
 """Time-domain chain tests: delays, servo, actuators, full runs."""
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -323,10 +324,10 @@ class TestReferenceEngine:
         cfg = scaled_config(t_samples=t_samples, approximate_roundtrip=approx, servo=servo)
         d = self.forcing(n, events)
         new, old = link.LinkState(0), link.LinkState(0)
-        theta, err = link._run_reference(cfg, d, new)
+        theta = link._run_reference(cfg, d, new)
         theta_old, err_old = _reference_over_arrays(cfg, d, old)
         assert theta.tobytes() == theta_old.tobytes()
-        assert err.tobytes() == err_old.tobytes()
+        assert cfg.loop.error(d, theta).tobytes() == err_old.tobytes()
         assert (new.flags, new.fault, new.integ1, new.integ2) == (old.flags, old.fault, old.integ1, old.integ2)
         assert new.act_phase_rad == old.act_phase_rad
         assert new.flags == flags
@@ -460,6 +461,22 @@ class TestRunLink:
         m2, t2 = run_link(cfg, b, mode="doppler")
         assert np.array_equal(m1.samples, m2.samples)
         assert np.array_equal(t1.act_phase_rad, t2.act_phase_rad)
+
+    def test_record_footprint(self):
+        # the record keeps d, m_base and theta (d and m_base open loop), retained once the measurement is dropped,
+        # in series lengths (8 n bytes); the peaks read 4.25 and 3.25, and a full-length mu x temporary adds 1
+        cfg = LinkConfig(n_samples=2**16, servo=ServoConfig(kp=0.2, ki=1.0e4, kii=2.4e7))
+        inp = random_walk_inputs(np.random.default_rng(6), cfg.n_samples, cfg.fs_hz)
+        for mode, retained, peak in (("group-delay", 3.2, 4.5), ("unstabilized", 2.2, 3.5)):
+            tracemalloc.start()
+            try:
+                meas, trace = run_link(cfg, inp, mode=mode)
+                del meas
+                now, top = (b / (8 * cfg.n_samples) for b in tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+            assert not trace.flagged
+            assert now <= retained and top <= peak, (mode, now, top)
 
     def test_inputs_reused_across_configs(self):
         # inputs keep no state: every run on them, whatever carrier or delay ran before, equals one on fresh inputs

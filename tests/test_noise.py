@@ -432,8 +432,15 @@ class TestEstimatePsd:
 
     def test_one_sample_segment_refused(self):
         # a one-sample periodic Hann window is 0, so it would scale the periodogram by 0 / 0
-        with pytest.raises(SegmentationError, match=">= 2"):
+        with pytest.raises(SegmentationError, match=">= 3"):
             estimate_psd(PhaseSeries(np.zeros(100), 10.0), segment_len=1)
+
+    def test_two_sample_segment_refused(self):
+        # a two-sample segment's one-sided grid is DC and Nyquist, with no data bin; three samples hold one
+        x = PhaseSeries(np.random.default_rng(0).standard_normal(100), 10.0)
+        with pytest.raises(SegmentationError, match=">= 3"):
+            estimate_psd(x, segment_len=2)
+        assert estimate_psd(x, segment_len=3).freqs.size == 1
 
     def test_metadata(self):
         s = PhaseSeries(np.zeros(4096), 100.0)
