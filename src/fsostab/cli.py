@@ -67,7 +67,7 @@ _FLAGS = {
     "--f-min-hz": ("experiment.f_min_hz", "", {"type": float}),
     "--f-max-hz": ("experiment.f_max_hz", "", {"type": float}),
 }
-_COMMON_FLAGS = ("--seed", "--samples", "--fs-hz", "--scaled-delay")
+_RUN_FLAGS = ("--seed", "--samples", "--fs-hz", "--scaled-delay")  # those of the commands that synthesize noise
 
 
 def _cmd_predict(config, models, experiment, out: Path):
@@ -100,15 +100,9 @@ def _cmd_simulate(config, models, experiment, out: Path):
         path = out / f"spectrum_{mode}.csv"
         write_spectrum_csv(path, fb, pb)
         outputs.append(path)
-    if experiment.get("emit_trace"):  # from the spectra's run; the open loop's error is the forcing, its command 0
-        tr = res.trace
-        t = tr.t0_s + np.arange(tr.base_rad.size) / tr.fs_hz
-        header, tables = ["t_s", "error_rad", "actuator_cmd", "meas_phase_rad"], []
-        closed = (tr.error_rad, tr.act_phase_rad)  # formed on read: once here, so the stabilized tables share them
-        for mode in modes:
-            loop = closed if mode != "unstabilized" else (tr.forcing_rad, np.zeros_like(t))
-            meas = tr.measurement(config.carrier_scale(mode)).samples
-            tables.append((out / f"trace_{mode}.csv", header, [t, *loop, meas]))
+    if experiment.get("emit_trace"):  # from the spectra's run; t and the stabilized tables' loop columns are shared objects
+        tr, t, header = res.trace, res.trace.t_s, ["t_s", "error_rad", "actuator_cmd", "meas_phase_rad"]
+        tables = [(out / f"trace_{m}.csv", header, [t, *tr.loop_columns(m), tr.measurement(m).samples]) for m in modes]
         write_table_csv(*tables)  # one write formats t_s and the shared loop columns once for every file
         outputs += [path for path, _, _ in tables]
     lines = [f"channel {config.nu_s_hz / 1e12:.1f} THz, spot {SPOT_FREQ_HZ:g} Hz"]
@@ -199,13 +193,13 @@ def _cmd_compare(config, models, experiment, out: Path):
     return EXIT_FLAGGED if trace.flagged or not outputs else EXIT_OK
 
 
-#: subcommand -> (its handler, its help, the flags it takes beyond --config, --out and _COMMON_FLAGS)
+#: subcommand -> (its handler, its help, the flags it takes beyond --config and --out: only those it reads)
 _COMMANDS = {
-    "predict": (_cmd_predict, "closed-form measurement PSD curves", ("--f-min-hz", "--f-max-hz", "--points")),
-    "simulate": (_cmd_simulate, "three paired-mode runs on one channel", ("--channel-thz", "--mode", "--emit-trace")),
-    "sweep": (_cmd_sweep, "19-channel WDM sweep", ()),
-    "identity-check": (_cmd_identity_check, "delayed-copy identity oracle suite", ("--combos",)),
-    "compare": (_cmd_compare, "simulated vs predicted spectrum overlay", ("--channel-thz", "--mode")),
+    "predict": (_cmd_predict, "closed-form measurement PSD curves", ("--scaled-delay", "--f-min-hz", "--f-max-hz", "--points")),
+    "simulate": (_cmd_simulate, "three paired-mode runs on one channel", _RUN_FLAGS + ("--channel-thz", "--mode", "--emit-trace")),
+    "sweep": (_cmd_sweep, "19-channel WDM sweep", _RUN_FLAGS),
+    "identity-check": (_cmd_identity_check, "delayed-copy identity oracle suite", ("--seed", "--scaled-delay", "--combos")),
+    "compare": (_cmd_compare, "simulated vs predicted spectrum overlay", _RUN_FLAGS + ("--channel-thz", "--mode")),
 }
 
 
@@ -220,7 +214,7 @@ def build_parser():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", type=Path, help="JSON config (or a previous manifest.json)")
         p.add_argument("--out", type=Path, help="output directory")
-        for flag in _COMMON_FLAGS + own:  # dest is the config key, so the parsed flags are the overrides
+        for flag in own:  # dest is the config key, so the parsed flags are the overrides
             key, note, kwargs = _FLAGS[flag]
             p.add_argument(flag, dest=key, metavar=flag[2:].upper().replace("-", "_"), help=key + note, **kwargs)
         p.set_defaults(func=func)

@@ -33,6 +33,8 @@ _log = logging.getLogger(__name__)
 
 #: WDM channel grid: 190.0..197.2 THz every 0.4 THz (19 channels).
 CHANNEL_GRID_THZ = tuple(np.round(np.arange(190.0, 197.2001, 0.4), 4))
+#: A sweep channel's label, its carrier in THz to 0.1 THz: its spectrum files are chan_<label>_<mode>.csv.
+CHANNEL_LABEL = "{:.1f}"
 
 SPOT_FREQ_HZ = 10.0
 
@@ -185,8 +187,8 @@ def run_three_modes(
     """Run the mode set on one channel with shared noise realizations.
 
     The loop is solved once, for the first stabilized mode in ``modes``
-    (no solve when there is none), and every mode's measurement comes from
-    that record through its carrier scale: the comparison is paired and
+    (no solve when there is none), and every mode's measurement is read from
+    that record by its name: the comparison is paired and
     free of realization variance. The inputs are released before Welch.
     The record's flags are given to each stabilized mode, and a mode whose
     spectrum or spot is not finite is flagged ``<mode>:non-finite``.
@@ -200,7 +202,7 @@ def run_three_modes(
     del inputs
     spectra, spots, flags = {}, {}, []
     for mode in modes:
-        est = estimate_psd(meas if mode == solved else trace.measurement(config.carrier_scale(mode)), segment_len=nperseg)
+        est = estimate_psd(meas if mode == solved else trace.measurement(mode), segment_len=nperseg)
         spectra[mode] = est
         spots[mode] = spot_phase_noise(est, SPOT_FREQ_HZ)
         if mode != "unstabilized":
@@ -258,8 +260,11 @@ def channel_sweep(
     channel's spots, log-binned spectra and flags.
     """
     channels = list(channels_thz) if channels_thz is not None else list(CHANNEL_GRID_THZ)
-    if not channels or len(set(channels)) < len(channels):
-        raise ConfigError(f"channels_thz {channels} must name at least one channel, each once")
+    labels = [CHANNEL_LABEL.format(ch) for ch in channels]
+    if clash := [ch for ch, label in zip(channels, labels) if labels.count(label) > 1]:
+        raise ConfigError(f"channels_thz {clash} share a 0.1 THz label, which names their spectrum files: give each its own")
+    if not channels:
+        raise ConfigError("channels_thz must name at least one channel")
     # every check that can fail runs before the first synthesis
     configs = [replace(base_config, nu_s_hz=ch * 1e12) for ch in channels]
     nperseg = _checked_nperseg(base_config, nperseg)
@@ -397,7 +402,7 @@ def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict):
     outputs = [sweep_path]
     spec_dir = out_dir / "spectra"
     for (ch, mode), (f, p) in sorted(result.spectra.items()):
-        path = spec_dir / f"chan_{ch:.1f}_{mode}.csv"
+        path = spec_dir / f"chan_{CHANNEL_LABEL.format(ch)}_{mode}.csv"
         write_spectrum_csv(path, f, p)
         outputs.append(path)
     summary_path = out_dir / "summary.txt"

@@ -270,7 +270,7 @@ class NoiseInputs:
         return self.dt_atm.size
 
     def forcing(self, config: LinkConfig):
-        """(d, m_base, T in samples) of ``config`` on these inputs; neither series depends on the run mode.
+        """(d, m_base) of ``config`` on these inputs; neither series depends on the run mode.
 
         d is the round-trip forcing of the servo error, the primary and
         the atmosphere's phase g_p at nu_p brought back after 2T as one
@@ -287,7 +287,7 @@ class NoiseInputs:
         m_base -= self.phi_s
         g_p *= config.nu_s_hz / config.nu_p_hz
         m_base += g_p
-        return d, m_base, ts
+        return d, m_base
 
     @classmethod
     def from_models(cls, models: dict, fs_hz: float, n: int, seed, nu_ref_hz: float):
@@ -338,55 +338,50 @@ class LinkState:
 
 @dataclass
 class LinkTrace:
-    """The record of one run: only what no rule derives, full length; what it outputs starts after the warm-up.
+    """The record of one run: its config, the engine and flags, and only the series no rule derives, full length.
 
-    d and m_base are NoiseInputs.forcing's, delay_samples is T and theta the loop's command, None when no loop
-    ran (the error is then d and the command 0). The error, the command and each measurement form when read.
+    d and m_base are NoiseInputs.forcing's and theta the loop's command, None when no loop ran. The warm-up, the
+    sample rate, the loop and T are the config's; every mode's outputs start after the warm-up and form when read.
     """
 
-    fs_hz: float
-    warmup: int
+    config: LinkConfig
     engine: str
     flags: list
     d: np.ndarray
     m_base: np.ndarray
     theta: np.ndarray | None
-    loop: Loop
-    delay_samples: float
 
     @property
     def flagged(self) -> bool:
         return bool(self.flags)
 
     @property
-    def t0_s(self) -> float:
-        return self.warmup * (1.0 / self.fs_hz)
+    def t_s(self) -> np.ndarray:
+        w, fs = self.config.warmup_samples, self.config.fs_hz
+        return w * (1.0 / fs) + np.arange(self.d.size - w) / fs
 
-    @property
-    def forcing_rad(self) -> np.ndarray:
-        return self.d[self.warmup :]
+    def loop_columns(self, mode: str) -> tuple:
+        """(loop error, actuator command) of ``mode``: the open loop's (d, 0) for an unstabilized mode or a record
+        with no theta, else the closed loop's, the same two arrays for every stabilized mode."""
+        if mode == "unstabilized" or self.theta is None:
+            return self.d[self.config.warmup_samples :], np.zeros(self.d.size - self.config.warmup_samples)
+        return self._closed_loop
 
-    @property
-    def base_rad(self) -> np.ndarray:
-        return self.m_base[self.warmup :]
+    @cached_property
+    def _closed_loop(self) -> tuple:  # formed on first read: run_link keeps no error array
+        w = self.config.warmup_samples
+        return self.config.loop.error(self.d, self.theta)[w:], self.theta[w:]
 
-    @property
-    def error_rad(self) -> np.ndarray:
-        return self.forcing_rad if self.theta is None else self.loop.error(self.d, self.theta)[self.warmup :]
-
-    @property
-    def act_phase_rad(self) -> np.ndarray:
-        return np.zeros(self.d.size - self.warmup) if self.theta is None else self.theta[self.warmup :]
-
-    def measurement(self, scale: float) -> PhaseSeries:
-        """The measurement with the correction applied at ``scale``, a LinkConfig.carrier_scale."""
-        if scale == 0:
-            return PhaseSeries(self.base_rad, self.fs_hz)
+    def measurement(self, mode: str) -> PhaseSeries:
+        """The measurement of ``mode``: m_base plus the correction at its LinkConfig.carrier_scale (none with no theta)."""
+        w, fs, scale = self.config.warmup_samples, self.config.fs_hz, self.config.carrier_scale(mode)
+        if scale == 0 or self.theta is None:
+            return PhaseSeries(self.m_base[w:], fs)
         # theta[n] takes effect at sample n+1 (the same convention the error path uses), so the correction
         # seen at transmission time t-T is theta delayed by T plus that one sample.
-        out = fractional_delay(self.theta, self.delay_samples + 1.0)[self.warmup :]
+        out = fractional_delay(self.theta, self.config.t_one_way * fs + 1.0)[w:]
         out *= scale
-        return PhaseSeries(np.add(out, self.base_rad, out=out), self.fs_hz)
+        return PhaseSeries(np.add(out, self.m_base[w:], out=out), fs)
 
 
 def make_link(config: LinkConfig) -> LinkState:
@@ -522,9 +517,9 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
     engine runs and no flag is raised. Every other mode solves the same loop,
     with the "fast" engine as an LTI recursion; when a clamp or fault
     condition fires, the per-sample "reference" engine reruns it so the clamp
-    behavior and flags are honest. The trace keeps d, m_base and the theta
-    of the engine it names; the measurement is the trace's at the mode's
-    carrier scale. Identical config and inputs give bit-identical outputs.
+    behavior and flags are honest. The trace keeps the config, d, m_base and
+    the theta of the engine it names; the measurement is the trace's of
+    ``mode``. Identical config and inputs give bit-identical outputs.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -535,7 +530,7 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
         raise ValueError("inputs shorter than warm-up; lengthen the run")
     if inputs.fs_hz != config.fs_hz:
         raise ValueError(f"inputs sampled at {inputs.fs_hz:g} Hz, config at {config.fs_hz:g} Hz")
-    d, m_base, ts = inputs.forcing(config)
+    d, m_base = inputs.forcing(config)
     theta = None if mode == "unstabilized" else (_run_fast if engine == "fast" else _run_reference)(config, d, state)
     if engine == "fast" and state.flags:  # only a loop that ran raises a flag
         _log.warning("fast path flagged (%s); re-running reference engine", state.flags)
@@ -545,5 +540,5 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
             state.flag(fl)
     if state.flags:
         _log.warning("run flagged: %s", ",".join(state.flags))
-    trace = LinkTrace(config.fs_hz, state.warmup_samples, engine, list(state.flags), d, m_base, theta, config.loop, ts)
-    return trace.measurement(config.carrier_scale(mode)), trace
+    trace = LinkTrace(config, engine, list(state.flags), d, m_base, theta)
+    return trace.measurement(mode), trace

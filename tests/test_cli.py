@@ -321,7 +321,8 @@ class TestSubcommands:
         cfg.write_text(text)
         for command in commands:
             caplog.clear()
-            rc = main([command, "--config", str(cfg), "--out", str(tmp_path / command), "--samples", "65536"])
+            small = [] if command == "predict" else ["--samples", "65536"]  # predict synthesizes nothing
+            rc = main([command, "--config", str(cfg), "--out", str(tmp_path / command)] + small)
             assert rc == EXIT_VALIDATION
             assert "validation: " in caplog.text and message in caplog.text
 
@@ -722,13 +723,13 @@ class TestSubcommands:
         cfg = write_cfg(tmp_path, {"fs_hz": 4000.0, "n_samples": 32768, "servo": {"ki_per_s": 1000.0}, "models": models,
                                    "experiment": {"channels_thz": [193.2, 197.2], "nperseg": 4096}})
         for argv in (["predict", "--points", "50", "--f-min-hz", "1", "--f-max-hz", "2000"],
-                     ["simulate", "--mode", "group-delay", "--emit-trace"], ["sweep"],
-                     ["identity-check", "--combos", "2"], ["compare", "--mode", "group-delay"]):
+                     ["simulate", "--mode", "group-delay", "--emit-trace", "--seed", "7"], ["sweep", "--seed", "7"],
+                     ["identity-check", "--combos", "2", "--seed", "7"], ["compare", "--mode", "group-delay", "--seed", "7"]):
             out, replay = tmp_path / argv[0], tmp_path / f"{argv[0]}-replay"
-            rc = main(argv + ["--config", str(cfg), "--seed", "7", "--out", str(out)])
+            rc = main(argv + ["--config", str(cfg), "--out", str(out)])
             manifest = json.loads((out / "manifest.json").read_text())
             assert set(manifest) == {"tool", "version", "created_utc", "resolved_config", "config_sha256", "outputs"}
-            assert manifest["resolved_config"]["experiment"]["base_seed"] == 7
+            assert manifest["resolved_config"]["experiment"]["base_seed"] == (7 if "--seed" in argv else DEFAULT_SEED)
             assert main([argv[0], "--config", str(out / "manifest.json"), "--out", str(replay)]) == rc
             replayed = json.loads((replay / "manifest.json").read_text())
             assert replayed["config_sha256"] == manifest["config_sha256"]
@@ -758,6 +759,13 @@ class TestSubcommands:
         assert _sweep_two_workers(tmp_path, monkeypatch) == code
         assert message in caplog.text
 
+    def test_channels_of_one_label_rejected_before_synthesis(self, tmp_path, no_synthesis, caplog):
+        # a channel's spectrum files are named by its carrier to 0.1 THz, so 193.14's spectra would overwrite 193.1's
+        cfg = write_cfg(tmp_path, {"experiment": {"channels_thz": [193.1, 193.14]}})
+        assert main(["sweep", "--samples", "65536", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == EXIT_VALIDATION
+        assert "channels_thz [193.1, 193.14] share a 0.1 THz label" in caplog.text
+        assert not (tmp_path / "sw").exists()
+
     def test_empty_channel_list_is_validation_error(self, tmp_path):
         cfg = write_cfg(tmp_path, {"experiment": {"channels_thz": []}})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == EXIT_VALIDATION
@@ -785,8 +793,8 @@ class TestSubcommands:
     def test_bad_experiment_block_rejected_before_any_run(self, tmp_path, no_run, block):
         # each value is checked against its kind on load; the band's order is checked by predict, which reads it
         cfg = write_cfg(tmp_path, {"experiment": block})
-        command = "predict" if {"f_min_hz", "f_max_hz"} <= set(block) else "sweep"
-        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--samples", "65536"])
+        argv = ["predict"] if {"f_min_hz", "f_max_hz"} <= set(block) else ["sweep", "--samples", "65536"]
+        rc = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
 
@@ -798,7 +806,7 @@ class TestSubcommands:
             ["simulate", "--fs-hz", "0"],
             ["simulate", "--samples", "0"],
             ["simulate", "--channel-thz", "0"],
-            ["predict", "--samples", "0"],
+            ["compare", "--samples", "0"],
         ],
     )
     def test_bad_flag_rejected_before_any_run(self, tmp_path, no_run, argv):
@@ -840,11 +848,17 @@ class TestSubcommands:
             ["predict", "--f-min-hz", "100", "--f-max-hz", "10"],
             ["identity-check", "--combos", "0"],
             ["identity-check", "--combos", "-1"],
+            ["predict", "--seed", "1"],
+            ["predict", "--samples", "32"],
+            ["predict", "--fs-hz", "1000"],
+            ["identity-check", "--samples", "65536"],
+            ["identity-check", "--fs-hz", "1000"],
         ],
     )
     def test_usage_error_is_validation_error(self, tmp_path, argv):
-        # --mode and --channel-thz belong to simulate and compare, the commands that read them; counts are
-        # at least 1, and predict's band is finite with 0 < min < max; an empty command line lacks the command.
+        # --mode and --channel-thz belong to simulate and compare, the commands that read them, --samples and
+        # --fs-hz to those that synthesize noise, and --seed to those and identity-check, which draws its combinations;
+        # counts are at least 1, and predict's band is finite with 0 < min < max; an empty command line lacks the command.
         # A subcommand's usage error makes no output directory.
         out = ["--out", str(tmp_path / "o")] if argv else []
         assert main(argv + out) == EXIT_VALIDATION
@@ -887,8 +901,8 @@ class TestSubcommands:
     def test_help_names_each_flags_config_key(self, capsys, command):
         assert main([command, "--help"]) == EXIT_OK
         text = capsys.readouterr().out
-        own = cli._COMMANDS[command][2]
-        for flag in cli._COMMON_FLAGS + own:
+        own = cli._COMMANDS[command][2]  # every flag the command takes but --config and --out
+        for flag in own:
             assert f"{flag} " in text and cli._FLAGS[flag][0] in text, flag
         if "--mode" in own:
             assert all(mode in text for mode in link.MODES)

@@ -242,7 +242,7 @@ class TestRunThreeModes:
             for mode in MODES:
                 inputs = NoiseInputs.from_models(models, cfg.fs_hz, cfg.n_samples, seed(), cfg.nu_p_hz)
                 meas, trace = run_link(cfg, inputs, mode=mode)
-                assert np.array_equal(res.trace.measurement(cfg.carrier_scale(mode)).samples, meas.samples)
+                assert np.array_equal(res.trace.measurement(mode).samples, meas.samples)
                 est = estimate_psd(meas, segment_len=nperseg)
                 assert np.array_equal(res.spectra[mode].freqs, est.freqs)
                 assert np.array_equal(res.spectra[mode].psd, est.psd)
@@ -250,7 +250,7 @@ class TestRunThreeModes:
                 assert not trace.flagged
                 rows = (out / f"trace_{mode}.csv").read_text().splitlines()[1:]
                 written = list(zip(*(row.split(",") for row in rows)))[1:]
-                for column, series in zip(written, (trace.error_rad, trace.act_phase_rad, meas.samples)):
+                for column, series in zip(written, (*trace.loop_columns(mode), meas.samples)):
                     assert list(column) == [f"{x:.10g}" for x in series], (geometry, mode)
             assert res.flags == []
 

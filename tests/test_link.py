@@ -19,6 +19,7 @@ from fsostab.link import (
     MODES,
     SPEED_OF_LIGHT_M_S,
     LinkConfig,
+    LinkTrace,
     Loop,
     NoiseInputs,
     ServoConfig,
@@ -183,7 +184,7 @@ class TestErrorSignal:
     def test_all_quiet(self):
         cfg = scaled_config()
         _, tr = run_link(cfg, quiet_inputs(cfg.n_samples, cfg.fs_hz), mode="unstabilized")
-        assert np.all(tr.error_rad == 0.0)
+        assert np.all(tr.loop_columns("unstabilized")[0] == 0.0)
 
     def test_static_atmosphere_counts_twice(self):
         d = 2.0e-15
@@ -191,7 +192,7 @@ class TestErrorSignal:
         cfg = scaled_config()
         inp = quiet_inputs(cfg.n_samples, cfg.fs_hz, dt_atm=np.full(cfg.n_samples, d))
         _, tr = run_link(cfg, inp, mode="unstabilized")
-        assert np.allclose(tr.error_rad, 2 * g, rtol=1e-12, atol=0)
+        assert np.allclose(tr.loop_columns("unstabilized")[0], 2 * g, rtol=1e-12, atol=0)
 
     def test_primary_ramp(self):
         # constant frequency offset dnu: phase ramp phi(t) = 2 pi dnu t
@@ -199,7 +200,7 @@ class TestErrorSignal:
         cfg = scaled_config()
         phi_p = 2 * np.pi * dnu * np.arange(cfg.n_samples) / cfg.fs_hz
         _, tr = run_link(cfg, quiet_inputs(cfg.n_samples, cfg.fs_hz, phi_p=phi_p), mode="unstabilized")
-        assert np.allclose(tr.error_rad, -dnu * 2 * np.pi * 2 * cfg.t_one_way, rtol=1e-9, atol=0)
+        assert np.allclose(tr.loop_columns("unstabilized")[0], -dnu * 2 * np.pi * 2 * cfg.t_one_way, rtol=1e-9, atol=0)
 
 
 class TestServoUpdate:
@@ -375,8 +376,8 @@ class TestFractionalDelay:
         # the primary's round-trip copy is zero before t = 0, so a constant primary leaves -c in d for 2T samples
         cfg = scaled_config(t_samples=16)
         c = 0.7
-        d, m_base, ts = quiet_inputs(cfg.n_samples, cfg.fs_hz, phi_p=np.full(cfg.n_samples, c)).forcing(cfg)
-        assert ts == 16.0
+        d, m_base = quiet_inputs(cfg.n_samples, cfg.fs_hz, phi_p=np.full(cfg.n_samples, c)).forcing(cfg)
+        assert cfg.t_one_way * cfg.fs_hz == 16.0
         assert np.array_equal(d[:32], np.full(32, -c)) and not d[32:].any()
         assert not m_base.any()
 
@@ -407,7 +408,7 @@ class TestRunLink:
         inp = quiet_inputs(cfg.n_samples, cfg.fs_hz, dt_atm=np.full(cfg.n_samples, d))
         m, tr = run_link(cfg, inp, mode="doppler")
         assert m.samples[-1] == pytest.approx(2 * np.pi * (cfg.nu_s_hz - cfg.nu_p_hz) * d, rel=1e-6)
-        assert abs(tr.error_rad[-1]) < 1e-9  # integral action nulls the error
+        assert abs(tr.loop_columns("doppler")[0][-1]) < 1e-9  # integral action nulls the error
 
     def test_static_atm_group_delay_cancels(self):
         d = 1.5e-15
@@ -450,7 +451,7 @@ class TestRunLink:
                     assert t_ref.flagged == flagged and ("error-divergence" in t_ref.flags) == flagged
                     assert t_fast.engine == ("reference" if flagged else "fast")
                     assert np.max(np.abs(m_fast.samples - m_ref.samples)) < 1e-9
-                    assert np.max(np.abs(t_fast.error_rad - t_ref.error_rad)) < 1e-9
+                    assert np.max(np.abs(t_fast.loop_columns(mode)[0] - t_ref.loop_columns(mode)[0])) < 1e-9
 
     def test_determinism(self):
         cfg = scaled_config()
@@ -460,7 +461,30 @@ class TestRunLink:
         m1, t1 = run_link(cfg, a, mode="doppler")
         m2, t2 = run_link(cfg, b, mode="doppler")
         assert np.array_equal(m1.samples, m2.samples)
-        assert np.array_equal(t1.act_phase_rad, t2.act_phase_rad)
+        assert np.array_equal(t1.loop_columns("doppler")[1], t2.loop_columns("doppler")[1])
+
+    def test_record_is_its_config_and_three_series(self):
+        # the record holds its config, engine, flags and the series no rule derives; every mode's loop columns are
+        # read from it by name after the warm-up: the open loop's (d, 0), one closed-loop pair for both stabilized
+        # modes, and the open loop for every mode of a record with no theta
+        assert [f.name for f in fields(LinkTrace)] == ["config", "engine", "flags", "d", "m_base", "theta"]
+        cfg = scaled_config()
+        w = cfg.warmup_samples
+        inp = random_walk_inputs(np.random.default_rng(12), cfg.n_samples, cfg.fs_hz)
+        _, solved = run_link(cfg, inp, mode="group-delay")
+        assert np.array_equal(solved.t_s, w * cfg.dt_s + np.arange(cfg.n_samples - w) / cfg.fs_hz)
+        err, cmd = solved.loop_columns("unstabilized")
+        assert np.array_equal(err, solved.d[w:]) and np.array_equal(cmd, np.zeros(cfg.n_samples - w))
+        closed = solved.loop_columns("doppler")
+        assert all(a is b for a, b in zip(closed, solved.loop_columns("group-delay")))
+        assert np.array_equal(closed[0], cfg.loop.error(solved.d, solved.theta)[w:])
+        assert np.array_equal(closed[1], solved.theta[w:]) and closed[1].any()
+        _, unsolved = run_link(cfg, inp, mode="unstabilized")
+        assert unsolved.theta is None
+        for mode in MODES:
+            err, cmd = unsolved.loop_columns(mode)
+            assert np.array_equal(err, solved.d[w:]) and not cmd.any() and cmd.size == err.size, mode
+            assert np.array_equal(unsolved.measurement(mode).samples, solved.m_base[w:]), mode
 
     def test_record_footprint(self):
         # the record keeps d, m_base and theta (d and m_base open loop), retained once the measurement is dropped,
@@ -533,7 +557,7 @@ class TestRunLink:
         # engine checks, S2 passes ANTI_WINDUP_RAD / kii while S1 stays under ANTI_WINDUP_RAD / ki
         cfg = scaled_config(servo=ServoConfig(kp=0.2, ki=50.0, kii=2000.0))
         inp = quiet_inputs(cfg.n_samples, cfg.fs_hz, dt_atm=1.5e-10 * np.arange(cfg.n_samples) / cfg.fs_hz)
-        d, _, _ = inp.forcing(cfg)
+        d, _ = inp.forcing(cfg)
         s1 = np.cumsum(cfg.loop.error(d, cfg.loop.solve(d))) * cfg.dt_s
         assert np.max(np.abs(s1)) < ANTI_WINDUP_RAD / cfg.servo.ki
         assert np.max(np.abs(np.cumsum(s1) * cfg.dt_s)) > ANTI_WINDUP_RAD / cfg.servo.kii
@@ -558,7 +582,7 @@ class TestRunLink:
         # overflows theta itself, which the fast engine flags non-finite, and the reference engine's run is kept
         cfg = scaled_config(t_samples=1.5, servo=ServoConfig(kp=0.9, ki=100.0))
         inp = quiet_inputs(cfg.n_samples, cfg.fs_hz, phi_p=1e307 * np.resize([1.0, -1.0], cfg.n_samples))
-        d, _, _ = inp.forcing(cfg)
+        d, _ = inp.forcing(cfg)
         assert np.all(np.isfinite(d))
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.all(np.isfinite(cfg.loop.solve(d)))
@@ -577,7 +601,7 @@ class TestRunLink:
         m_fast, t_fast = run_link(cfg, inp, mode="doppler")
         m_ref, t_ref = run_link(cfg, inp, mode="doppler", engine="reference")
         assert (t_fast.engine, t_ref.engine) == ("fast", "reference")
-        assert np.max(np.abs(t_fast.error_rad - t_ref.error_rad)) < 1e-11
+        assert np.max(np.abs(t_fast.loop_columns("doppler")[0] - t_ref.loop_columns("doppler")[0])) < 1e-11
         assert np.max(np.abs(m_fast.samples - m_ref.samples)) < 1e-11
 
     # every series is checked alike: one length, one dimension, finite values
@@ -683,7 +707,7 @@ def test_engines_agree_on_random_stable_loops(kp, ki_dt, kii_ratio, k, seed):
     assert not t_fast.flagged and t_fast.engine == "fast"
     scale = 1.0 + np.max(np.abs(m_ref.samples))
     assert np.max(np.abs(m_fast.samples - m_ref.samples)) < 1e-9 * scale
-    assert np.max(np.abs(t_fast.error_rad - t_ref.error_rad)) < 1e-9 * scale
+    assert np.max(np.abs(t_fast.loop_columns("doppler")[0] - t_ref.loop_columns("doppler")[0])) < 1e-9 * scale
 
 
 def _mini_models():
