@@ -225,8 +225,8 @@ def _fork_map(fn, jobs):
 
     The order does not depend on the number of workers. An exception in a
     job reaches the caller with its type; a worker that dies surfaces as
-    ``BrokenProcessPool``. Fork, not spawn: workers start with numpy, scipy
-    and the caller's data loaded, and Python 3.11's pool forks them all
+    ``BrokenProcessPool``. Fork, not spawn: workers start with numpy, scipy's
+    BLAS and the caller's data loaded, and Python 3.11's pool forks them all
     before it starts its manager thread. Processes: the jobs hold the GIL.
     """
     workers = min(len(jobs), len(os.sched_getaffinity(0)))

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib import machinery, util
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 from .errors import ConfigError
 from .noise import PhaseSeries, synthesize_phase_noise
@@ -50,6 +52,18 @@ MODES = ("unstabilized", "doppler", "group-delay")
 _SOLVE_BAND = 2**16
 #: Samples fractional_delay adds its mu term over at once: 2^14 doubles (128 KiB).
 _DELAY_BLOCK = 2**14
+
+_FBLAS = "scipy.linalg._fblas"  # scipy's compiled BLAS module, loaded by itself: importing scipy.linalg for it costs 0.2 s
+if _FBLAS not in sys.modules:  # else a scipy.linalg import loaded it first: one module either way
+    if (_scipy := util.find_spec("scipy")) is None:  # found without running scipy's own code
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    _linalg_dir = os.path.join(os.path.dirname(_scipy.origin), "linalg")
+    _spec = machinery.FileFinder(_linalg_dir, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(_FBLAS)
+    if _spec is None:
+        raise ImportError(f"scipy's compiled BLAS module _fblas is not in {_linalg_dir}")
+    sys.modules[_FBLAS] = util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_FBLAS])
+dtbsv = sys.modules[_FBLAS].dtbsv  # Loop.solve's, and the very function scipy.linalg.blas.dtbsv names
 
 
 @dataclass(frozen=True)
@@ -117,9 +131,9 @@ class Loop:
         return cls(-n, a, k, _schur_stable(a))
 
     def solve(self, d: np.ndarray) -> np.ndarray:
-        """theta for the forcing d, zero before t = 0: T theta = b * d, T the unit lower-triangular banded Toeplitz
-        matrix of a (a[0] == 1), solved by BLAS dtbsv a block of columns at a time in one reused band; each block
-        first takes the previous block's last p = len(a) - 1 outputs off its first p rows."""
+        """theta for the forcing d, zero before t = 0: T theta = b * d, T the unit lower-triangular banded Toeplitz matrix of a
+        (a[0] == 1), solved by BLAS dtbsv from scipy's compiled _fblas (loaded above) a block of columns at a time in one reused
+        band; each block first takes the previous block's last p = len(a) - 1 outputs off its first p rows."""
         n, p = d.size, self.a.size - 1
         theta = np.convolve(d, self.b)[:n]
         cols = max(p, _SOLVE_BAND // (p + 1))

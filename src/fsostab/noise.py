@@ -19,6 +19,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy 2 loads these on first use: at import they stay in set-up, out of a run's time
+import numpy.random
 
 from .errors import InvalidModelError, OutOfRangeError, SegmentationError, TooShortError
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # which np.median imports on its first call: numpy 2 loads it lazily
 
 from .errors import InvalidModelError
 from .noise import PhaseSeries, PsdModel, estimate_psd, ssb_phase_noise, synthesize_phase_noise

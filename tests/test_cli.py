@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import textwrap
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -41,12 +42,63 @@ def write_cfg(tmp_path, data, name="cfg.json"):
     return p
 
 
+def _python(code, *first_on_path):
+    """Run code in a fresh interpreter that imports this checkout's fsostab, after any first_on_path directories."""
+    path = os.pathsep.join([*map(str, first_on_path), str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal's import costs about a second, scipy.fft's about 30 ms and 5 MB; the package takes its loop
-    # solve from scipy.linalg and its transforms from numpy.fft instead
-    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    code = "import sys, fsostab; sys.exit('scipy.signal' in sys.modules or 'scipy.fft' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), timeout=60).returncode == 0
+    # scipy.signal's import costs about a second, scipy.linalg's about 0.2 s and 12-16 MB of RSS, scipy.fft's about
+    # 30 ms and 5 MB; the package loads only scipy's compiled BLAS module for the loop solve's dtbsv, and takes its
+    # transforms from numpy.fft
+    code = "import sys, fsostab; sys.exit(any(m in sys.modules for m in ('scipy.signal', 'scipy.fft', 'scipy.linalg')))"
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("first", ["fsostab", "scipy.linalg"])
+def test_loop_solve_calls_scipy_linalg_blas_dtbsv(first):
+    # one module copy in either import order, so theta is the very BLAS call scipy.linalg.blas makes
+    second = "scipy.linalg" if first == "fsostab" else "fsostab"
+    code = f"import {first}, {second}, scipy.linalg.blas, fsostab.link; assert fsostab.link.dtbsv is scipy.linalg.blas.dtbsv"
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+
+
+def test_a_run_imports_no_numpy_or_scipy_module(tmp_path):
+    # numpy 2 loads numpy.fft, numpy.random and numpy.ma on first use: the package imports them itself, so a run's
+    # wall time pays for no import
+    code = textwrap.dedent(f"""
+        import sys, fsostab
+        before = set(sys.modules)
+        from fsostab import cli
+        assert cli.main(["simulate", "--samples", "65536", "--emit-trace", "--out", {str(tmp_path / "sim")!r}]) == 0
+        assert cli.main(["compare", "--scaled-delay", "--samples", "65536", "--out", {str(tmp_path / "cmp")!r}]) == 0
+        print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("numpy", "scipy")))
+    """)
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_missing_compiled_blas_module_fails_the_import(tmp_path):
+    # a scipy without its compiled BLAS module: no fallback solve, the import names the directory it searched
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    run = _python("import fsostab", tmp_path)
+    assert run.returncode != 0
+    assert f"ImportError: scipy's compiled BLAS module _fblas is not in {tmp_path / 'scipy' / 'linalg'}" in run.stderr
+
+
+def test_missing_scipy_fails_the_import(tmp_path):
+    # no site-packages (-S) and numpy alone on the path: scipy is absent, and the import says so by name
+    (tmp_path / "numpy").symlink_to(Path(np.__file__).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(Path(cli.__file__).parents[1])]))
+    run = subprocess.run([sys.executable, "-S", "-c", "import fsostab"], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode != 0
+    assert "ModuleNotFoundError: No module named 'scipy'" in run.stderr
 
 
 class TestParseConfig:
