@@ -94,22 +94,17 @@ def _cmd_simulate(config, models, experiment, out: Path):
     seed = np.random.SeedSequence(experiment["base_seed"], spawn_key=(0,))
     modes = (experiment["mode"],) if "mode" in experiment else MODES
     res = run_three_modes(config, models, seed, nperseg=experiment.get("nperseg"), modes=modes)
-    outputs = []
-    for mode, est in res.spectra.items():
-        fb, pb = log_bin_spectrum(est)
-        path = out / f"spectrum_{mode}.csv"
-        write_spectrum_csv(path, fb, pb)
-        outputs.append(path)
-    if experiment.get("emit_trace"):  # from the spectra's run; t and the stabilized tables' loop columns are shared objects
+    outputs = [out / f"spectrum_{mode}.csv" for mode in res.spectra]
+    for path, est in zip(outputs, res.spectra.values()):
+        write_spectrum_csv(path, *log_bin_spectrum(est))
+    if experiment.get("emit_trace"):  # the spectra's run and measurements; t and the stabilized loop columns are shared
         tr, t, header = res.trace, res.trace.t_s, ["t_s", "error_rad", "actuator_cmd", "meas_phase_rad"]
-        tables = [(out / f"trace_{m}.csv", header, [t, *tr.loop_columns(m), tr.measurement(m).samples]) for m in modes]
+        tables = [(out / f"trace_{m}.csv", header, [t, *tr.loop_columns(m), res.measurements[m].samples]) for m in modes]
         write_table_csv(*tables)  # one write formats t_s and the shared loop columns once for every file
         outputs += [path for path, _, _ in tables]
     lines = [f"channel {config.nu_s_hz / 1e12:.1f} THz, spot {SPOT_FREQ_HZ:g} Hz"]
-    for mode, spot in res.spots_dbc.items():
-        lines.append(f"{mode}: {spot:.2f} dBc/Hz")
-    for mode, sup in res.suppression_db.items():
-        lines.append(f"suppression[{mode}]: {sup:.2f} dB")
+    lines += [f"{mode}: {spot:.2f} dBc/Hz" for mode, spot in res.spots_dbc.items()]
+    lines += [f"suppression[{mode}]: {sup:.2f} dB" for mode, sup in res.suppression_db.items()]
     summary = out / "summary.txt"
     summary.write_text("\n".join(lines) + "\n")
     outputs.append(summary)

@@ -93,17 +93,23 @@ def zero_model() -> PsdModel:
     return PsdModel.flat(0.0, MODEL_F_MIN_HZ, MODEL_F_MAX_HZ)
 
 
+def _half_octave(f_hz: float, first_hz: float = 0.0, last_hz: float = np.inf):
+    """The band a spot at ``f_hz`` averages over, (f / 2^¼, f·2^¼), or None when bins first_hz .. last_hz miss part of it."""
+    lo, hi = f_hz / 2**0.25, f_hz * 2**0.25
+    return (lo, hi) if first_hz <= lo and hi <= last_hz else None
+
+
 def spot_phase_noise(spectrum: SpectrumEstimate, f_target_hz: float) -> float:
     """Spot phase noise in dBc/Hz at ``f_target_hz``.
 
-    Method (fixed): the estimate is log-log interpolated onto 33
-    log-spaced points over the half octave around the target, clipped to
-    the estimate's grid, and the dB values are averaged; -inf when no bin is positive.
+    Method (fixed): the estimate is log-log interpolated onto 33 log-spaced
+    points over the half octave around the target, which its grid must cover
+    (else OutOfRangeError), and the dB values are averaged; -inf when no bin is positive.
     """
     freqs, psd = spectrum.freqs, spectrum.psd
-    if f_target_hz < freqs[0] or f_target_hz > freqs[-1]:
-        raise OutOfRangeError(f"spot target {f_target_hz} Hz outside estimate grid")
-    grid = np.geomspace(max(freqs[0], f_target_hz / 2**0.25), min(freqs[-1], f_target_hz * 2**0.25), 33)
+    if not (band := _half_octave(f_target_hz, freqs[0], freqs[-1])):
+        raise OutOfRangeError(f"grid {freqs[0]:g} to {freqs[-1]:g} Hz misses part of the half octave around {f_target_hz:g} Hz")
+    grid = np.geomspace(*band, 33)
     if not (good := psd > 0).any():
         return -np.inf
     interp = np.interp(np.log(grid), np.log(freqs[good]), np.log(psd[good]))
@@ -130,8 +136,9 @@ def summarize_spots(spots: list[float]) -> SummaryStats:
 
 @dataclass
 class ChannelResult:
-    """One channel's paired-mode spectra and spots, and the record of the run they all came from."""
+    """One channel's paired-mode measurements, spectra and spots, and the record of the run they all came from."""
 
+    measurements: dict  # mode -> PhaseSeries, formed once for Welch and the trace tables
     spectra: dict  # mode -> SpectrumEstimate
     spots_dbc: dict  # mode -> float
     trace: LinkTrace
@@ -139,10 +146,8 @@ class ChannelResult:
 
     @property
     def suppression_db(self) -> dict:
-        if "unstabilized" not in self.spots_dbc:
-            return {}
-        un = self.spots_dbc["unstabilized"]
-        return {m: un - self.spots_dbc[m] for m in self.spots_dbc if m != "unstabilized"}
+        un = self.spots_dbc.get("unstabilized")
+        return {} if un is None else {m: un - v for m, v in self.spots_dbc.items() if m != "unstabilized"}
 
 
 @dataclass
@@ -167,13 +172,15 @@ class ScenarioResult:
 
 
 def _checked_nperseg(config: LinkConfig, nperseg: int | None) -> int:
-    """Welch segment length for runs of ``config`` (the default when None), checked before any synthesis."""
-    if not config.fs_hz > 2 * SPOT_FREQ_HZ * 2**0.25:
-        raise ConfigError(f"fs_hz {config.fs_hz:g} puts the spot's half octave, {SPOT_FREQ_HZ:g} Hz x 2^+-0.25, at or above Nyquist")
-    nperseg = nperseg or int(max(16, min(2**18, config.n_samples // 8)))
-    lo, hi = config.fs_hz / SPOT_FREQ_HZ, config.n_samples - config.warmup_samples
-    if not lo <= nperseg <= hi:
-        raise ConfigError(f"nperseg {nperseg} outside [{lo:g}, {hi}]: bins must resolve the spot, segments fit after warm-up")
+    """Welch segment length for runs of ``config``, checked before any synthesis: n / 8 up to 2^18 when None, but no
+    shorter than the spot needs. It must fit after the warm-up, and its data bins, 1 .. ceil(N / 2) - 1 at the spacing
+    ``estimate_psd`` gives them (rfftfreq's), must cover the spot's half octave."""
+    fs, fit, (lo, hi) = config.fs_hz, config.n_samples - config.warmup_samples, _half_octave(SPOT_FREQ_HZ)
+    nperseg = nperseg or max(int(np.ceil(fs / lo)), min(2**18, config.n_samples // 8))
+    bins = (step := 1.0 / (nperseg * (1.0 / fs))), ((nperseg + 1) // 2 - 1) * step
+    if not (0 < nperseg <= fit and _half_octave(SPOT_FREQ_HZ, *bins)):
+        raise ConfigError(f"nperseg {nperseg} at fs_hz {fs:g}: a segment must fit the {fit} samples after warm-up, and its data"
+                          f" bins, {bins[0]:.4g} to {bins[1]:.4g} Hz, cover the spot's half octave, {lo:.4g} to {hi:.4g} Hz")
     return nperseg
 
 
@@ -200,16 +207,16 @@ def run_three_modes(
     inputs = NoiseInputs.from_models(models, config.fs_hz, config.n_samples, seed, config.nu_p_hz)
     meas, trace = run_link(config, inputs, mode=solved)
     del inputs
-    spectra, spots, flags = {}, {}, []
+    measurements, spectra, spots, flags = {}, {}, {}, []
     for mode in modes:
-        est = estimate_psd(meas if mode == solved else trace.measurement(mode), segment_len=nperseg)
-        spectra[mode] = est
+        measurements[mode] = meas if mode == solved else trace.measurement(mode)
+        est = spectra[mode] = estimate_psd(measurements[mode], segment_len=nperseg)
         spots[mode] = spot_phase_noise(est, SPOT_FREQ_HZ)
         if mode != "unstabilized":
             flags.extend(f"{mode}:{f}" for f in trace.flags)
         if not (np.isfinite(spots[mode]) and np.isfinite(est.psd).all()):
             flags.append(f"{mode}:non-finite")
-    return ChannelResult(spectra, spots, trace, flags)
+    return ChannelResult(measurements, spectra, spots, trace, flags)
 
 
 def log_bin_spectrum(est: SpectrumEstimate):
@@ -412,9 +419,7 @@ def emit_outputs(result: ScenarioResult, out_dir, resolved_config: dict):
         f"complete: {not result.flags}",
     ]
     lines += [f"{mode}: {stats}" for mode, stats in result.summaries.items()]
-    for mode in MODES:
-        if mode == "unstabilized":
-            continue
+    for mode in (m for m in MODES if m != "unstabilized"):
         sups = [suppression[(ch, mode)] for ch in result.channels_thz]
         lines.append(f"suppression[{mode}]: min {min(sups):.2f} dB, mean {np.mean(sups):.2f} dB")
     if result.flags:

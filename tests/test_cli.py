@@ -443,6 +443,14 @@ class TestSubcommands:
         spectra = [rows[f"spectrum_{mode}"] for mode in link.MODES]
         assert sorted(sizes) == sorted(8 * blocks + 3 * spectra)
 
+    def test_emit_trace_delays_theta_once_per_mode(self, tmp_path, monkeypatch):
+        # the trace files read the measurements the spectra were estimated from: the forcing's two delays and one of
+        # theta for each stabilized mode; forming them again for the trace files would make it 2 + 2 + 2
+        delays, delay = [], link.fractional_delay
+        monkeypatch.setattr(link, "fractional_delay", lambda x, samples: delays.append(samples) or delay(x, samples))
+        assert main(["simulate", "--samples", "16384", "--emit-trace", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(delays) == 2 + 2
+
     def test_emit_trace_synthesizes_once(self, tmp_path, monkeypatch):
         # the trace runs reuse the spectra's inputs: one synthesis per source, not two
         calls, synthesize = [], link.synthesize_phase_noise
@@ -600,7 +608,7 @@ class TestSubcommands:
             caplog.clear()
             cfg = write_cfg(tmp_path, {"experiment": {"nperseg": nperseg}})
             assert main(argv + ["--config", str(cfg)]) == EXIT_VALIDATION
-            assert f"validation: nperseg {nperseg} outside" in caplog.text
+            assert f"validation: nperseg {nperseg} at fs_hz 20000: a segment must fit" in caplog.text
         seen = []
 
         def record(*args, **kwargs):
@@ -628,8 +636,42 @@ class TestSubcommands:
         cfg = write_cfg(tmp_path, {"servo": {"kp": 0.2, "ki_per_s": 1}, **block})
         out = tmp_path / "o"
         assert main(argv + ["--samples", "4096", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
-        assert "at or above Nyquist" in caplog.text
+        assert "data bins" in caplog.text and "cover the spot's half octave, 8.409 to 11.89 Hz" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, fs_hz, nperseg",
+        [
+            ("simulate", "1000", 110),  # exited 0 with a doppler spot taken over 9.09-11.89 Hz, its first bin up
+            ("compare", "1000", 110),
+            ("simulate", "1000", 118),  # one bin short of the floor, ceil(1000 x 2^0.25 / 10) = 119
+            ("sweep", "20000", 2378),
+            ("simulate", "25", 6),  # the first bin reaches 8.41 Hz, the top one, 8.33 Hz, falls short of 11.89 Hz
+        ],
+    )
+    def test_segment_missing_the_half_octave_rejected(self, tmp_path, caplog, no_synthesis, command, fs_hz, nperseg):
+        # one rule for every segment: its data bins cover the spot's whole half octave, or the run stops before synthesis
+        cfg = write_cfg(tmp_path, {"servo": {"kp": 0.2, "ki_per_s": 20}, "experiment": {"nperseg": nperseg}})
+        out = tmp_path / "o"
+        argv = [command, "--fs-hz", fs_hz, "--samples", "65536", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"nperseg {nperseg} at fs_hz {fs_hz}:" in caplog.text and "cover the spot's half octave" in caplog.text
+        assert not out.exists()
+
+    def test_default_segment_has_the_spot_floor(self, tmp_path, monkeypatch):
+        # n / 8 = 2048 at 16,384 samples gives a first bin of 9.77 Hz, above the half octave's 8.41: the default
+        # is the floor, ceil(20000 x 2^0.25 / 10) = 2379, and the spot is taken over the whole half octave
+        seen, estimate = [], experiment.estimate_psd
+
+        def recorded(meas, segment_len):
+            seen.append(segment_len)
+            return estimate(meas, segment_len)
+
+        monkeypatch.setattr(experiment, "estimate_psd", recorded)
+        assert main(["simulate", "--samples", "16384", "--out", str(tmp_path)]) == EXIT_OK
+        assert seen == [2379] * 3
+        assert main(["simulate", "--samples", "65536", "--out", str(tmp_path / "n8")]) == EXIT_OK
+        assert seen[3:] == [65536 // 8] * 3
 
     def test_compare_reads_nperseg(self, tmp_path, monkeypatch, caplog):
         argv = ["compare", "--samples", "65536", "--out", str(tmp_path / "o")]
@@ -639,7 +681,7 @@ class TestSubcommands:
                 caplog.clear()
                 cfg = write_cfg(tmp_path, {"experiment": {"nperseg": nperseg}})
                 assert main(argv + ["--config", str(cfg)]) == EXIT_VALIDATION
-                assert f"validation: nperseg {nperseg} outside" in caplog.text
+                assert f"validation: nperseg {nperseg} at fs_hz 20000: a segment must fit" in caplog.text
         assert not (tmp_path / "o").exists()
         seen, estimate = [], cli.estimate_psd
 

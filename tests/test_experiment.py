@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import signal
 import weakref
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsostab import cli, experiment, link
 from fsostab.config import link_config_to_dict
@@ -116,6 +119,39 @@ class TestSpotPhaseNoise:
         est = SpectrumEstimate(np.arange(1.0, 10.0), np.ones(9), 1.0)
         with pytest.raises(OutOfRangeError):
             spot_phase_noise(est, 100.0)
+        # a 2048-sample segment at 20 kHz: the target is on the grid, but its first bin, 9.77 Hz, cuts the half
+        # octave's lower part, 8.41 to 9.77 Hz, which a clip to the grid would drop
+        f = np.arange(1, 1024) * (20000.0 / 2048)
+        with pytest.raises(OutOfRangeError, match="misses part of the half octave around 10 Hz"):
+            spot_phase_noise(SpectrumEstimate(f, np.ones_like(f), f[0]), 10.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        fs=st.floats(20.0, 2e5, exclude_min=True, exclude_max=True),
+        n=st.integers(64, 2**22),
+        offset=st.none() | st.integers(-4, 16),
+    )
+    def test_checked_segment_is_one_the_spot_accepts(self, fs, n, offset):
+        # one rule, no synthesis: a segment _checked_nperseg returns has data bins, as estimate_psd spaces them, that
+        # spot_phase_noise accepts. Its default, max(ceil(fs 2^0.25 / 10), min(2^18, n / 8)), is refused only when it
+        # does not fit after the warm-up, or below fs = 2 (10 2^0.25 + 10 / 2^0.25) = 40.6 Hz, where the floor
+        # segment's top bin can fall short of the half octave
+        config = LinkConfig(fs_hz=fs, n_samples=n, servo=ServoConfig(kp=0.2, ki=0.0))
+        floor = math.ceil(fs * 2**0.25 / 10.0)
+        default = max(floor, min(2**18, n // 8))
+        nperseg = None if offset is None else max(1, floor + offset)
+        try:
+            fit = n - config.warmup_samples
+        except ConfigError:  # a warm-up past a tenth of the run: refused whatever the segment
+            fit = 0
+        try:
+            got = experiment._checked_nperseg(config, nperseg)
+        except ConfigError:
+            assert nperseg is not None or default > fit or fs < 41.0, (fs, n, default, fit)
+            return
+        assert got == (default if nperseg is None else nperseg) and got <= fit
+        f = np.fft.rfftfreq(got, 1.0 / fs)[1 : (got + 1) // 2]
+        assert spot_phase_noise(SpectrumEstimate(f, np.ones_like(f), f[0]), 10.0) == pytest.approx(ssb_phase_noise(1.0))
 
 
 class TestSummaries:
