@@ -9,6 +9,7 @@ sweep land on the reference spot values by construction.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import hashlib
 import itertools
@@ -176,8 +177,12 @@ def _checked_nperseg(config: LinkConfig, nperseg: int | None) -> int:
     shorter than the spot needs. It must fit after the warm-up, and its data bins, 1 .. ceil(N / 2) - 1 at the spacing
     ``estimate_psd`` gives them (rfftfreq's), must cover the spot's half octave."""
     fs, fit, (lo, hi) = config.fs_hz, config.n_samples - config.warmup_samples, _half_octave(SPOT_FREQ_HZ)
-    nperseg = nperseg or max(int(np.ceil(fs / lo)), min(2**18, config.n_samples // 8))
-    bins = (step := 1.0 / (nperseg * (1.0 / fs))), ((nperseg + 1) // 2 - 1) * step
+    def data_bins(n):  # the first and last of bins 1 .. ceil(n / 2) - 1, at rfftfreq's spacing
+        return (step := 1.0 / (n * (1.0 / fs))), ((n + 1) // 2 - 1) * step
+    if not nperseg:  # N >= fs / lo puts the first bin, fs / N, at or below lo; N >= fs / (fs / 2 - hi) the top one at or above hi
+        least = max(int(np.ceil(max(fs / lo, fs / (fs / 2 - hi) if fs > 2 * hi else 0))), min(2**18, config.n_samples // 8))
+        nperseg = next((n for n in (least, least + 1) if _half_octave(SPOT_FREQ_HZ, *data_bins(n))), least)  # + 1: float rounding
+    bins = data_bins(nperseg)
     if not (0 < nperseg <= fit and _half_octave(SPOT_FREQ_HZ, *bins)):
         raise ConfigError(f"nperseg {nperseg} at fs_hz {fs:g}: a segment must fit the {fit} samples after warm-up, and its data"
                           f" bins, {bins[0]:.4g} to {bins[1]:.4g} Hz, cover the spot's half octave, {lo:.4g} to {hi:.4g} Hz")
@@ -227,6 +232,15 @@ def log_bin_spectrum(est: SpectrumEstimate):
     return np.bincount(idx, weights=est.freqs)[nz] / counts[nz], np.bincount(idx, weights=est.psd)[nz] / counts[nz]
 
 
+def _keep_freed_heap():
+    """Pool initializer: the worker's glibc serves blocks under 32 MiB from a heap it never trims; no-op without ``mallopt``."""
+    with contextlib.suppress(AttributeError, OSError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        # M_MMAP_THRESHOLD (its 64-bit cap), then M_TRIM_THRESHOLD if that took: either alone ends the dynamic thresholds
+        mallopt(-3, 32 << 20) and mallopt(-1, 2**31 - 1)
+
+
 def _fork_map(fn, jobs):
     """Yield ``fn(job)`` per job in job order, from a forked pool of min(jobs, usable CPUs) workers, or here if <= 1.
 
@@ -235,12 +249,13 @@ def _fork_map(fn, jobs):
     ``BrokenProcessPool``. Fork, not spawn: workers start with numpy, scipy's
     BLAS and the caller's data loaded, and Python 3.11's pool forks them all
     before it starts its manager thread. Processes: the jobs hold the GIL.
+    Workers keep the heap they free until the pool closes (``_keep_freed_heap``).
     """
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
     if workers <= 1:
         yield from map(fn, jobs)
     else:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_keep_freed_heap) as pool:
             yield from pool.map(fn, jobs)
 
 

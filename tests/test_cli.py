@@ -672,6 +672,13 @@ class TestSubcommands:
         assert seen == [2379] * 3
         assert main(["simulate", "--samples", "65536", "--out", str(tmp_path / "n8")]) == EXIT_OK
         assert seen[3:] == [65536 // 8] * 3
+        # at 24 Hz, n / 8 = 200's top bin is 11.88 Hz, under the half octave's 11.89: the default is the top floor,
+        # ceil(24 / (12 - 10 x 2^0.25)) = 223, whose top bin is 11.89 Hz (the first floor alone refused the run)
+        slow = tmp_path / "slow.json"
+        slow.write_text(json.dumps({"servo": {"kp": 0.2, "ki_per_s": 1}}))
+        argv = ["simulate", "--config", str(slow), "--fs-hz", "24", "--samples", "1600", "--out", str(tmp_path / "24")]
+        assert main(argv) == EXIT_OK
+        assert seen[6:] == [223] * 3
 
     def test_compare_reads_nperseg(self, tmp_path, monkeypatch, caplog):
         argv = ["compare", "--samples", "65536", "--out", str(tmp_path / "o")]
