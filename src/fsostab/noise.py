@@ -231,15 +231,12 @@ class SpectrumEstimate:
 def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> PhaseSeries:
     """Synthesize a stationary Gaussian phase series with the model's PSD.
 
-    Frequency-domain shaping of white Gaussian noise (Timmer & Koenig,
-    A&A 300, 707, 1995): independent complex-normal rFFT bins are
-    scaled to sqrt(S(f) df) and inverse-transformed. Circular
-    correlation is mitigated by shaping a 2x-length series and keeping
-    its first half, computed from transforms of at most n points. The
-    DC bin is zeroed (series is mean-free); fractional slopes are
-    realized exactly. The shaping runs in place: one
-    amplitude array, one draw buffer and the complex bins. An all-zero
-    model gives zeros without drawing or transforming anything.
+    Frequency-domain shaping of white Gaussian noise (Timmer & Koenig, A&A 300, 707, 1995): independent
+    complex-normal rFFT bins are scaled to sqrt(S(f) df) and inverse-transformed. Circular correlation is mitigated
+    by shaping a 2x-length series and keeping its first half, computed from transforms of at most n points. The DC
+    bin is zeroed (series is mean-free); fractional slopes are realized exactly. The shaping runs in place, and no
+    (n + 1)-bin spectrum is formed: the even and odd bins are drawn straight into the arrays their transforms read.
+    An all-zero model gives zeros without drawing or transforming anything.
 
     Parameters
     ----------
@@ -260,55 +257,67 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
         raise ValueError("fs_hz must be > 0")
     if model.is_zero:
         return PhaseSeries(np.zeros(int(n)), fs_hz)
-    n2 = 2 * int(n)
+    n = int(n)
+    n2, m, h = 2 * n, n // 2, (n // 2 + 1) // 2
     df = fs_hz / n2
-    # amplitude (n2 / 2) sqrt(S df) of bins 1..n; bin 0 (DC) stays zero
-    amp = model.eval(np.fft.rfftfreq(n2, d=1.0 / fs_hz)[1:])
+    # bins 0..n lie at k fs / n2, as rfftfreq spaces them; that array is the draw buffer next. Bin k = 1..n gets
+    # amplitude amp[k - 1] = (n2 / 2) sqrt(S df); bin 0 (DC) stays zero
+    draws = np.arange(0.0, n + 1)
+    draws *= 1.0 / (n2 * (1.0 / fs_hz))
+    amp = model.eval(draws[1:])
     psd_nyquist = amp[-1]
     amp *= df
     np.sqrt(amp, out=amp)
     amp *= n2 / 2.0
     rng = np.random.default_rng(seed)
-    bins = np.empty(amp.size + 1, dtype=complex)
-    draws = rng.standard_normal(bins.size)
-    np.multiply(amp, draws[1:], out=bins.real[1:])
-    # Nyquist bin is real-valued and carries no conjugate partner
+    # bin k is amp[k - 1] draws[k], written straight into the arrays its transforms read: the even bins in order, and
+    # the odd bins reversed (odd n) or as real and imaginary rows, each in the DCTs' order 1, 5, 9, ..., 11, 7, 3
+    bins = [np.empty(m + 1, dtype=complex), np.empty(n - m, dtype=complex) if n % 2 else np.empty((2, m))]
+    lanes = [(amp[1::2], np.s_[2::2], bins[0].real[1:], bins[0].imag[1:])] + (
+        [(amp[::-2], np.s_[:0:-2], bins[1].real, bins[1].imag)] if n % 2
+        else [(amp[0::4], np.s_[1::4], *bins[1][:, :h]), (amp[2::4], np.s_[3::4], *bins[1][:, h:][:, ::-1])])
+    rng.standard_normal(out=draws)
+    for a, k, re, _ in lanes:
+        np.multiply(a, draws[k], out=re)
     nyquist = draws[-1] * n2 * np.sqrt(psd_nyquist * df)
     rng.standard_normal(out=draws)
-    np.multiply(amp, draws[1:], out=bins.imag[1:])
-    del amp, draws  # freed before the transform, which needs the bins and its own n points
-    bins[0] = 0.0
-    bins[-1] = nyquist
+    for a, k, _, im in lanes:
+        np.multiply(a, draws[k], out=im)
+    del amp, draws, lanes, a, re, im  # freed before the transforms, which need the bins and their own n points
+    bins[0][0] = 0.0
+    bins[n % 2][n % 2 - 1] = nyquist  # bin n, real with no conjugate partner: the last even bin or the first odd one
     return PhaseSeries(_first_half_irfft(bins), fs_hz)
 
 
-def _first_half_irfft(bins: np.ndarray) -> np.ndarray:
-    """np.fft.irfft(bins, 2n)[:n], n = bins.size - 1, from numpy.fft transforms of at most n points.
+def _first_half_irfft(bins: list) -> np.ndarray:
+    """np.fft.irfft(b, 2n)[:n] of n + 1 bins b, from numpy.fft transforms of at most n points.
 
-    x[:n] = (p + q) / 2, p[t] = x[t] + x[t+n] from the even bins and q[t] = x[t] - x[t+n] from the odd bins O.
-    For even n = 2N, q[t] = (2/n) (C[t] - D[N-t]) and q[n-t] = -(2/n) (C[t] + D[N-t]), C and D the DCT-IIs of
-    Re O and of (-1)^j Im O, each an N-point rfft of [v[0::2], v[1::2][::-1]] times e^(-i pi k / 2N) (Makhoul,
-    IEEE TASSP 28, 27, 1980).
+    ``bins`` is [b[0::2], O], popped so each array is freed once transformed. O holds the odd bins o = b[1::2] as their
+    transforms read them: b[n::-2] for odd n, and for even n = 2N the rows Re v and Im v, v = [o[0::2], o[1::2][::-1]].
+    x[:n] = (p + q) / 2, p[t] = x[t] + x[t+n] from the even bins and q[t] = x[t] - x[t+n] from o. For even n, q[t] =
+    (2/n) (C[t] - D[N-t]) and q[n-t] = -(2/n) (C[t] + D[N-t]), C and D the DCT-IIs of Re o and (-1)^j Im o: the N-point
+    rffts of Re v and of Im v, second half negated, times e^(-i pi k / 2N) (Makhoul, IEEE TASSP 28, 27, 1980).
     """
-    n = bins.size - 1
-    x = np.fft.irfft(bins[0::2], n)  # a strided input is not copied first
+    n = bins[0].size - 1 + bins[1].shape[-1]
+    x = np.fft.irfft(bins.pop(0), n)  # the even bins go as it returns
     x *= 0.5
-    if n % 2:  # q[t] = (-1)^t irfft(conj(bins[n::-2]), n)
-        return x + np.fft.irfft(np.conj(bins[n::-2]), n) * np.resize([0.5, -0.5], n)
-    m, h = n // 2, (n // 2 + 1) // 2
+    odd = bins.pop()
+    if n % 2:  # q[t] = (-1)^t irfft(conj(b[n::-2]), n)
+        q = np.fft.irfft(np.conj(odd, out=odd), n)
+        q[0::2] *= 0.5
+        q[1::2] *= -0.5
+        return np.add(x, q, out=x)
+    m = n // 2
     k = np.arange(int(np.sqrt(m // 2)) + 1) * (-0.5j * np.pi / m)  # e^(-i pi k / 2N) / n from two short tables: exp is slow
-    twiddle = np.multiply.outer(np.exp(k * k.size) / n, np.exp(k)).ravel()[: m // 2 + 1]
-    buf = np.empty(m)
-    for part, sign, head, tail in ((bins.real[1::2], 1.0, x[:m], x[:m:-1]), (bins.imag[1::2], -1.0, x[m:0:-1], x[m + 1 :])):
-        buf[:h] = part[0::2]
-        np.multiply(part[1::2][::-1], sign, out=buf[h:])
-        z = np.fft.rfft(buf)
-        z *= twiddle
-        buf[: m // 2 + 1] = z.real  # C / n (or D / n) up to N/2, the rest from the imaginary parts backwards
-        np.negative(z.imag[(m - 1) // 2 : 0 : -1], out=buf[m // 2 + 1 :])
+    np.negative(odd[1, (m + 1) // 2 :], out=odd[1, (m + 1) // 2 :])
+    for part, sign, head, tail in ((odd[0], 1.0, x[:m], x[:m:-1]), (odd[1], -1.0, x[m:0:-1], x[m + 1 :])):
+        z = np.fft.rfft(part)
+        z *= np.multiply.outer(np.exp(k * k.size) / n, np.exp(k)).ravel()[: m // 2 + 1]  # formed after the rfft, not held across it
+        part[: m // 2 + 1] = z.real  # C / n (or D / n) up to N/2, the rest from the imaginary parts backwards
+        np.negative(z.imag[(m - 1) // 2 : 0 : -1], out=part[m // 2 + 1 :])
         del z
-        head += sign * buf
-        tail -= buf[1:]
+        head += sign * part
+        tail -= part[1:]
     return x
 
 

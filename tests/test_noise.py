@@ -1,5 +1,7 @@
 """Noise-model, synthesis, and estimator tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,16 @@ def direct_bins(model, fs_hz, n, seed):
     bins[0] = 0.0
     bins[-1] = re[-1] * n2 * np.sqrt(psd[-1] * df)
     return bins
+
+
+def split_bins(bins):
+    """The n + 1 bins as _first_half_irfft takes them: the even bins, then the odd bins o as their transforms read
+    them, reversed for odd n and for even n the rows Re v and Im v of v = [o[0::2], o[1::2][::-1]]."""
+    n, odd = bins.size - 1, bins[1::2]
+    if n % 2:
+        return [bins[0::2].copy(), odd[::-1].copy()]
+    v = np.concatenate((odd[0::2], odd[1::2][::-1]))
+    return [bins[0::2].copy(), np.stack((v.real, v.imag))]
 
 
 def kernel_models():
@@ -289,16 +301,17 @@ class TestSynthesis:
     @pytest.mark.parametrize("name", sorted(kernel_models()))
     @pytest.mark.parametrize("n", [4096, 4097])
     def test_matches_direct_formula(self, name, n, monkeypatch):
-        # the in-place shaping draws and rounds exactly as the direct formula; the series is the first half
-        # of the bins' 2n-point irfft to rounding
+        # the in-place shaping draws and rounds exactly as the direct formula, straight into the transforms'
+        # inputs; the series is the first half of the bins' 2n-point irfft to rounding
         m = kernel_models()[name]
         seed = np.random.SeedSequence(5, spawn_key=(1,))
         shaped, transform = [], noise._first_half_irfft
-        monkeypatch.setattr(noise, "_first_half_irfft", lambda bins: shaped.append(bins) or transform(bins))
+        monkeypatch.setattr(noise, "_first_half_irfft", lambda bins: shaped.append([b.copy() for b in bins]) or transform(bins))
         s = synthesize_phase_noise(m, 20e3, n, seed)
         bins = direct_bins(m, 20e3, n, seed)
         assert len(shaped) == (not m.is_zero)  # an all-zero model transforms nothing
-        assert all(np.array_equal(b, bins) for b in shaped)
+        for inputs in shaped:
+            assert len(inputs) == 2 and all(np.array_equal(a, b) for a, b in zip(inputs, split_bins(bins)))
         x = np.fft.irfft(bins, 2 * n)[:n]
         assert np.max(np.abs(s.samples - x)) <= 1e-15 * np.max(np.abs(x))
         assert s.samples.base is None  # no view into a larger transform is kept alive
@@ -322,7 +335,28 @@ class TestSynthesis:
         rng = np.random.default_rng(n)
         bins = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         x = np.fft.irfft(bins, 2 * n)[:n]
-        assert np.max(np.abs(noise._first_half_irfft(bins) - x)) <= 2e-15 * np.max(np.abs(x))
+        assert np.max(np.abs(noise._first_half_irfft(split_bins(bins)) - x)) <= 2e-15 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n", [65536, 65538, 65537])
+    def test_footprint(self, n, monkeypatch):
+        # in series lengths (8 n bytes): each transform is called holding only its inputs and the output so far,
+        # the even and odd bins at the first irfft and x and the odd bins after it; the peak is the draws'
+        # amplitudes, draw buffer and bins. No (n + 1)-bin spectrum is formed
+        at = []
+        for name in ("irfft", "rfft"):
+            def traced(*args, _fft=getattr(np.fft, name), **kwargs):
+                at.append(tracemalloc.get_traced_memory()[0] / (8 * n))
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, traced)
+        model = calibrate_default_models()["primary"]
+        tracemalloc.start()
+        try:
+            synthesize_phase_noise(model, 20e3, n, 0)
+            top = tracemalloc.get_traced_memory()[1] / (8 * n)
+        finally:
+            tracemalloc.stop()
+        assert len(at) == 3 - n % 2 and max(at) <= 2.1 and top <= 4.1, (at, top)
 
     def test_zero_model_gives_zeros(self):
         m = PsdModel.flat(0.0, 1e-3, 1e3)
