@@ -36,14 +36,11 @@ from .spectral import (
 )
 from .link import (
     LinkConfig,
-    LinkState,
     LinkTrace,
     NoiseInputs,
     ServoConfig,
     fractional_delay,
-    make_link,
     run_link,
-    servo_update,
 )
 from .experiment import (
     CHANNEL_GRID_THZ,

@@ -312,9 +312,11 @@ class NoiseInputs:
         model is its phase PSD at ``nu_ref_hz``; the synthesized phase over
         2 pi nu_ref_hz is the time-of-flight fluctuation dt_atm. Its range
         is checked before anything is synthesized, on its expected rms:
-        sigma^2 is the model's power over the band an n-sample synthesis
-        resolves, fs/(2n) to fs/2, over (2 pi nu_ref_hz)^2. The realized
-        peak is checked again after synthesis.
+        sigma^2 is the model's power from fs/(2n) to fs/2 over (2 pi
+        nu_ref_hz)^2. Synthesis reaches down to fs/(2n'), n' <= 1.042 n for
+        n >= 2^16 (n' = n for even 5-smooth n): an f^(-8/3) law's sigma there
+        is under 4 % above this one. The realized peak is checked again after
+        synthesis.
         """
         if not nu_ref_hz > 0:
             raise ValueError("nu_ref_hz must be > 0")

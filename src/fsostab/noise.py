@@ -233,10 +233,10 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
 
     Frequency-domain shaping of white Gaussian noise (Timmer & Koenig, A&A 300, 707, 1995): independent
     complex-normal rFFT bins are scaled to sqrt(S(f) df) and inverse-transformed. Circular correlation is mitigated
-    by shaping a 2x-length series and keeping its first half, computed from transforms of at most n points. The DC
-    bin is zeroed (series is mean-free); fractional slopes are realized exactly. The shaping runs in place, and no
-    (n + 1)-bin spectrum is formed: the even and odd bins are drawn straight into the arrays their transforms read.
-    An all-zero model gives zeros without drawing or transforming anything.
+    by shaping a 2n'-point series and keeping its first n samples, from transforms of at most n' points: n' is the
+    least even 5-smooth length at or above n. The DC bin is zeroed (series is mean-free); fractional slopes are
+    realized exactly. The shaping runs in place, and no (n' + 1)-bin spectrum is formed: the even and odd bins are
+    drawn straight into the arrays their transforms read. An all-zero model gives zeros without drawing anything.
 
     Parameters
     ----------
@@ -245,10 +245,10 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
     fs_hz : float
         Sample rate.
     n : int
-        Output length (powers of two recommended). Must be >= 16.
+        Output length. Must be >= 16.
     seed : int or numpy.random.SeedSequence
         Determines the realization; identical inputs give bit-identical
-        output. The real parts of all n + 1 bins are drawn first, then
+        output. The real parts of all n' + 1 bins are drawn first, then
         the imaginary parts.
     """
     if n < 16:
@@ -257,7 +257,7 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
         raise ValueError("fs_hz must be > 0")
     if model.is_zero:
         return PhaseSeries(np.zeros(int(n)), fs_hz)
-    n = int(n)
+    n_out, n = int(n), _fast_even_length(int(n))
     n2, m, h = 2 * n, n // 2, (n // 2 + 1) // 2
     df = fs_hz / n2
     # bins 0..n lie at k fs / n2, as rfftfreq spaces them; that array is the draw buffer next. Bin k = 1..n gets
@@ -271,11 +271,10 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
     amp *= n2 / 2.0
     rng = np.random.default_rng(seed)
     # bin k is amp[k - 1] draws[k], written straight into the arrays its transforms read: the even bins in order, and
-    # the odd bins reversed (odd n) or as real and imaginary rows, each in the DCTs' order 1, 5, 9, ..., 11, 7, 3
-    bins = [np.empty(m + 1, dtype=complex), np.empty(n - m, dtype=complex) if n % 2 else np.empty((2, m))]
-    lanes = [(amp[1::2], np.s_[2::2], bins[0].real[1:], bins[0].imag[1:])] + (
-        [(amp[::-2], np.s_[:0:-2], bins[1].real, bins[1].imag)] if n % 2
-        else [(amp[0::4], np.s_[1::4], *bins[1][:, :h]), (amp[2::4], np.s_[3::4], *bins[1][:, h:][:, ::-1])])
+    # the odd bins as real and imaginary rows, each in the DCTs' order 1, 5, 9, ..., 11, 7, 3
+    bins = [np.empty(m + 1, dtype=complex), np.empty((2, m))]
+    lanes = [(amp[1::2], np.s_[2::2], bins[0].real[1:], bins[0].imag[1:]),
+             (amp[0::4], np.s_[1::4], *bins[1][:, :h]), (amp[2::4], np.s_[3::4], *bins[1][:, h:][:, ::-1])]
     rng.standard_normal(out=draws)
     for a, k, re, _ in lanes:
         np.multiply(a, draws[k], out=re)
@@ -285,29 +284,32 @@ def synthesize_phase_noise(model: PsdModel, fs_hz: float, n: int, seed) -> Phase
         np.multiply(a, draws[k], out=im)
     del amp, draws, lanes, a, re, im  # freed before the transforms, which need the bins and their own n points
     bins[0][0] = 0.0
-    bins[n % 2][n % 2 - 1] = nyquist  # bin n, real with no conjugate partner: the last even bin or the first odd one
-    return PhaseSeries(_first_half_irfft(bins), fs_hz)
+    bins[0][-1] = nyquist  # bin n, real with no conjugate partner
+    x = _first_half_irfft(bins)
+    return PhaseSeries(x if n == n_out else x[:n_out].copy(), fs_hz)  # a copy, so no view keeps all n' samples alive
+
+
+def _fast_even_length(n: int) -> int:
+    """The least even 5-smooth length >= n, twice scipy.fft.next_fast_len(ceil(n / 2), real=True)."""
+    k = (n + 1) // 2
+    while 30**40 % k:  # until k's only prime factors are 2, 3 and 5, none more than 40 times
+        k += 1
+    return 2 * k
 
 
 def _first_half_irfft(bins: list) -> np.ndarray:
-    """np.fft.irfft(b, 2n)[:n] of n + 1 bins b, from numpy.fft transforms of at most n points.
+    """np.fft.irfft(b, 2n)[:n] of n + 1 bins b, n = 2N even, from numpy.fft transforms of at most n points.
 
-    ``bins`` is [b[0::2], O], popped so each array is freed once transformed. O holds the odd bins o = b[1::2] as their
-    transforms read them: b[n::-2] for odd n, and for even n = 2N the rows Re v and Im v, v = [o[0::2], o[1::2][::-1]].
-    x[:n] = (p + q) / 2, p[t] = x[t] + x[t+n] from the even bins and q[t] = x[t] - x[t+n] from o. For even n, q[t] =
-    (2/n) (C[t] - D[N-t]) and q[n-t] = -(2/n) (C[t] + D[N-t]), C and D the DCT-IIs of Re o and (-1)^j Im o: the N-point
-    rffts of Re v and of Im v, second half negated, times e^(-i pi k / 2N) (Makhoul, IEEE TASSP 28, 27, 1980).
+    ``bins`` is [b[0::2], O], popped so each array is freed once transformed. O holds the odd bins o = b[1::2] as rows
+    Re v and Im v, v = [o[0::2], o[1::2][::-1]]. x[:n] = (p + q) / 2, p[t] = x[t] + x[t+n] from the even bins and q[t] =
+    x[t] - x[t+n] from o: q[t] = (2/n) (C[t] - D[N-t]) and q[n-t] = -(2/n) (C[t] + D[N-t]), C and D the DCT-IIs of Re o
+    and (-1)^j Im o: the N-point rffts of Re v and of Im v, second half negated, times e^(-i pi k / 2N) (Makhoul 1980).
     """
-    n = bins[0].size - 1 + bins[1].shape[-1]
+    m = bins[1].shape[1]
+    n = 2 * m
     x = np.fft.irfft(bins.pop(0), n)  # the even bins go as it returns
     x *= 0.5
     odd = bins.pop()
-    if n % 2:  # q[t] = (-1)^t irfft(conj(b[n::-2]), n)
-        q = np.fft.irfft(np.conj(odd, out=odd), n)
-        q[0::2] *= 0.5
-        q[1::2] *= -0.5
-        return np.add(x, q, out=x)
-    m = n // 2
     k = np.arange(int(np.sqrt(m // 2)) + 1) * (-0.5j * np.pi / m)  # e^(-i pi k / 2N) / n from two short tables: exp is slow
     np.negative(odd[1, (m + 1) // 2 :], out=odd[1, (m + 1) // 2 :])
     for part, sign, head, tail in ((odd[0], 1.0, x[:m], x[:m:-1]), (odd[1], -1.0, x[m:0:-1], x[m + 1 :])):
@@ -334,8 +336,8 @@ def _hann(n: int) -> np.ndarray:
 def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
     """Welch estimate of the one-sided PSD of a phase series (Welch 1967).
 
-    Every ``segment_len`` segment, stepped by segment_len - round(segment_len / 2)
-    (half overlap), has its mean removed, is Hann tapered and goes
+    Every ``segment_len`` segment, overlapping the one before by segment_len // 2
+    samples, has its mean removed, is Hann tapered and goes
     through one batched rFFT; the density-scaled periodograms are
     averaged. This is ``scipy.signal.welch`` with detrend="constant"
     and no padding, to within rounding; segments are transformed in
@@ -352,7 +354,7 @@ def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
         raise SegmentationError(f"segment_len {segment_len} exceeds series length {n}")
     if segment_len < 3:  # a one-sample Hann window is 0, a two-sample segment holds DC and Nyquist alone
         raise SegmentationError(f"segment_len {segment_len} must be >= 3")
-    step = segment_len - round(segment_len / 2)
+    step = segment_len - segment_len // 2
     segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
     w = _hann(segment_len)
     ww = w * w

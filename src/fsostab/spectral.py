@@ -37,9 +37,6 @@ ORACLE_TOL_DB = 1.0
 ORACLE_MAX_DELAY = 64
 ORACLE_NPERSEG = 4096
 ORACLE_MAX_TERMS = 5
-#: The oracle's synthesis length, 2^2 3^8 5: the least 5-smooth (fast transform) length at or above
-#: ORACLE_N + m for every delay m of 1 to ORACLE_MAX_DELAY samples.
-ORACLE_SYNTH_N = 131_220
 
 
 @dataclass(frozen=True)
@@ -182,8 +179,7 @@ def delayed_combination_oracle(comb: DelayedCombination, seed):
     (freqs, psd_ratio, factor) where psd_ratio is the Welch estimate of the
     combination divided by that of the source. Delays must be integer
     multiples of 1/ORACLE_FS_HZ, up to ORACLE_MAX_DELAY samples. The source
-    is synthesized at ORACLE_SYNTH_N samples and cut to the ORACLE_N plus
-    largest delay it needs.
+    is synthesized at the ORACLE_N plus largest delay samples it needs.
     """
     fs_hz, n = ORACLE_FS_HZ, ORACLE_N
     delays = [tau * fs_hz for _, tau in comb.terms]
@@ -192,7 +188,7 @@ def delayed_combination_oracle(comb: DelayedCombination, seed):
     delays = [int(round(m)) for m in delays]
     m_max = max(delays)
     model = PsdModel.flat(1.0, 0.0, fs_hz)
-    x = synthesize_phase_noise(model, fs_hz, ORACLE_SYNTH_N, seed).samples[: n + m_max]
+    x = synthesize_phase_noise(model, fs_hz, n + m_max, seed).samples
     y = np.zeros(n)
     for (c, _), m in zip(comb.terms, delays):
         y += c * x[m_max - m : m_max - m + n]

@@ -118,6 +118,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="nu_p_thz"):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "where, key",
+        [("models", "atmosphere"), ("models.primary", "f_max_hz"), ("models.primary.segments[0]", "level")],
+    )
+    def test_missing_key_named(self, tmp_path, where, key):
+        # every model, every model key and every segment key is required
+        models = {name: psd_model_to_dict(m) for name, m in calibrate_default_models().items()}
+        block = {"models": models, "models.primary": models["primary"]}.get(where, models["primary"]["segments"][0])
+        del block[key]
+        with pytest.raises(ConfigError, match=rf"missing key\(s\) \['{key}'\] in {re.escape(where)}$"):
+            load_config(write_cfg(tmp_path, {"models": models}))
+
     def test_removed_keys_rejected_by_name(self, tmp_path):
         # the run mode (--mode) is the only switch; the shifters were never modelled;
         # ki_per_s is the only way to set the integral gain

@@ -682,6 +682,22 @@ class TestAtmosphereFromPsd:
         assert np.allclose(phase_at_s, phase_at_p * (197.2e12 / NU_P), rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: LinkConfig(link_length_m=None), ConfigError, "one of link_length_m or t_one_way_s is required"),
+        (lambda: quiet_inputs(100, 0.0), ValueError, "fs_hz must be > 0"),
+        (lambda: NoiseInputs.from_models(_mini_models(), 1000.0, 4096, 0, 0.0), ValueError, "nu_ref_hz must be > 0"),
+        (lambda: fractional_delay(np.ones(8), -0.5), ValueError, "delay must be >= 0"),
+        (lambda: run_link(scaled_config(), quiet_inputs(64, 1000.0), mode="doppler"), ValueError, "shorter than warm-up"),
+    ],
+    ids=["no-delay", "inputs-fs", "nu-ref", "negative-delay", "short-inputs"],
+)
+def test_bad_argument_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(
     kp=st.floats(0.0, 1.0),

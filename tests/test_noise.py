@@ -68,11 +68,9 @@ def direct_bins(model, fs_hz, n, seed):
 
 
 def split_bins(bins):
-    """The n + 1 bins as _first_half_irfft takes them: the even bins, then the odd bins o as their transforms read
-    them, reversed for odd n and for even n the rows Re v and Im v of v = [o[0::2], o[1::2][::-1]]."""
-    n, odd = bins.size - 1, bins[1::2]
-    if n % 2:
-        return [bins[0::2].copy(), odd[::-1].copy()]
+    """The n + 1 bins (n even) as _first_half_irfft takes them: the even bins, then the odd bins o as their transforms
+    read them, the rows Re v and Im v of v = [o[0::2], o[1::2][::-1]]."""
+    odd = bins[1::2]
     v = np.concatenate((odd[0::2], odd[1::2][::-1]))
     return [bins[0::2].copy(), np.stack((v.real, v.imag))]
 
@@ -301,18 +299,19 @@ class TestSynthesis:
     @pytest.mark.parametrize("name", sorted(kernel_models()))
     @pytest.mark.parametrize("n", [4096, 4097])
     def test_matches_direct_formula(self, name, n, monkeypatch):
-        # the in-place shaping draws and rounds exactly as the direct formula, straight into the transforms'
-        # inputs; the series is the first half of the bins' 2n-point irfft to rounding
+        # the in-place shaping draws and rounds exactly as the direct formula at n' (4320 for 4097), straight into
+        # the transforms' inputs; the series is the first n samples of the bins' 2n'-point irfft to rounding
         m = kernel_models()[name]
         seed = np.random.SeedSequence(5, spawn_key=(1,))
         shaped, transform = [], noise._first_half_irfft
         monkeypatch.setattr(noise, "_first_half_irfft", lambda bins: shaped.append([b.copy() for b in bins]) or transform(bins))
         s = synthesize_phase_noise(m, 20e3, n, seed)
-        bins = direct_bins(m, 20e3, n, seed)
+        n_fast = noise._fast_even_length(n)
+        bins = direct_bins(m, 20e3, n_fast, seed)
         assert len(shaped) == (not m.is_zero)  # an all-zero model transforms nothing
         for inputs in shaped:
             assert len(inputs) == 2 and all(np.array_equal(a, b) for a, b in zip(inputs, split_bins(bins)))
-        x = np.fft.irfft(bins, 2 * n)[:n]
+        x = np.fft.irfft(bins, 2 * n_fast)[:n]
         assert np.max(np.abs(s.samples - x)) <= 1e-15 * np.max(np.abs(x))
         assert s.samples.base is None  # no view into a larger transform is kept alive
 
@@ -326,22 +325,31 @@ class TestSynthesis:
 
             monkeypatch.setattr(np.fft, name, counted)
         synthesize_phase_noise(calibrate_default_models()["primary"], 20e3, n, 0)
-        assert sizes and max(sizes) <= n
+        assert sizes and max(sizes) <= noise._fast_even_length(n)
 
     @pytest.mark.parametrize("n", [*range(16, 80), 4096, 4097, 4098, 4099, 131220, 2**18, 3**9])
     def test_first_half_irfft(self, n):
-        # odd n, n = 2 and n = 0 (mod 4); 131220 is the identity oracle's length. The imaginary parts of the
-        # first and last bins are random too: irfft ignores them, and so must the split
+        # odd n, n = 2 and n = 0 (mod 4), 5-smooth or not, are drawn at n', the least even 5-smooth length at or
+        # above n; 131220 is the identity oracle's. The transform at n' holds for any bins, the imaginary parts of the
+        # first and last random too: irfft ignores them, and so must the split. A series is the first n samples of its
+        # bins' 2n'-point irfft, to the rounding the calibrated models reach at 131220 and 3^9 (1.16e-15 of the peak)
+        n_fast = noise._fast_even_length(n)
         rng = np.random.default_rng(n)
-        bins = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        x = np.fft.irfft(bins, 2 * n)[:n]
+        bins = rng.standard_normal(n_fast + 1) + 1j * rng.standard_normal(n_fast + 1)
+        x = np.fft.irfft(bins, 2 * n_fast)[:n_fast]
         assert np.max(np.abs(noise._first_half_irfft(split_bins(bins)) - x)) <= 2e-15 * np.max(np.abs(x))
+        seed = np.random.SeedSequence(n)
+        for model in kernel_models().values():
+            x = np.fft.irfft(direct_bins(model, 20e3, n_fast, seed), 2 * n_fast)[:n]
+            s = synthesize_phase_noise(model, 20e3, n, seed).samples
+            assert s.size == n and s.base is None
+            assert np.max(np.abs(s - x)) <= 2e-15 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("n", [65536, 65538, 65537])
     def test_footprint(self, n, monkeypatch):
         # in series lengths (8 n bytes): each transform is called holding only its inputs and the output so far,
         # the even and odd bins at the first irfft and x and the odd bins after it; the peak is the draws'
-        # amplitudes, draw buffer and bins. No (n + 1)-bin spectrum is formed
+        # amplitudes, draw buffer and bins. No (n + 1)-bin spectrum is formed. 65538 and 65537 are drawn at n' = 65610
         at = []
         for name in ("irfft", "rfft"):
             def traced(*args, _fft=getattr(np.fft, name), **kwargs):
@@ -356,7 +364,7 @@ class TestSynthesis:
             top = tracemalloc.get_traced_memory()[1] / (8 * n)
         finally:
             tracemalloc.stop()
-        assert len(at) == 3 - n % 2 and max(at) <= 2.1 and top <= 4.1, (at, top)
+        assert len(at) == 3 and max(at) <= 2.1 and top <= 4.1, (at, top)
 
     def test_zero_model_gives_zeros(self):
         m = PsdModel.flat(0.0, 1e-3, 1e3)
@@ -434,7 +442,8 @@ class TestEstimatePsd:
         "n, segment_len",
         [
             (2**14, 2048),  # even length, 15 segments
-            (2**14, 2047),  # odd length: no Nyquist bin
+            (2**14, 2047),  # odd length: no Nyquist bin, overlapped by 1023
+            (2**15, 8191),  # odd length, overlapped by 4095 as the compare-odd run overlaps it
             (5200, 1000),  # the last 200 samples make no full segment and are dropped
             (3000, 3000),  # one segment, the whole series
             (2**13 + 3, 2**13),  # one segment, three samples left over
@@ -448,7 +457,7 @@ class TestEstimatePsd:
         est = estimate_psd(PhaseSeries(x, fs), segment_len=segment_len)
         w = signal.get_window("hann", segment_len)
         freqs, psd = signal.welch(
-            x, fs=fs, window=w, nperseg=segment_len, noverlap=round(segment_len / 2),
+            x, fs=fs, window=w, nperseg=segment_len,
             detrend="constant", return_onesided=True, scaling="density",
         )
         data = slice(1, (segment_len + 1) // 2)
@@ -517,3 +526,20 @@ class TestPhaseSeries:
             PhaseSeries(np.array([1.0, np.nan]), 10.0)
         with pytest.raises(ValueError):
             PhaseSeries(np.zeros(8), -1.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (
+            lambda: PsdModel(10.0, ((1e-3, 0.0, 1.0), (np.nan, 0.0, 1.0)), 1e-3, 1e4),
+            InvalidModelError,
+            "segment parameters must be finite",
+        ),
+        (lambda: synthesize_phase_noise(single_slope(1.0, 0.0), 0.0, 64, 0), ValueError, "fs_hz must be > 0"),
+    ],
+    ids=["nan-break", "synthesis-fs"],
+)
+def test_bad_argument_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from fsostab.cli import main
 from fsostab.errors import InvalidModelError
 from fsostab.link import LinkConfig
+from fsostab import noise
 from fsostab.noise import PsdModel, PsdSegment
 from fsostab.spectral import (
     LOW_F_ATM_RATIO_DB,
     ORACLE_FS_HZ,
     ORACLE_MAX_DELAY,
     ORACLE_N,
-    ORACLE_SYNTH_N,
     DelayedCombination,
     combination_factor,
     delayed_combination_oracle,
@@ -208,11 +208,14 @@ class TestOracle:
         assert [r["frac_within_tol"] for r in report] == [within / n for n, within in pinned]
 
     def test_synthesis_length_is_scipys_fast_length(self):
-        # the fixed synthesis length is scipy.fft.next_fast_len(k, real=True), which the package does not import,
-        # for every length the oracle needs: ORACLE_N plus a delay of 1 to ORACLE_MAX_DELAY samples
+        # synthesis draws at twice scipy.fft.next_fast_len(ceil(n / 2), real=True), which the package does not import,
+        # for short series and every length the oracle asks for: ORACLE_N plus a delay of 1 to ORACLE_MAX_DELAY
+        # samples, all drawn at 131220, so the pinned suite report keeps its realizations
         from scipy.fft import next_fast_len
 
-        assert {next_fast_len(ORACLE_N + m, real=True) for m in range(1, ORACLE_MAX_DELAY + 1)} == {ORACLE_SYNTH_N}
+        for n in [*range(16, 5001), *range(ORACLE_N + 1, ORACLE_N + ORACLE_MAX_DELAY + 1)]:
+            assert noise._fast_even_length(n) == 2 * next_fast_len(-(-n // 2), real=True), n
+        assert {noise._fast_even_length(ORACLE_N + m) for m in range(1, ORACLE_MAX_DELAY + 1)} == {131220}
 
     def test_non_integer_delay_rejected(self):
         comb = DelayedCombination(((1.0, 0.0), (-1.0, 1.5 / ORACLE_FS_HZ)))
@@ -335,3 +338,16 @@ class TestLogBandMedians:
         fb, counts, medians = log_band_medians(freqs, np.ones(len(freqs)), np.ones(len(freqs)))
         assert fb.size == 0 and counts.size == 0
         assert [m.size for m in medians] == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: DelayedCombination(((1.0, 0.0), (-1.0, -1e-3))), InvalidModelError, "delays must be >= 0"),
+        (lambda: meas_transfer_atm(1.0, T, variant="bogus"), ValueError, "unknown atmospheric variant 'bogus'"),
+    ],
+    ids=["negative-delay", "atm-variant"],
+)
+def test_bad_argument_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
