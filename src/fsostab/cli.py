@@ -29,7 +29,6 @@ from .link import MODES, NoiseInputs, run_link
 from .noise import estimate_psd, ssb_phase_noise
 from .spectral import (
     LOW_F_ATM_RATIO_DB,
-    dbc_curves,
     atm_variant_report,
     identity_check_suite,
     log_band_medians,
@@ -78,9 +77,9 @@ def _cmd_predict(config, models, experiment, out: Path):
     curves = predicted_mode_psd(models, config.t_one_way, 1.0, 1.0, f)  # the stabilized closed forms at nu_p
     curves["atm_derived"] = curves.pop("atmosphere")
     curves["atm_printed"] = meas_transfer_atm(f, config.t_one_way, "printed") * models["atmosphere"].eval(f)
-    db = dbc_curves(curves)
     path = out / "predicted_curves.csv"
     cols = ["primary", "secondary", "atm_printed", "atm_derived", "total"]
+    db = {c: ssb_phase_noise(curves[c]) for c in cols}
     header = ["freq_hz"] + [f"s_meas_{c}" for c in cols] + [f"l_meas_{c}_dbc_per_hz" for c in cols]
     write_table_csv((path, header, [f] + [curves[c] for c in cols] + [db[c] for c in cols]))
     if f[0] <= SPOT_FREQ_HZ <= f[-1]:

@@ -215,6 +215,8 @@ class LinkConfig:
     @property
     def warmup_samples(self) -> int:
         """Samples dropped before the outputs (3 T + 5 servo time constants + 32), at most 10% of the run."""
+        if self.servo.kii > 0 and not self.servo.ki > 0:  # the rule has no time constant for a lone I^2 stage
+            raise ConfigError(f"servo kii={self.servo.kii:g}/s^2 with ki=0: a second integrator needs the first (ki > 0)")
         settle = 0.0
         if self.servo.ki > 0:
             tau = 1.0 / self.servo.ki

@@ -379,9 +379,10 @@ def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
 
 
 def ssb_phase_noise(psd_value):
-    """Single-sideband phase noise L(f) = S_phi(f)/2 in dBc/Hz."""
+    """Single-sideband phase noise L(f) = S_phi(f)/2 in dBc/Hz: zero power reads -inf, a negative PSD is refused."""
     v = np.asarray(psd_value, dtype=float)
-    if np.any(v <= 0):
-        raise ValueError("ssb_phase_noise needs a positive PSD value")
-    out = 10.0 * np.log10(v / 2.0)
+    if np.any(v < 0):
+        raise ValueError("ssb_phase_noise needs a PSD value >= 0")
+    with np.errstate(divide="ignore"):  # log10(0) is -inf
+        out = 10.0 * np.log10(v / 2.0)
     return float(out) if out.ndim == 0 else out

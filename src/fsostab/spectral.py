@@ -19,7 +19,7 @@ import numpy as np
 import numpy.ma  # which np.median imports on its first call: numpy 2 loads it lazily
 
 from .errors import InvalidModelError
-from .noise import PhaseSeries, PsdModel, estimate_psd, ssb_phase_noise, synthesize_phase_noise
+from .noise import PhaseSeries, PsdModel, estimate_psd, synthesize_phase_noise
 
 #: Low-frequency power ratio of the two atmospheric residual variants,
 #: 10*log10(4 / 2.25): the chain-derived combination opens as 4*(2 pi f T)^2
@@ -235,14 +235,3 @@ def identity_check_suite(n_combos: int, seed: int):
         )
     return report
 
-
-def dbc_curves(curves: dict) -> dict:
-    """dBc/Hz mirrors of a predicted-curve dict (zeros become -inf)."""
-    out = {}
-    for key, val in curves.items():
-        v = np.asarray(val, dtype=float)
-        db = np.full(v.shape, -np.inf)
-        pos = v > 0
-        db[pos] = ssb_phase_noise(v[pos])
-        out[key] = db
-    return out

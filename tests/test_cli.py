@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import hashlib
 import itertools
 import json
 import math
@@ -376,9 +377,11 @@ class TestSubcommands:
             ('{"servo": {"kp": NaN}}', "servo.kp must be", ("predict", "simulate")),
             ('{"link_length_m": -5}', "link_length_m must be", ("predict", "simulate")),
             ('{"servo": {"kii_per_s2": 1e-300}}', "kii=1e-300", ("simulate",)),  # predict needs no warm-up
+            ('{"servo": {"kp": 0.2, "ki_per_s": 0, "kii_per_s2": 1e4}}', "a second integrator needs the first",
+             ("simulate",)),
         ],
         ids=["ref-string", "level-string", "segments-5", "segment-list", "nu_s-Infinity", "fs-NaN", "kp-NaN",
-             "length-negative", "kii-vanishing"],
+             "length-negative", "kii-vanishing", "kii-without-ki"],
     )
     def test_bad_value_exits_1_before_synthesis(self, tmp_path, caplog, no_synthesis, text, message, commands):
         cfg = tmp_path / "cfg.json"
@@ -389,6 +392,7 @@ class TestSubcommands:
             rc = main([command, "--config", str(cfg), "--out", str(tmp_path / command)] + small)
             assert rc == EXIT_VALIDATION
             assert "validation: " in caplog.text and message in caplog.text
+            assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize(
         "text, argv, message",
@@ -510,6 +514,34 @@ class TestSubcommands:
         rows = np.loadtxt(out / "predicted_curves.csv", delimiter=",", skiprows=1)
         above = rows[rows[:, 0] > 1e4]
         assert len(above) > 0 and np.isfinite(above).all()
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            ([], "b38fd5f111015d76234bb68f9d701361f916f8872821083fb61ccff29aaf7271"),
+            (["--points", "50", "--f-min-hz", "1", "--f-max-hz", "2000"],
+             "604a1aa0e36e044396bea0ba2859502fd512e520907bdab09ebb08ecf8ba929a"),
+        ],
+        ids=["default-grid", "ci-grid"],
+    )
+    def test_predicted_curves_are_pinned(self, tmp_path, argv, sha256):
+        # every dB column is ssb_phase_noise of its PSD column, byte for byte as recorded
+        out = tmp_path / "p"
+        assert main(["predict", "--out", str(out)] + argv) == EXIT_OK
+        assert hashlib.sha256((out / "predicted_curves.csv").read_bytes()).hexdigest() == sha256
+
+    def test_predict_zero_secondary_reads_minus_inf(self, tmp_path):
+        models = {name: psd_model_to_dict(m) for name, m in calibrate_default_models().items()}
+        cfg = write_cfg(tmp_path, {"models": dict(models, secondary=psd_model_to_dict(experiment.zero_model()))})
+        out = tmp_path / "p"
+        assert main(["predict", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        header, *rows = (out / "predicted_curves.csv").read_text().splitlines()
+        names = header.split(",")
+        cells = [dict(zip(names, row.split(","))) for row in rows]
+        assert len(cells) == 600
+        assert {c["s_meas_secondary"] for c in cells} == {"0"}
+        assert {c["l_meas_secondary_dbc_per_hz"] for c in cells} == {"-inf"}
+        assert np.isfinite([float(c["l_meas_total_dbc_per_hz"]) for c in cells]).all()
 
     def test_validation_exit_code(self, tmp_path):
         bad = write_cfg(tmp_path, {"frobnicate": 1})

@@ -92,6 +92,23 @@ class TestMakeLink:
         with pytest.raises(ConfigError, match="kii=1e-300"):
             make_link(LinkConfig(servo=ServoConfig(kii=1e-300), n_samples=65536))
 
+    @pytest.mark.parametrize("kii", [1e4, 1e8])
+    def test_second_integrator_needs_the_first(self, kii):
+        # with ki = 0 the warm-up rule has no settling time: at 20 kHz and K = 1, kii 1e4/s^2 puts a pole at
+        # 0.9999983 (about 8.0e6 samples to settle to 1e-6) and 1e8/s^2 one at 0.982 (763 samples)
+        cfg = LinkConfig(servo=ServoConfig(kp=0.2, ki=0.0, kii=kii), n_samples=65536)
+        with pytest.raises(ConfigError, match="a second integrator needs the first"):
+            make_link(cfg)
+
+    @pytest.mark.parametrize(
+        "servo, warmup",
+        [(ServoConfig(kp=0.3, ki=0.0), 33), (ServoConfig(), 43), (ServoConfig(kp=0.2, ki=1e4, kii=2.4e7), 75)],
+        ids=["P", "PI", "PI+I2"],
+    )
+    def test_warmup_of_each_integrator_count(self, servo, warmup):
+        # 1 sample for 3 T at 150 m, 5 time constants (1 / ki, or ki / kii when longer), and 32
+        assert LinkConfig(servo=servo, n_samples=65536).warmup_samples == warmup
+
     @pytest.mark.parametrize(
         "kwargs, name",
         [
