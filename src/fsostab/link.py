@@ -183,18 +183,15 @@ class LinkConfig:
             raise ConfigError(f"link_length_m must be >= 0, got {self.link_length_m}")
         if self.fs_hz <= 0:
             raise ConfigError("fs_hz must be > 0")
-        if self.n_samples < 64:
-            raise ConfigError("n_samples must be >= 64")
         if self.t_one_way_s is not None and self.t_one_way_s * self.fs_hz < 1.0:
-            raise ConfigError(
-                "explicit t_one_way_s is sub-sample at this fs_hz; "
-                "use link_length_m for physical sub-sample delays"
-            )
+            raise ConfigError(f"explicit t_one_way_s must be at least one sample interval (1 / fs_hz = {self.dt_s:g} s),"
+                              f" got {self.t_one_way_s:g} s; use link_length_m for physical sub-sample delays")
         if not self.loop.stable:
             raise ConfigError(
                 f"servo loop unstable: kp={self.servo.kp:g}, ki={self.servo.ki:g}/s, kii={self.servo.kii:g}/s^2 "
                 f"at fs_hz={self.fs_hz:g} with a {self.loop.k}-sample round trip"
             )
+        self.warmup_samples  # its rule is part of the config's validation: read once, here
 
     @property
     def t_one_way(self) -> float:
@@ -212,17 +209,14 @@ class LinkConfig:
         k = 1 if self.approximate_roundtrip else max(1, int(round(2.0 * self.t_one_way * self.fs_hz)))
         return Loop.from_servo(self.servo, self.dt_s, k)
 
-    @property
+    @cached_property
     def warmup_samples(self) -> int:
-        """Samples dropped before the outputs (3 T + 5 servo time constants + 32), at most 10% of the run."""
-        if self.servo.kii > 0 and not self.servo.ki > 0:  # the rule has no time constant for a lone I^2 stage
-            raise ConfigError(f"servo kii={self.servo.kii:g}/s^2 with ki=0: a second integrator needs the first (ki > 0)")
-        settle = 0.0
-        if self.servo.ki > 0:
-            tau = 1.0 / self.servo.ki
-            if self.servo.kii > 0:
-                tau = max(tau, self.servo.ki / self.servo.kii)
-            settle = np.ceil(5.0 * tau * self.fs_hz)  # inf for a vanishing kii
+        """Samples dropped before the outputs (3 T + 5 servo time constants + 32), at most 10% of a run (>= 320 samples)."""
+        ki, kii = self.servo.ki, self.servo.kii
+        if kii > 0 and not ki > 0:  # the rule has no time constant for a lone I^2 stage
+            raise ConfigError(f"servo kii={kii:g}/s^2 with ki=0: a second integrator needs the first (ki > 0)")
+        # 1 / ki, or ki / kii when longer: inf for a vanishing kii
+        settle = np.ceil(5.0 * max(1.0 / ki, ki / kii if kii > 0 else 0.0) * self.fs_hz) if ki > 0 else 0.0
         warmup = np.ceil(3.0 * (self.t_one_way * self.fs_hz)) + settle + 32
         if warmup > 0.1 * self.n_samples:
             raise ConfigError(
@@ -358,8 +352,8 @@ class LinkState:
 class LinkTrace:
     """The record of one run: its config, the engine and flags, and only the series no rule derives, full length.
 
-    d and m_base are NoiseInputs.forcing's and theta the loop's command, None when no loop ran. The warm-up, the
-    sample rate, the loop and T are the config's; every mode's outputs start after the warm-up and form when read.
+    d and m_base are NoiseInputs.forcing's and theta the loop's command, None when no loop ran: a stabilized read then
+    raises. The warm-up, sample rate, loop and T are the config's; every mode's outputs start after it, formed when read.
     """
 
     config: LinkConfig
@@ -378,11 +372,17 @@ class LinkTrace:
         w, fs = self.config.warmup_samples, self.config.fs_hz
         return w * (1.0 / fs) + np.arange(self.d.size - w) / fs
 
+    def _solved(self, mode: str) -> np.ndarray:  # theta, for a read of the stabilized mode
+        if self.theta is None:
+            raise ValueError(f"no loop ran for this record: it holds no {mode!r} reading")
+        return self.theta
+
     def loop_columns(self, mode: str) -> tuple:
-        """(loop error, actuator command) of ``mode``: the open loop's (d, 0) for an unstabilized mode or a record
-        with no theta, else the closed loop's, the same two arrays for every stabilized mode."""
-        if mode == "unstabilized" or self.theta is None:
+        """(loop error, actuator command) of ``mode``: the open loop's (d, 0) for an unstabilized mode, else the
+        closed loop's, the same two arrays for every stabilized mode."""
+        if mode == "unstabilized":
             return self.d[self.config.warmup_samples :], np.zeros(self.d.size - self.config.warmup_samples)
+        self._solved(mode)
         return self._closed_loop
 
     @cached_property
@@ -391,26 +391,21 @@ class LinkTrace:
         return self.config.loop.error(self.d, self.theta)[w:], self.theta[w:]
 
     def measurement(self, mode: str) -> PhaseSeries:
-        """The measurement of ``mode``: m_base plus the correction at its LinkConfig.carrier_scale (none with no theta)."""
+        """The measurement of ``mode``: m_base plus the correction at its LinkConfig.carrier_scale."""
         w, fs, scale = self.config.warmup_samples, self.config.fs_hz, self.config.carrier_scale(mode)
-        if scale == 0 or self.theta is None:
+        if scale == 0:
             return PhaseSeries(self.m_base[w:], fs)
         # theta[n] takes effect at sample n+1 (the same convention the error path uses), so the correction
         # seen at transmission time t-T is theta delayed by T plus that one sample.
-        out = fractional_delay(self.theta, self.config.t_one_way * fs + 1.0)[w:]
+        out = fractional_delay(self._solved(mode), self.config.t_one_way * fs + 1.0)[w:]
         out *= scale
         return PhaseSeries(np.add(out, self.m_base[w:], out=out), fs)
 
 
 def make_link(config: LinkConfig) -> LinkState:
     """Initialize run state; reports delay representation and warm-up."""
-    _log.info(
-        "link state: T=%.6g s (%.4g samples), roundtrip_delay=%d samples, warmup=%d",
-        config.t_one_way,
-        config.t_one_way * config.fs_hz,
-        config.loop.k,
-        config.warmup_samples,
-    )
+    _log.info("link state: T=%.6g s (%.4g samples), roundtrip_delay=%d samples, warmup=%d",
+              config.t_one_way, config.t_one_way * config.fs_hz, config.loop.k, config.warmup_samples)
     return LinkState(config.warmup_samples)
 
 
@@ -543,9 +538,9 @@ def run_link(config: LinkConfig, inputs: NoiseInputs, mode: str, engine: str = "
         raise ConfigError(f"unknown mode {mode!r}")
     if engine not in ("fast", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
+    if len(inputs) != config.n_samples:
+        raise ValueError(f"inputs hold {len(inputs)} samples, the config's run {config.n_samples}")
     state = make_link(config)
-    if len(inputs) < state.warmup_samples + 16:
-        raise ValueError("inputs shorter than warm-up; lengthen the run")
     if inputs.fs_hz != config.fs_hz:
         raise ValueError(f"inputs sampled at {inputs.fs_hz:g} Hz, config at {config.fs_hz:g} Hz")
     d, m_base = inputs.forcing(config)

@@ -89,21 +89,22 @@ class PsdModel:
             raise InvalidModelError("segment parameters must be finite")
         if any(s.level < 0 for s in segs):
             raise InvalidModelError("segment levels must be >= 0")
-        # each law must be finite where it applies: at both ends of its span and at f_min and f_max (f = 0 excepted)
-        ends = [(s, s.f_break_hz) for s in segs] + [(lo, hi.f_break_hz) for lo, hi in zip(segs, segs[1:])]
-        ends += [(segs[np.searchsorted(breaks, f, side="right") - 1], f) for f in (self.f_min_hz, self.f_max_hz)]
+        # each law must be finite where it applies (f = 0 excepted): at the first break, f_min and f_max, and on both
+        # sides of every inner break, where the two laws must also meet; numpy's power overflows to inf, not an error
+        def law(seg, f):
+            value = seg.level * np.float64(f / self.ref_freq_hz) ** seg.exponent
+            if f > 0 and not np.isfinite(value):
+                raise InvalidModelError(f"PSD not finite at {f:g} Hz (segment from {seg.f_break_hz:g} Hz)")
+            return value
+
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for seg, f in ends:
-                if f > 0 and not np.isfinite(seg.level * np.float64(f / self.ref_freq_hz) ** seg.exponent):
-                    raise InvalidModelError(f"PSD not finite at {f:g} Hz (segment from {seg.f_break_hz:g} Hz)")
-        for lo, hi in zip(segs, segs[1:]):
-            a = lo.level * (hi.f_break_hz / self.ref_freq_hz) ** lo.exponent
-            b = hi.level * (hi.f_break_hz / self.ref_freq_hz) ** hi.exponent
-            scale = max(abs(a), abs(b))
-            if scale > 0 and abs(a - b) > _CONTINUITY_RTOL * scale:
-                raise InvalidModelError(
-                    f"PSD discontinuous at {hi.f_break_hz} Hz ({a:g} vs {b:g})"
-                )
+            for f in (breaks[0], self.f_min_hz, self.f_max_hz):  # the ends: the first segment's start, f_min and f_max
+                law(segs[np.searchsorted(breaks, f, side="right") - 1], f)
+            for lo, hi in zip(segs, segs[1:]):
+                a, b = law(lo, hi.f_break_hz), law(hi, hi.f_break_hz)
+                scale = max(abs(a), abs(b))
+                if scale > 0 and abs(a - b) > _CONTINUITY_RTOL * scale:
+                    raise InvalidModelError(f"PSD discontinuous at {hi.f_break_hz} Hz ({a:g} vs {b:g})")
 
     @property
     def is_zero(self) -> bool:

@@ -253,6 +253,8 @@ class TestParseConfig:
 
 
 SMALL = ["--samples", "32768", "--fs-hz", "4000"]
+#: a servo whose warm-up, 250,033 samples, is over 10% of the default 2^21
+SLOW_SERVO = {"servo": {"ki_per_s": 0.4}}
 
 
 @pytest.fixture
@@ -376,9 +378,9 @@ class TestSubcommands:
             ('{"fs_hz": NaN}', "fs_hz must be", ("predict", "simulate")),
             ('{"servo": {"kp": NaN}}', "servo.kp must be", ("predict", "simulate")),
             ('{"link_length_m": -5}', "link_length_m must be", ("predict", "simulate")),
-            ('{"servo": {"kii_per_s2": 1e-300}}', "kii=1e-300", ("simulate",)),  # predict needs no warm-up
+            ('{"servo": {"kii_per_s2": 1e-300}}', "kii=1e-300", ("predict", "simulate")),
             ('{"servo": {"kp": 0.2, "ki_per_s": 0, "kii_per_s2": 1e4}}', "a second integrator needs the first",
-             ("simulate",)),
+             ("predict", "simulate")),
         ],
         ids=["ref-string", "level-string", "segments-5", "segment-list", "nu_s-Infinity", "fs-NaN", "kp-NaN",
              "length-negative", "kii-vanishing", "kii-without-ki"],
@@ -391,6 +393,28 @@ class TestSubcommands:
             small = [] if command == "predict" else ["--samples", "65536"]  # predict synthesizes nothing
             rc = main([command, "--config", str(cfg), "--out", str(tmp_path / command)] + small)
             assert rc == EXIT_VALIDATION
+            assert "validation: " in caplog.text and message in caplog.text
+            assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize(
+        "kwargs, block, message",
+        [
+            ({"n_samples": 200}, {"n_samples": 200}, "exceeds 10% of the run (200)"),
+            ({"servo": ServoConfig(kp=0.2, ki=0.0, kii=1e4)}, {"servo": {"kp": 0.2, "ki_per_s": 0, "kii_per_s2": 1e4}},
+             "a second integrator needs the first"),
+            ({"servo": ServoConfig(kii=1e-300)}, {"servo": {"kii_per_s2": 1e-300}}, "kii=1e-300"),
+        ],
+        ids=["200-samples", "kii-without-ki", "kii-vanishing"],
+    )
+    def test_warmup_rule_checked_when_the_config_is_built(self, tmp_path, caplog, kwargs, block, message):
+        # predict and identity-check read no warm-up, yet they too refuse a config that no run could take, and so
+        # write no manifest that simulate would then refuse
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            LinkConfig(**kwargs)
+        cfg = write_cfg(tmp_path, block)
+        for command in ("predict", "identity-check"):
+            caplog.clear()
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == EXIT_VALIDATION
             assert "validation: " in caplog.text and message in caplog.text
             assert not (tmp_path / command).exists()
 
@@ -620,17 +644,20 @@ class TestSubcommands:
         assert not (tmp_path / "peak").exists()
 
     def test_compare_warmup_rejected_before_synthesis(self, tmp_path, caplog, no_synthesis):
-        # a warm-up of 250,033 samples is over 10% of the default 2^21
-        cfg = write_cfg(tmp_path, {"servo": {"ki_per_s": 0.4}})
+        cfg = write_cfg(tmp_path, SLOW_SERVO)
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "c")]) == EXIT_VALIDATION
         assert "validation: warm-up" in caplog.text
 
-    @pytest.mark.parametrize("argv", [["predict", "--f-min-hz", "1e-300"], ["simulate"], ["sweep"], ["compare"]],
-                             ids=["predict-band", "simulate-warmup", "sweep-warmup", "compare-warmup"])
-    def test_rejected_run_makes_no_directory(self, tmp_path, argv):
+    @pytest.mark.parametrize(
+        "argv, block",
+        [(["predict", "--f-min-hz", "1e-300"], {}), (["simulate"], SLOW_SERVO), (["sweep"], SLOW_SERVO),
+         (["compare"], SLOW_SERVO)],
+        ids=["predict-band", "simulate-warmup", "sweep-warmup", "compare-warmup"],
+    )
+    def test_rejected_run_makes_no_directory(self, tmp_path, argv, block):
         # predict's band takes the extended laws past float range, the others' warm-up is over 10% of the run:
         # each is rejected before its first file, so it makes no directory, parents included, and keeps the user's
-        cfg = write_cfg(tmp_path, {"servo": {"ki_per_s": 0.4}})
+        cfg = write_cfg(tmp_path, block)
         kept = tmp_path / "kept"
         kept.mkdir()
         for out in (tmp_path / "made" / "out", kept, kept / "new"):

@@ -96,9 +96,8 @@ class TestMakeLink:
     def test_second_integrator_needs_the_first(self, kii):
         # with ki = 0 the warm-up rule has no settling time: at 20 kHz and K = 1, kii 1e4/s^2 puts a pole at
         # 0.9999983 (about 8.0e6 samples to settle to 1e-6) and 1e8/s^2 one at 0.982 (763 samples)
-        cfg = LinkConfig(servo=ServoConfig(kp=0.2, ki=0.0, kii=kii), n_samples=65536)
         with pytest.raises(ConfigError, match="a second integrator needs the first"):
-            make_link(cfg)
+            LinkConfig(servo=ServoConfig(kp=0.2, ki=0.0, kii=kii), n_samples=65536)
 
     @pytest.mark.parametrize(
         "servo, warmup",
@@ -339,7 +338,9 @@ class TestReferenceEngine:
         ],
     )
     def test_bit_identical_to_the_loop_over_arrays(self, n, t_samples, approx, servo, events, flags):
-        cfg = scaled_config(t_samples=t_samples, approximate_roundtrip=approx, servo=servo)
+        # the engine reads the config's loop and servo, not its run length: each config is of a run long enough for
+        # its warm-up (106,190 samples for K = 4105 with ki = 0.05/s), and d is n samples of forcing
+        cfg = scaled_config(n=2**21, t_samples=t_samples, approximate_roundtrip=approx, servo=servo)
         d = self.forcing(n, events)
         new, old = link.LinkState(0), link.LinkState(0)
         theta = link._run_reference(cfg, d, new)
@@ -483,7 +484,7 @@ class TestRunLink:
     def test_record_is_its_config_and_three_series(self):
         # the record holds its config, engine, flags and the series no rule derives; every mode's loop columns are
         # read from it by name after the warm-up: the open loop's (d, 0), one closed-loop pair for both stabilized
-        # modes, and the open loop for every mode of a record with no theta
+        # modes; a record with no theta answers for the open loop only
         assert [f.name for f in fields(LinkTrace)] == ["config", "engine", "flags", "d", "m_base", "theta"]
         cfg = scaled_config()
         w = cfg.warmup_samples
@@ -498,10 +499,18 @@ class TestRunLink:
         assert np.array_equal(closed[1], solved.theta[w:]) and closed[1].any()
         _, unsolved = run_link(cfg, inp, mode="unstabilized")
         assert unsolved.theta is None
-        for mode in MODES:
-            err, cmd = unsolved.loop_columns(mode)
-            assert np.array_equal(err, solved.d[w:]) and not cmd.any() and cmd.size == err.size, mode
-            assert np.array_equal(unsolved.measurement(mode).samples, solved.m_base[w:]), mode
+        err, cmd = unsolved.loop_columns("unstabilized")
+        assert np.array_equal(err, solved.d[w:]) and not cmd.any() and cmd.size == err.size
+        assert np.array_equal(unsolved.measurement("unstabilized").samples, solved.m_base[w:])
+
+    @pytest.mark.parametrize("mode", ["doppler", "group-delay"])
+    def test_record_with_no_loop_refuses_a_stabilized_read(self, mode):
+        # an unstabilized run solves nothing: its record has no closed loop to answer for, not the open loop's
+        cfg = scaled_config()
+        _, unsolved = run_link(cfg, random_walk_inputs(np.random.default_rng(12), cfg.n_samples, cfg.fs_hz), "unstabilized")
+        for read in (unsolved.measurement, unsolved.loop_columns):
+            with pytest.raises(ValueError, match=f"no loop ran for this record: it holds no '{mode}' reading"):
+                read(mode)
 
     def test_record_footprint(self):
         # the record keeps d, m_base and theta (d and m_base open loop), retained once the measurement is dropped,
@@ -706,9 +715,20 @@ class TestAtmosphereFromPsd:
         (lambda: quiet_inputs(100, 0.0), ValueError, "fs_hz must be > 0"),
         (lambda: NoiseInputs.from_models(_mini_models(), 1000.0, 4096, 0, 0.0), ValueError, "nu_ref_hz must be > 0"),
         (lambda: fractional_delay(np.ones(8), -0.5), ValueError, "delay must be >= 0"),
-        (lambda: run_link(scaled_config(), quiet_inputs(64, 1000.0), mode="doppler"), ValueError, "shorter than warm-up"),
+        # the run, its warm-up and the Welch segment check all read one length, the config's
+        (lambda: run_link(scaled_config(), quiet_inputs(64, 1000.0), mode="doppler"), ValueError,
+         "inputs hold 64 samples, the config's run 4096"),
+        (lambda: run_link(scaled_config(), quiet_inputs(4095, 1000.0), mode="doppler"), ValueError,
+         "inputs hold 4095 samples, the config's run 4096"),
+        (lambda: run_link(scaled_config(), quiet_inputs(4097, 1000.0), mode="doppler"), ValueError,
+         "inputs hold 4097 samples, the config's run 4096"),
+        (lambda: scaled_config(t_samples=0), ConfigError,
+         r"t_one_way_s must be at least one sample interval \(1 / fs_hz = 0.001 s\), got 0 s"),
+        (lambda: scaled_config(t_samples=-2), ConfigError,
+         r"t_one_way_s must be at least one sample interval \(1 / fs_hz = 0.001 s\), got -0.002 s"),
     ],
-    ids=["no-delay", "inputs-fs", "nu-ref", "negative-delay", "short-inputs"],
+    ids=["no-delay", "inputs-fs", "nu-ref", "negative-delay", "short-inputs", "inputs-one-short", "inputs-one-long",
+         "zero-one-way-delay", "negative-one-way-delay"],
 )
 def test_bad_argument_rejected(call, error, match):
     with pytest.raises(error, match=match):
