@@ -15,8 +15,10 @@ import numpy as np
 from .config import load_config, resolved_dict
 from .errors import ConfigError, InvalidModelError, OutOfRangeError
 from .experiment import (
+    _COMMAND_HEAP_CUT,
     SPOT_FREQ_HZ,
     _checked_nperseg,
+    _keep_freed_heap,
     channel_sweep,
     emit_outputs,
     log_bin_spectrum,
@@ -29,6 +31,7 @@ from .link import MODES, NoiseInputs, run_link
 from .noise import estimate_psd, ssb_phase_noise
 from .spectral import (
     LOW_F_ATM_RATIO_DB,
+    ORACLE_N,
     atm_variant_report,
     identity_check_suite,
     log_band_medians,
@@ -229,6 +232,9 @@ def main(argv=None) -> int:
     overrides = {key: v for key, _, _ in _FLAGS.values() if (v := getattr(args, key, None)) is not None}
     try:
         config, models, experiment = load_config(args.config, overrides)
+        n = ORACLE_N if args.func is _cmd_identity_check else config.n_samples  # the length of the series it draws
+        if 8 * n < _COMMAND_HEAP_CUT:  # its arrays are freed and made again: keep their pages rather than fault them in
+            _keep_freed_heap(_COMMAND_HEAP_CUT)
         # the output directory is made by the run's first file, so a run stopped before it leaves none
         return args.func(config, models, experiment, args.out or Path("runs") / args.command)
     except (ConfigError, InvalidModelError, OutOfRangeError) as exc:

@@ -232,13 +232,24 @@ def log_bin_spectrum(est: SpectrumEstimate):
     return np.bincount(idx, weights=est.freqs)[nz] / counts[nz], np.bincount(idx, weights=est.psd)[nz] / counts[nz]
 
 
-def _keep_freed_heap():
-    """Pool initializer: the worker's glibc serves blocks under 32 MiB from a heap it never trims; no-op without ``mallopt``."""
+#: Blocks under these sizes come from a heap that is never trimmed (``_keep_freed_heap``). A command's own process
+#: takes 8 MiB, and only when its series are shorter (``cli.main``): a longer run's arrays reach the cut, and glibc's
+#: own moving cut, which follows the largest block freed, serves them better. The fan-out's workers, which hold one
+#: short channel or one CSV block, take glibc's 64-bit cap.
+_COMMAND_HEAP_CUT = 8 << 20
+_WORKER_HEAP_CUT = 32 << 20
+
+
+def _keep_freed_heap(cut: int = _WORKER_HEAP_CUT):
+    """This process's glibc serves blocks under ``cut`` bytes from a heap it never trims; no-op without ``mallopt``.
+
+    Called by ``cli.main`` with ``_COMMAND_HEAP_CUT`` and as the fan-out's pool initializer with the default.
+    """
     with contextlib.suppress(AttributeError, OSError):
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        # M_MMAP_THRESHOLD (its 64-bit cap), then M_TRIM_THRESHOLD if that took: either alone ends the dynamic thresholds
-        mallopt(-3, 32 << 20) and mallopt(-1, 2**31 - 1)
+        # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD if that took: either alone ends the dynamic thresholds
+        mallopt(-3, cut) and mallopt(-1, 2**31 - 1)
 
 
 def _fork_map(fn, jobs):
@@ -249,12 +260,17 @@ def _fork_map(fn, jobs):
     ``BrokenProcessPool``. Fork, not spawn: workers start with numpy, scipy's
     BLAS and the caller's data loaded, and Python 3.11's pool forks them all
     before it starts its manager thread. Processes: the jobs hold the GIL.
-    Workers keep the heap they free until the pool closes (``_keep_freed_heap``).
+    Workers keep the heap they free until the pool closes (``_keep_freed_heap``),
+    and start without the freed heap this process keeps: it is trimmed first.
     """
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
     if workers <= 1:
         yield from map(fn, jobs)
     else:
+        with contextlib.suppress(AttributeError, OSError):
+            trim = ctypes.CDLL(None).malloc_trim
+            trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+            trim(0)
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_keep_freed_heap) as pool:
             yield from pool.map(fn, jobs)
 

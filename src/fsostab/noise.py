@@ -85,6 +85,8 @@ class PsdModel:
             raise InvalidModelError("segment breaks must be strictly increasing")
         if breaks[0] > self.f_min_hz:
             raise InvalidModelError("first segment must start at or below f_min_hz")
+        if breaks[1:2] and breaks[1] <= 0:  # frequencies are >= 0: the first segment would never apply
+            raise InvalidModelError(f"segment breaks after the first must be above 0 Hz, got {breaks[1]:g} Hz")
         if any(not np.isfinite([s.f_break_hz, s.exponent, s.level]).all() for s in segs):
             raise InvalidModelError("segment parameters must be finite")
         if any(s.level < 0 for s in segs):

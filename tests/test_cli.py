@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import signal
 import subprocess
@@ -82,6 +83,88 @@ def test_a_run_imports_no_numpy_or_scipy_module(tmp_path):
     run = _python(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+#: Fresh-interpreter helpers for the heap tests: this process has run cli.main already, so each test runs in its own.
+_HEAP_PRELUDE = """
+import os, resource
+import numpy as np
+from fsostab import cli, experiment
+
+def anon_mib(_=None):  # this process's resident anonymous memory
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("RssAnon:")) / 1024
+
+def refaults():  # minor faults of writing forty 2 MiB arrays again after forty were written and freed
+    keep = [np.ones(2**18) for _ in range(40)]
+    del keep
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    keep = [np.ones(2**18) for _ in range(40)]
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+"""
+
+_glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap rule is glibc's mallopt")
+
+#: A command whose series, 65,536 samples (512 KiB), are shorter than the command's 8 MiB heap cut.
+_SHORT_RUN = ["simulate", "--samples", "65536", "--mode", "unstabilized"]
+
+
+def _heap_run(tmp_path, argv, body):
+    """The numbers ``body`` prints on its last line, run after the prelude and the command ``argv``."""
+    code = _HEAP_PRELUDE + f"assert cli.main({argv + ['--out', str(tmp_path / 'o')]!r}) == 0\n" + textwrap.dedent(body)
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+    return [float(v) for v in run.stdout.splitlines()[-1].split()]
+
+
+@_glibc_only
+@pytest.mark.parametrize(
+    "argv, kept",
+    [(["identity-check", "--combos", "2"], True), (_SHORT_RUN, True), (["predict"], False)],
+    ids=["oracle-series", "short-run", "default-run"],
+)
+def test_command_keeps_the_heap_it_frees(tmp_path, argv, kept):
+    # at glibc's defaults the free gives 80 MiB back to the kernel and the second pass faults most of it in again
+    # (16,000 to 20,500 of its 20,480 pages). A command whose series are shorter than its cut keeps the pages (the
+    # identity oracle's are 2^17 samples, whatever the config says); the default 2^21-sample series reach the cut,
+    # and glibc's own moving cut, which follows them, stays. The import alone changes nothing.
+    code = _HEAP_PRELUDE + textwrap.dedent(f"""
+        print(refaults())
+        assert cli.main({argv + ['--out', str(tmp_path / 'o')]!r}) == 0
+        print(refaults())
+    """)
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+    alone, after = int(run.stdout.splitlines()[0]), int(run.stdout.splitlines()[-1])
+    assert alone > 4096 and (after < 64 if kept else after > 4096), (alone, after)
+
+
+@_glibc_only
+def test_command_maps_blocks_above_its_cut(tmp_path):
+    # a 16 MiB block is above the command's 8 MiB cut, so its free gives it back (it stays under a 32 MiB cut)
+    held, left = _heap_run(tmp_path, _SHORT_RUN, """
+        base = anon_mib()
+        block = np.ones(2**21)
+        held = anon_mib() - base
+        del block
+        print(held, anon_mib() - base)
+    """)
+    assert held > 12 and left < 2, (held, left)
+
+
+@_glibc_only
+def test_fork_pool_starts_without_the_kept_heap(tmp_path):
+    # the command keeps 40 MiB of freed 1 MiB blocks; the fan-out trims them before it forks, so its workers do not
+    # start with them (the pool of two is forced, whatever the machine's CPUs)
+    kept, started = _heap_run(tmp_path, _SHORT_RUN, """
+        os.sched_getaffinity = lambda pid: {0, 1}
+        base = anon_mib()
+        blocks = [np.ones(2**17) for _ in range(40)]
+        del blocks
+        kept = anon_mib() - base
+        print(kept, max(experiment._fork_map(anon_mib, range(2))) - base)
+    """)
+    assert kept > 32 and started < 16, (kept, started)
 
 
 def test_missing_compiled_blas_module_fails_the_import(tmp_path):
@@ -283,6 +366,11 @@ def _primary(**changes):
 _SEGMENT = psd_model_to_dict(calibrate_default_models()["primary"])["segments"][0]
 
 
+def _segments(*rows):
+    """A model's JSON segments from (f_break_hz, exponent, level) rows."""
+    return [dict(zip(_SEGMENT, row)) for row in rows]
+
+
 def _diverging_cfg(tmp_path):
     """A stable loop under an atmosphere 1e14 x the calibrated level, which diverges at run time."""
     models = calibrate_default_models()
@@ -381,9 +469,13 @@ class TestSubcommands:
             ('{"servo": {"kii_per_s2": 1e-300}}', "kii=1e-300", ("predict", "simulate")),
             ('{"servo": {"kp": 0.2, "ki_per_s": 0, "kii_per_s2": 1e4}}', "a second integrator needs the first",
              ("predict", "simulate")),
+            (json.dumps(_primary(ref_freq_hz=10.0, f_min_hz=0.0, f_max_hz=10.0, segments=_segments((-2, 0.5, 1), (-1, 0.5, 1)))),
+             "models.primary: segment breaks after the first must be above 0 Hz", ("predict", "simulate")),
+            (json.dumps(_primary(ref_freq_hz=10.0, f_min_hz=0.0, f_max_hz=10.0, segments=_segments((-2, 0.5, 1), (-1, 0.5, 2)))),
+             "models.primary: segment breaks after the first must be above 0 Hz", ("predict", "simulate")),
         ],
         ids=["ref-string", "level-string", "segments-5", "segment-list", "nu_s-Infinity", "fs-NaN", "kp-NaN",
-             "length-negative", "kii-vanishing", "kii-without-ki"],
+             "length-negative", "kii-vanishing", "kii-without-ki", "negative-inner-break", "negative-inner-jump"],
     )
     def test_bad_value_exits_1_before_synthesis(self, tmp_path, caplog, no_synthesis, text, message, commands):
         cfg = tmp_path / "cfg.json"

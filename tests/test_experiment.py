@@ -437,6 +437,19 @@ class TestSweepAndOutputs:
         faults = list(experiment._fork_map(reallocation_faults, range(2)))
         assert pool_sizes == [2] and max(faults) < 64, faults
 
+    @pytest.mark.parametrize("error", [AttributeError, OSError])
+    def test_c_library_without_mallopt_runs_as_today(self, monkeypatch, tmp_path, error):
+        # the command, the trim before the fork and the pool's initializer each leave the C library's defaults and go on
+        def libc(name):  # one without mallopt and malloc_trim, or none that loads
+            if error is OSError:
+                raise OSError(f"cannot load {name}")
+            return object()
+
+        monkeypatch.setattr(experiment.ctypes, "CDLL", libc)
+        pool_sizes = sized_pools(monkeypatch, 2)
+        assert cli.main(["identity-check", "--combos", "2", "--out", str(tmp_path / "i")]) == cli.EXIT_OK
+        assert list(experiment._fork_map(abs, [-1, -2])) == [1, 2] and pool_sizes == [2]
+
     def test_stabilized_never_worse(self):
         result = self.make_result()
         for ch in result.channels_thz:

@@ -150,6 +150,20 @@ class TestPsdModel:
                 1e3,
             )
 
+    @pytest.mark.parametrize(
+        "segments",
+        [((-2.0, 0.5, 1.0), (-1.0, 0.5, 1.0)), ((-2.0, 0.5, 1.0), (-1.0, 0.5, 2.0)), ((-1.0, 0.5, 1.0), (0.0, 0.5, 1.0))],
+        ids=["negative", "negative-jump", "zero"],
+    )
+    def test_inner_break_at_or_below_zero_rejected(self, segments):
+        # no frequency reaches the first segment's law, and at a negative break the continuity test compared NaN
+        with pytest.raises(InvalidModelError, match="breaks after the first must be above 0 Hz"):
+            PsdModel(10.0, segments, 0.0, 10.0)
+
+    def test_first_break_below_zero_accepted(self):
+        m = PsdModel(10.0, ((-2.0, 0.5, 1.0), (1.0, 0.5, 1.0)), 0.0, 10.0)
+        assert m.eval(2.5) == pytest.approx(0.5, rel=1e-12)
+
     def test_out_of_range(self, caplog):
         # past [f_min_hz, f_max_hz] the one law goes on by its slope, with one warning per call
         m = single_slope(1.0, -1.0)
