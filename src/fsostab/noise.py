@@ -326,9 +326,9 @@ def _first_half_irfft(bins: list) -> np.ndarray:
     return x
 
 
-#: Samples per batch of Welch segments (8 MB of float64), so long segments
-#: are transformed a few at a time instead of all at once.
-_WELCH_BATCH_SAMPLES = 2**20
+#: Samples per chunk of Welch segments (1 MiB of float64): the size of the
+#: buffers one call reuses, which sets its memory and not its result.
+_WELCH_CHUNK_SAMPLES = 2**17
 
 
 def _hann(n: int) -> np.ndarray:
@@ -336,19 +336,38 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
+def _segment_power(segments: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over the rows s of segments of |rfft(w (s - mean(s)))|^2, added one row at a time in row order."""
+    buf = np.empty((max(1, _WELCH_CHUNK_SAMPLES // w.size), w.size))  # the chunk of tapered segments
+    spec = np.empty((len(buf), w.size // 2 + 1), dtype=complex)
+    sq, power = np.empty(spec.shape), np.zeros(spec.shape[1])
+    for i in range(0, len(segments), len(buf)):
+        seg = segments[i : i + len(buf)]
+        tapered, xf, p = buf[: len(seg)], spec[: len(seg)], sq[: len(seg)]
+        np.subtract(seg, seg.mean(axis=1, keepdims=True), out=tapered)
+        tapered *= w
+        np.fft.rfft(tapered, axis=1, out=xf)
+        with np.errstate(over="ignore"):  # an overflow leaves inf, which the caller flags
+            np.multiply(xf.real, xf.real, out=p)
+            p += np.multiply(xf.imag, xf.imag, out=xf.imag)  # squared in place: the next rfft overwrites it
+            for row in p:  # one segment at a time, in order, so no sum depends on the chunk size
+                power += row
+    return power
+
+
 def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
     """Welch estimate of the one-sided PSD of a phase series (Welch 1967).
 
     Every ``segment_len`` segment, overlapping the one before by segment_len // 2
-    samples, has its mean removed, is Hann tapered and goes
-    through one batched rFFT; the density-scaled periodograms are
-    averaged. This is ``scipy.signal.welch`` with detrend="constant"
-    and no padding, to within rounding; segments are transformed in
-    batches of about 2^20 samples, so no copy of the whole segmented
-    series is made. The resolution bandwidth reported is the window's
-    equivalent noise bandwidth, fs * sum(w^2) / sum(w)^2. Only the data
-    bins are returned, 1 .. ceil(segment_len / 2) - 1, the ones one-sided
-    doubling applies to: DC and an even segment's Nyquist bin are dropped.
+    samples, has its mean removed, is Hann tapered and rFFT'd; the
+    density-scaled periodograms are summed one segment at a time in order
+    and averaged: ``scipy.signal.welch`` with detrend="constant" and no
+    padding, to within rounding. Segments go through 2^17-sample (1 MiB)
+    buffers reused for the whole call, whose size changes no bit of the sum.
+    The resolution bandwidth reported is the window's equivalent noise
+    bandwidth, fs * sum(w^2) / sum(w)^2. Only the data bins are returned,
+    1 .. ceil(segment_len / 2) - 1, the ones one-sided doubling applies
+    to: DC and an even segment's Nyquist bin are dropped.
     """
     x = series.samples
     n = x.size
@@ -366,17 +385,8 @@ def estimate_psd(series: PhaseSeries, segment_len: int) -> SpectrumEstimate:
     # order, as scipy.signal.welch scales it, so the transforms match its own
     w *= 1.0 / np.sqrt(np.cumsum(ww, out=ww)[-1] / (1.0 / series.fs_hz))
     del ww
-    batch = max(1, _WELCH_BATCH_SAMPLES // segment_len)
-    power = np.zeros(segment_len // 2 + 1)
-    for i in range(0, len(segments), batch):
-        seg = segments[i : i + batch]
-        seg = seg - seg.mean(axis=1, keepdims=True)
-        seg *= w
-        spec = np.fft.rfft(seg, axis=1)
-        with np.errstate(over="ignore"):  # an overflow leaves inf, which the caller flags
-            power += (spec.real**2 + spec.imag**2).sum(axis=0)
     data = slice(1, (segment_len + 1) // 2)  # the bins one-sided doubling applies to: never DC or an even length's Nyquist
-    psd = power[data] / len(segments)
+    psd = _segment_power(segments, w)[data] / len(segments)
     psd *= 2.0
     return SpectrumEstimate(np.fft.rfftfreq(segment_len, d=1.0 / series.fs_hz)[data], psd, rbw)
 

@@ -87,7 +87,7 @@ def test_traced_reference_engine_counts_every_sample():
 
 @pytest.mark.parametrize("name", ["sweep", "trace", "validate"])
 def test_workload_runs_clean(name, tmp_path):
-    # every call the benchmark makes into the package, with its checks; "quiet" is left out for its 580 MB
+    # every call the benchmark makes into the package, with its checks; "quiet" is left out for its peak of about 436 MB
     workloads = load_perfbench("workloads")
     outcome = workloads.WORKLOADS[name](experiment.calibrate_default_models(), 0, tmp_path)
     assert outcome.failed == []

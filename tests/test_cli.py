@@ -167,6 +167,34 @@ def test_fork_pool_starts_without_the_kept_heap(tmp_path):
     assert kept > 32 and started < 16, (kept, started)
 
 
+@_glibc_only
+def test_sweep_channel_memory():
+    # a sweep worker's heap rule, then ten of the sweep workload's 2^18-sample channels in one process: the high-water
+    # mark grows by a channel's own series and Welch's reused chunk, about 16.6 MiB (25.9 MiB when every Welch call
+    # took a fresh batch, spectrum and |X|^2 temporaries). It is read as VmHWM, this address space's own: ru_maxrss
+    # starts at the high-water of the process that spawned it, here the test run's
+    code = _HEAP_PRELUDE + textwrap.dedent("""
+        from dataclasses import replace
+        from fsostab.link import LinkConfig
+
+        def high_water_mib():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+
+        start = high_water_mib()
+        experiment._keep_freed_heap()
+        models, base = experiment.calibrate_default_models(), LinkConfig(n_samples=2**18)
+        nperseg = experiment._checked_nperseg(base, None)
+        for i, ch in enumerate(experiment.CHANNEL_GRID_THZ[:10]):
+            seed = np.random.SeedSequence(0, spawn_key=(i,))
+            experiment._run_channel((replace(base, nu_s_hz=ch * 1e12), models, seed, nperseg))
+        print(high_water_mib() - start)
+    """)
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout.splitlines()[-1]) <= 20, run.stdout
+
+
 def test_missing_compiled_blas_module_fails_the_import(tmp_path):
     # a scipy without its compiled BLAS module: no fallback solve, the import names the directory it searched
     (tmp_path / "scipy").mkdir()

@@ -462,7 +462,7 @@ class TestEstimatePsd:
             (5200, 1000),  # the last 200 samples make no full segment and are dropped
             (3000, 3000),  # one segment, the whole series
             (2**13 + 3, 2**13),  # one segment, three samples left over
-            (2**20, 2**18),  # 7 segments, transformed in batches of 4
+            (2**20, 2**18),  # 7 segments, one per 2^17-sample chunk
         ],
     )
     def test_matches_scipy_welch(self, n, segment_len):
@@ -478,6 +478,41 @@ class TestEstimatePsd:
         data = slice(1, (segment_len + 1) // 2)
         assert np.array_equal(est.freqs, freqs[data])
         np.testing.assert_allclose(est.psd, psd[data], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize(
+        "n, segment_len",
+        [
+            (2**18, 2**15),  # 15 segments, as a sweep channel's
+            (2**17, 4096),  # 63 segments
+            (2**17 + 5, 2**14),  # 15 segments, five samples left over
+            (2**17, 2**13),  # 31 segments: a 3-row chunk leaves one over
+            (2**16, 8191),  # odd segment, 15 segments
+        ],
+    )
+    def test_estimate_does_not_depend_on_the_chunk(self, n, segment_len, monkeypatch):
+        # the periodograms are added one segment at a time in order, so chunks of 1 row, 3 rows or every row agree
+        # bit for bit
+        x = PhaseSeries(np.cumsum(np.random.default_rng(n).standard_normal(n)), 250.0)
+        segments = (n - segment_len) // (segment_len - segment_len // 2) + 1
+        psds = []
+        for rows in (1, 3, segments):
+            monkeypatch.setattr(noise, "_WELCH_CHUNK_SAMPLES", rows * segment_len)
+            psds.append(estimate_psd(x, segment_len).psd)
+        assert all(np.array_equal(psd, psds[0]) for psd in psds[1:])
+
+    def test_working_memory_does_not_depend_on_the_series_length(self):
+        # one chunk of tapered segments, its rFFT and one |X|^2 scratch, reused for the whole call: the same peak at
+        # 15 segments as at 255, under 4 MiB at a 2^15-sample segment (a fresh batch per call peaked at 11.6 MiB)
+        peaks = []
+        for n in (2**18, 2**22):
+            x = PhaseSeries(np.random.default_rng(0).standard_normal(n), 20e3)
+            tracemalloc.start()
+            try:
+                estimate_psd(x, 2**15)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[0] - peaks[1]) <= 64 << 10 and max(peaks) < 4 << 20, peaks
 
     def test_segment_too_long(self):
         s = PhaseSeries(np.zeros(100), 10.0)
