@@ -346,12 +346,12 @@ def _segment_power(segments: np.ndarray, w: np.ndarray) -> np.ndarray:
         tapered, xf, p = buf[: len(seg)], spec[: len(seg)], sq[: len(seg)]
         np.subtract(seg, seg.mean(axis=1, keepdims=True), out=tapered)
         tapered *= w
-        np.fft.rfft(tapered, axis=1, out=xf)
+        np.fft.rfft(tapered, axis=1, out=xf)  # out= needs numpy >= 2.0
         with np.errstate(over="ignore"):  # an overflow leaves inf, which the caller flags
             np.multiply(xf.real, xf.real, out=p)
             p += np.multiply(xf.imag, xf.imag, out=xf.imag)  # squared in place: the next rfft overwrites it
-            for row in p:  # one segment at a time, in order, so no sum depends on the chunk size
-                power += row
+            p[0] += power  # the sum so far goes ahead of the chunk's rows, which an axis-0 sum adds one at a time
+            p.sum(axis=0, out=power)  # in order, so no sum depends on the chunk size
     return power
 
 
