@@ -30,9 +30,8 @@ from .spectral import (
     combination_factor,
     atm_variant_report,
     meas_transfer_atm,
-    meas_transfer_primary,
-    meas_transfer_secondary,
     predicted_mode_psd,
+    source_factors,
 )
 from .link import (
     LinkConfig,

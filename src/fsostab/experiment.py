@@ -28,7 +28,7 @@ from . import __version__ as _version
 from .errors import ConfigError, OutOfRangeError
 from .link import MODES, LinkConfig, LinkTrace, NoiseInputs, run_link
 from .noise import PsdModel, SpectrumEstimate, estimate_psd, ssb_phase_noise
-from .spectral import log_bands, meas_transfer_primary, meas_transfer_secondary
+from .spectral import log_bands, source_factors
 
 _log = logging.getLogger(__name__)
 
@@ -58,10 +58,9 @@ def calibrate_default_models() -> dict:
         primary carrier is UNSTABILIZED_ANCHOR_DBC at 10 Hz, with a steeper
         -17/3 rolloff above ATM_KNEE_HZ so the secondary noise takes over
         above ~100 Hz in the unstabilized spectrum.
-    secondary  : -2 slope (white frequency noise) sized so the one-way
-        self-delay factor ``meas_transfer_secondary`` puts the stabilized
-        floor at STABILIZED_FLOOR_DBC at 10 Hz.
-    primary    : -2 slope sized so the round-trip factor ``meas_transfer_primary``
+    secondary  : -2 slope (white frequency noise) sized so its stabilized
+        ``source_factors`` entry puts the floor at STABILIZED_FLOOR_DBC at 10 Hz.
+    primary    : -2 slope sized so its stabilized ``source_factors`` entry
         makes its measured term PRIMARY_MEAS_ANCHOR_RAD2 at 10 Hz, which
         sets the quiet-secondary floor.
 
@@ -78,11 +77,12 @@ def calibrate_default_models() -> dict:
         MODEL_F_MIN_HZ,
         MODEL_F_MAX_HZ,
     )
-    sec_level = 2.0 * 10.0 ** (STABILIZED_FLOOR_DBC / 10.0) / meas_transfer_secondary(f0, t_one_way_s)
+    factors = source_factors(f0, t_one_way_s, 1.0, 1.0)
+    sec_level = 2.0 * 10.0 ** (STABILIZED_FLOOR_DBC / 10.0) / factors["secondary"]
     secondary = PsdModel.from_anchor(
         f0, sec_level, [(MODEL_F_MIN_HZ, -2.0)], MODEL_F_MIN_HZ, MODEL_F_MAX_HZ
     )
-    pri_level = PRIMARY_MEAS_ANCHOR_RAD2 / meas_transfer_primary(f0, t_one_way_s)
+    pri_level = PRIMARY_MEAS_ANCHOR_RAD2 / factors["primary"]
     primary = PsdModel.from_anchor(
         f0, pri_level, [(MODEL_F_MIN_HZ, -2.0)], MODEL_F_MIN_HZ, MODEL_F_MAX_HZ
     )

@@ -3,12 +3,10 @@
 The measurement signal is a sum of time-delayed copies of independent
 noise processes, so each source's contribution to the measurement PSD is
 its own PSD times |sum_k c_k exp(-i 2 pi f tau_k)|^2. This module
-evaluates those factors, the link's specific transfer functions, the
-consistency report for the two variants of the atmospheric residual
-factor, and the predicted measurement spectra by one rule: a run is
-known to it only by the carrier ratio nu_s/nu_p and the carrier scale
-of its correction (``LinkConfig.carrier_scale``), which weight the
-primary and atmospheric copies.
+evaluates those factors, the one table of each source's factor for a
+perfectly tracking loop (``source_factors``), which the predicted
+measurement spectra and the calibration read, and the consistency report
+for the two variants of the atmospheric residual factor.
 """
 
 from __future__ import annotations
@@ -70,14 +68,23 @@ def combination_factor(comb: DelayedCombination, f):
     return float(out[0]) if np.ndim(f) == 0 else out
 
 
-def meas_transfer_secondary(f, t_delay_s):
-    """Measurement factor for secondary-laser noise: 2 - 2 cos(2 pi f T), as 4 sin^2(pi f T) (no cancellation)."""
-    return 4.0 * np.sin(np.pi * np.asarray(f, dtype=float) * t_delay_s) ** 2
+def source_factors(f, t_delay_s, ratio, scale):
+    """Each source's PSD factor in the measurement, for a loop that tracks perfectly.
 
-
-def meas_transfer_primary(f, t_delay_s):
-    """Measurement factor for primary-laser noise: 1/2 - 1/2 cos(4 pi f T), as sin^2(2 pi f T) (no cancellation)."""
-    return np.sin(2.0 * np.pi * np.asarray(f, dtype=float) * t_delay_s) ** 2
+    ``ratio`` is r = nu_s/nu_p and ``scale`` c the run's carrier scale
+    (``LinkConfig.carrier_scale``: 0 unstabilized, 1 doppler, r group-delay). Returns
+    "primary": c^2 (1/2 - 1/2 cos 4 pi f T), as c^2 sin^2(2 pi f T); "secondary":
+    2 - 2 cos(2 pi f T), as 4 sin^2(pi f T), neither cancelling at low f; and
+    "atmosphere", seen at nu_p: the copies {r @ 0, -c/2 @ T, -c/2 @ 3T}. At r = c = 1
+    they are the stabilized closed forms, with the derived atmospheric variant.
+    """
+    f = np.asarray(f, dtype=float)
+    atm = DelayedCombination(((ratio, 0.0), (-0.5 * scale, t_delay_s), (-0.5 * scale, 3.0 * t_delay_s)))
+    return {  # scale * scale overflows to inf where scale**2 would raise
+        "primary": scale * scale * np.sin(2.0 * np.pi * f * t_delay_s) ** 2,
+        "secondary": 4.0 * np.sin(np.pi * f * t_delay_s) ** 2,
+        "atmosphere": combination_factor(atm, f),
+    }
 
 
 def meas_transfer_atm(f, t_delay_s, variant="derived"):
@@ -85,17 +92,16 @@ def meas_transfer_atm(f, t_delay_s, variant="derived"):
 
     variant="printed": 3/2 - 1/2 cos(2 pi f T) - cos(4 pi f T), the compact closed
     form this measurement is usually quoted with, as sin^2(pi f T) + 2 sin^2(2 pi f T).
-    variant="derived": |1 - 1/2 e^{-i 2 pi f T} - 1/2 e^{-i 6 pi f T}|^2,
-    the factor that follows from the measurement signal's actual delayed
-    copies {1 @ 0, -1/2 @ T, -1/2 @ 3T}. The two disagree (2.5 dB at low
-    f); the time-domain chain reproduces the derived one.
+    variant="derived": ``source_factors``' atmosphere at r = c = 1,
+    |1 - 1/2 e^{-i 2 pi f T} - 1/2 e^{-i 6 pi f T}|^2, the factor that
+    follows from the measurement signal's actual delayed copies. The two
+    disagree (2.5 dB at low f); the time-domain chain reproduces the derived one.
     """
     f_arr = np.asarray(f, dtype=float)
     if variant == "printed":
         return np.sin(np.pi * f_arr * t_delay_s) ** 2 + 2.0 * np.sin(2.0 * np.pi * f_arr * t_delay_s) ** 2
     if variant == "derived":
-        comb = DelayedCombination(((1.0, 0.0), (-0.5, t_delay_s), (-0.5, 3.0 * t_delay_s)))
-        return combination_factor(comb, f_arr)
+        return source_factors(f_arr, t_delay_s, 1.0, 1.0)["atmosphere"]
     raise ValueError(f"unknown atmospheric variant {variant!r}")
 
 
@@ -104,22 +110,12 @@ def predicted_mode_psd(models: dict, t_delay_s: float, ratio: float, scale: floa
 
     ``models`` maps {"primary", "secondary", "atmosphere"} to phase PsdModels, the
     atmosphere as seen at nu_p, each evaluated by ``PsdModel.eval`` as synthesis evaluates
-    it. ``ratio`` is nu_s/nu_p and ``scale`` c the run's carrier scale
-    (``LinkConfig.carrier_scale``). Each source reaches the measurement
-    through its delayed copies: the primary as c^2 times ``meas_transfer_primary``, the
-    secondary through ``meas_transfer_secondary``, the atmosphere through
-    {ratio @ 0, -c/2 @ T, -c/2 @ 3T}. Returns "primary", "secondary", "atmosphere" and
-    their sum "total"; at ratio = c = 1 they are the stabilized closed forms, with the
-    derived atmospheric variant. Valid inside the servo bandwidth.
+    it and weighted by its ``source_factors`` at ``ratio`` and ``scale``. Returns the three
+    curves and their sum "total". Valid inside the servo bandwidth.
     """
     f = np.asarray(f_grid, dtype=float)
-    s_p, s_s, s_a = (models[n].eval(f) for n in ("primary", "secondary", "atmosphere"))
-    atm = DelayedCombination(((ratio, 0.0), (-0.5 * scale, t_delay_s), (-0.5 * scale, 3.0 * t_delay_s)))
-    curves = {  # scale * scale overflows to inf where scale**2 would raise
-        "primary": scale * scale * meas_transfer_primary(f, t_delay_s) * s_p,
-        "secondary": meas_transfer_secondary(f, t_delay_s) * s_s,
-        "atmosphere": combination_factor(atm, f) * s_a,
-    }
+    factors = source_factors(f, t_delay_s, ratio, scale)
+    curves = {name: factor * models[name].eval(f) for name, factor in factors.items()}
     curves["total"] = curves["primary"] + curves["secondary"] + curves["atmosphere"]
     return curves
 

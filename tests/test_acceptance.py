@@ -36,9 +36,8 @@ from fsostab.spectral import (
     identity_check_suite,
     log_band_medians,
     meas_transfer_atm,
-    meas_transfer_primary,
-    meas_transfer_secondary,
     predicted_mode_psd,
+    source_factors,
 )
 
 SCALED_T = 1.0e-3
@@ -108,7 +107,7 @@ def test_criterion_2_secondary_transfer(models):
     meas, model = run_source_only(models, "secondary", "doppler", config)
     est = estimate_psd(meas, segment_len=2**16)
     dev = banded_model_deviation(
-        est, model.eval, lambda f: meas_transfer_secondary(f, SCALED_T), 5.0, 2500.0, 1e-4
+        est, model.eval, lambda f: source_factors(f, SCALED_T, 1.0, 1.0)["secondary"], 5.0, 2500.0, 1e-4
     )
     res = est.freqs[1] - est.freqs[0]
     nulls = [find_null(est, k / SCALED_T) for k in (1, 2)]
@@ -130,7 +129,7 @@ def test_criterion_2_primary_transfer(models):
     meas, model = run_source_only(models, "primary", "doppler", config)
     est = estimate_psd(meas, segment_len=2**16)
     dev = banded_model_deviation(
-        est, model.eval, lambda f: meas_transfer_primary(f, SCALED_T), 5.0, 1200.0, 1e-4
+        est, model.eval, lambda f: source_factors(f, SCALED_T, 1.0, 1.0)["primary"], 5.0, 1200.0, 1e-4
     )
     res = est.freqs[1] - est.freqs[0]
     nulls = [find_null(est, k / (2 * SCALED_T)) for k in (1, 2)]
@@ -246,8 +245,9 @@ def test_criterion_5_quiet_secondary_floor(models):
     est = estimate_psd(meas, segment_len=2**20)
     spot = spot_phase_noise(est, 10.0)
     t = config.t_one_way
-    pred_primary = meas_transfer_primary(10.0, t) * models["primary"].eval(10.0)
-    pred_total = pred_primary + meas_transfer_atm(10.0, t, "derived") * models["atmosphere"].eval(10.0)
+    factors = source_factors(10.0, t, 1.0, 1.0)
+    pred_primary = factors["primary"] * models["primary"].eval(10.0)
+    pred_total = pred_primary + factors["atmosphere"] * models["atmosphere"].eval(10.0)
     dominance = 10.0 * np.log10(pred_total / pred_primary)
     consistency = spot - ssb_phase_noise(pred_total)
     ok = abs(spot - (-90.0)) <= 3.0 and dominance <= 1.0 and abs(consistency) <= 1.0

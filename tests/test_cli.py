@@ -52,10 +52,11 @@ def _python(code, *first_on_path):
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal's import costs about a second, scipy.linalg's about 0.2 s and 12-16 MB of RSS, scipy.fft's about
-    # 30 ms and 5 MB; the package loads only scipy's compiled BLAS module for the loop solve's dtbsv, and takes its
-    # transforms from numpy.fft
-    code = "import sys, fsostab; sys.exit(any(m in sys.modules for m in ('scipy.signal', 'scipy.fft', 'scipy.linalg')))"
+    # scipy.signal's import costs about a second, scipy.stats's about 1.2 s, scipy.linalg's about 0.2 s and 12-16 MB of
+    # RSS, scipy.fft's about 30 ms and 5 MB; the package loads only scipy's compiled BLAS module for the loop solve's
+    # dtbsv, and takes its transforms from numpy.fft
+    modules = "('scipy.signal', 'scipy.stats', 'scipy.fft', 'scipy.linalg')"
+    code = f"import sys, fsostab; sys.exit(any(m in sys.modules for m in {modules}))"
     run = _python(code)
     assert run.returncode == 0, run.stderr
 

@@ -39,7 +39,7 @@ from fsostab.experiment import (
 )
 from fsostab.link import MODES, LinkConfig, NoiseInputs, ServoConfig, run_link
 from fsostab.noise import PhaseSeries, SpectrumEstimate, estimate_psd, ssb_phase_noise
-from fsostab.spectral import identity_check_suite, log_bands, meas_transfer_primary, meas_transfer_secondary, predicted_mode_psd
+from fsostab.spectral import identity_check_suite, log_bands, predicted_mode_psd, source_factors
 
 
 class TestCalibration:
@@ -58,13 +58,13 @@ class TestCalibration:
     def test_secondary_anchor_solves_self_delay_factor(self):
         models = calibrate_default_models()
         t = LinkConfig().t_one_way
-        floor = meas_transfer_secondary(10.0, t) * models["secondary"].eval(10.0)
+        floor = source_factors(10.0, t, 1.0, 1.0)["secondary"] * models["secondary"].eval(10.0)
         assert ssb_phase_noise(floor) == pytest.approx(STABILIZED_FLOOR_DBC, abs=1e-9)
 
     def test_primary_anchor_solves_roundtrip_factor(self):
         models = calibrate_default_models()
         t = LinkConfig().t_one_way
-        meas = meas_transfer_primary(10.0, t) * models["primary"].eval(10.0)
+        meas = source_factors(10.0, t, 1.0, 1.0)["primary"] * models["primary"].eval(10.0)
         assert meas == pytest.approx(PRIMARY_MEAS_ANCHOR_RAD2, rel=1e-9)
 
     def test_secondary_dominates_above_100hz_unstabilized(self):
@@ -74,7 +74,7 @@ class TestCalibration:
         t = LinkConfig().t_one_way
         f = np.geomspace(10, 1000, 200)
         atm = models["atmosphere"].eval(f)
-        sec = meas_transfer_secondary(f, t) * models["secondary"].eval(f)
+        sec = source_factors(f, t, 1.0, 1.0)["secondary"] * models["secondary"].eval(f)
         crossover = f[np.argmax(sec > atm)]
         assert 80 <= crossover <= 130
 

@@ -29,7 +29,7 @@ from fsostab.link import (
     servo_update,
 )
 from fsostab.noise import PsdModel, estimate_psd, synthesize_phase_noise
-from fsostab.spectral import log_band_medians, meas_transfer_secondary
+from fsostab.spectral import log_band_medians, source_factors
 
 NU_P = 193.1e12
 
@@ -445,7 +445,7 @@ class TestRunLink:
         m, _ = run_link(cfg, inp, mode="doppler")
         est = estimate_psd(m, segment_len=2**12)
         sel = (est.freqs > 5) & (est.freqs < 1800)
-        factor = meas_transfer_secondary(est.freqs[sel], cfg.t_one_way)
+        factor = source_factors(est.freqs[sel], cfg.t_one_way, 1.0, 1.0)["secondary"]
         keep = factor > 1e-3 * 4
         dev = 10 * np.log10(est.psd[sel][keep] / (factor[keep] * model.eval(est.freqs[sel][keep])))
         _, _, (med,) = log_band_medians(est.freqs[sel][keep], dev)

@@ -26,13 +26,22 @@ from fsostab.spectral import (
     log_band_medians,
     log_bands,
     meas_transfer_atm,
-    meas_transfer_primary,
-    meas_transfer_secondary,
     predicted_mode_psd,
     random_combination,
+    source_factors,
 )
 
 T = 5.003461427972280e-07  # 150 m one-way
+
+
+def secondary_factor(f, t_delay_s):
+    """The stabilized secondary factor, 4 sin^2(pi f T)."""
+    return source_factors(f, t_delay_s, 1.0, 1.0)["secondary"]
+
+
+def primary_factor(f, t_delay_s):
+    """The stabilized primary factor, sin^2(2 pi f T)."""
+    return source_factors(f, t_delay_s, 1.0, 1.0)["primary"]
 
 
 class TestCombinationFactor:
@@ -88,28 +97,28 @@ class TestCombinationFactor:
 
 class TestTransfers:
     def test_secondary_values(self):
-        assert meas_transfer_secondary(0.0, T) == pytest.approx(0.0, abs=1e-12)
-        assert meas_transfer_secondary(0.5 / T, T) == pytest.approx(4.0, rel=1e-9)
-        assert meas_transfer_secondary(0.25 / T, T) == pytest.approx(2.0, rel=1e-9)
+        assert secondary_factor(0.0, T) == pytest.approx(0.0, abs=1e-12)
+        assert secondary_factor(0.5 / T, T) == pytest.approx(4.0, rel=1e-9)
+        assert secondary_factor(0.25 / T, T) == pytest.approx(2.0, rel=1e-9)
 
     def test_primary_values(self):
-        assert meas_transfer_primary(0.0, T) == pytest.approx(0.0, abs=1e-12)
-        assert meas_transfer_primary(0.25 / T, T) == pytest.approx(1.0, rel=1e-9)
-        assert meas_transfer_primary(0.125 / T, T) == pytest.approx(0.5, rel=1e-9)
+        assert primary_factor(0.0, T) == pytest.approx(0.0, abs=1e-12)
+        assert primary_factor(0.25 / T, T) == pytest.approx(1.0, rel=1e-9)
+        assert primary_factor(0.125 / T, T) == pytest.approx(0.5, rel=1e-9)
 
     def test_match_combination_factor(self):
         f = np.geomspace(1.0, 5e6, 200)
         sec = combination_factor(DelayedCombination(((1.0, T), (-1.0, 0.0))), f)
         pri = combination_factor(DelayedCombination(((0.5, T), (-0.5, 3 * T))), f)
-        assert np.allclose(meas_transfer_secondary(f, T), sec, rtol=1e-12, atol=1e-12)
-        assert np.allclose(meas_transfer_primary(f, T), pri, rtol=1e-12, atol=1e-12)
+        assert np.allclose(secondary_factor(f, T), sec, rtol=1e-12, atol=1e-12)
+        assert np.allclose(primary_factor(f, T), pri, rtol=1e-12, atol=1e-12)
 
     def test_leading_terms_at_low_frequency(self):
         # at f T = 5e-10 (1 mHz on the 150 m link) a form built as 1 - cos would cancel to exactly 0
         f = 5e-10 / T
         x2 = (2.0 * np.pi * f * T) ** 2
-        assert meas_transfer_secondary(f, T) == pytest.approx(x2, rel=1e-9, abs=0.0)
-        assert meas_transfer_primary(f, T) == pytest.approx(x2, rel=1e-9, abs=0.0)
+        assert secondary_factor(f, T) == pytest.approx(x2, rel=1e-9, abs=0.0)
+        assert primary_factor(f, T) == pytest.approx(x2, rel=1e-9, abs=0.0)
         assert meas_transfer_atm(f, T, "printed") == pytest.approx(2.25 * x2, rel=1e-9, abs=0.0)  # see LOW_F_ATM_RATIO_DB
 
     def test_match_delayed_copies_relatively(self):
@@ -117,16 +126,16 @@ class TestTransfers:
         f = np.geomspace(1e-10, 0.45, 500) / T
         sec = combination_factor(DelayedCombination(((1.0, 0.0), (-1.0, T))), f)
         pri = combination_factor(DelayedCombination(((0.5, 0.0), (-0.5, 2.0 * T))), f)
-        np.testing.assert_allclose(meas_transfer_secondary(f, T), sec, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(meas_transfer_primary(f, T), pri, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(secondary_factor(f, T), sec, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(primary_factor(f, T), pri, rtol=1e-12, atol=0.0)
 
     def test_periodicity(self):
         f = np.linspace(0, 1.0 / T, 64)
         assert np.allclose(
-            meas_transfer_secondary(f, T), meas_transfer_secondary(f + 1.0 / T, T), atol=1e-6
+            secondary_factor(f, T), secondary_factor(f + 1.0 / T, T), atol=1e-6
         )
         assert np.allclose(
-            meas_transfer_primary(f, T), meas_transfer_primary(f + 0.5 / T, T), atol=1e-6
+            primary_factor(f, T), primary_factor(f + 0.5 / T, T), atol=1e-6
         )
         assert np.allclose(
             meas_transfer_atm(f, T, "printed"),
@@ -252,9 +261,10 @@ class TestPredictedPsd:
         models = dict(self.make_models(), primary=PsdModel(10.0, (PsdSegment(1e-3, -2.0, 1.0),), 1e-3, 1e4))
         f = np.array([1e-5, 1e6])
         curves = predicted_mode_psd(models, T, 1.0, 1.0, f)
+        factors = source_factors(f, T, 1.0, 1.0)
         atm = DelayedCombination(((1.0, 0.0), (-0.5, T), (-0.5, 3.0 * T)))
-        assert curves["primary"] == pytest.approx(meas_transfer_primary(f, T) * (f / 10.0) ** -2.0, rel=1e-12)
-        assert curves["secondary"] == pytest.approx(meas_transfer_secondary(f, T) * 2.0, rel=1e-12)
+        assert curves["primary"] == pytest.approx(factors["primary"] * (f / 10.0) ** -2.0, rel=1e-12)
+        assert curves["secondary"] == pytest.approx(factors["secondary"] * 2.0, rel=1e-12)
         assert curves["atmosphere"] == pytest.approx(combination_factor(atm, f) * 3.0, rel=1e-12)
 
     def test_both_variants_present(self, tmp_path):
@@ -270,9 +280,12 @@ class TestPredictedPsd:
         f = np.geomspace(0.01, 1000.0, 30)
         curves = self.mode_curves("unstabilized", 190.0e12, f)
         ratio = 190.0 / 193.1
-        want = meas_transfer_secondary(f, T) * 2.0 + ratio**2 * 3.0
+        want = source_factors(f, T, ratio, 0.0)["secondary"] * 2.0 + ratio**2 * 3.0
         assert np.all(curves["primary"] == 0.0)
         assert np.allclose(curves["total"], want, rtol=1e-12)
+        # c = 0 leaves no primary at any frequency, not merely a small one
+        f_all = np.concatenate(([0.0], np.geomspace(1e-6, 1e9, 200)))
+        assert np.all(source_factors(f_all, T, ratio, 0.0)["primary"] == 0.0)
 
     def test_doppler_and_group_delay_agree_at_unit_ratio(self):
         f = np.geomspace(0.01, 1000.0, 30)
@@ -287,9 +300,12 @@ class TestPredictedPsd:
         assert np.all(gd["primary"] > dop["primary"])
 
     def test_unit_ratio_atmosphere_is_derived_variant(self):
+        # one rule: predict's atmosphere, the derived variant and the table's entry are the same floats
         f = np.geomspace(0.01, 1000.0, 30)
         curves = predicted_mode_psd(self.make_models(), 1e-3, 1.0, 1.0, f)
-        assert np.allclose(curves["atmosphere"] / 3.0, meas_transfer_atm(f, 1e-3, "derived"), rtol=1e-12, atol=0.0)
+        derived = meas_transfer_atm(f, 1e-3, "derived")
+        assert np.array_equal(curves["atmosphere"], derived * 3.0)  # dividing by 3 rounds a second time
+        assert np.array_equal(derived, source_factors(f, 1e-3, 1.0, 1.0)["atmosphere"])
 
 
 class TestLogBandMedians:
