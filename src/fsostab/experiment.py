@@ -321,21 +321,157 @@ def channel_sweep(
 #: The one number format of every CSV output: the same bytes as "{:.10g}".
 _NUMBER = "%.10g"
 
-#: Rows of a table formatted by one % operation per distinct column.
+#: Rows of a table formatted in one job.
 _BLOCK_ROWS = 4096
 
+# Tables of the number kernel, ``_number_texts``. A text is built as a 16-byte little-endian integer held in two
+# uint64 words, lo (bytes 0-7) and hi (bytes 8-15): byte i of the text is bits 8i.. of that integer.
+_U8 = np.uint64(8)
+_SCALE_UP = np.concatenate([np.ones(22), 10.0 ** np.arange(23)])  # [k + 22]: 10^k for k >= 0, else 1; exact
+_SCALE_DOWN = _SCALE_UP[::-1].copy()  # [k + 22]: 10^-k for k < 0, else 1
+_PAIR_DIV = np.array([1e8, 1e6, 1e4, 1e2, 1.0])[:, None]  # D's five digit pairs are floor(D / these) mod 100
+_PAIR_ROW = np.arange(0, 500, 100)[:, None]
+_E_MIN, _E_MAX = -13, 32  # the decimal exponents of the kernel's values: |x| * 10^(9 - e) needs |9 - e| <= 22
+_E_RANGE = range(_E_MIN, _E_MAX + 1)
 
-def _format_column(column) -> list:
-    """The text of each value of a column slice: text as it is, numbers by one % of ``_NUMBER`` lines, then split."""
-    if column.dtype.kind == "U":
-        return column.tolist()
-    return ("\n".join([_NUMBER] * len(column)) % tuple(column.tolist())).split("\n")
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text, "little")
+
+
+def _low_bytes(count: int) -> int:
+    """The uint64 mask of a word's lowest ``count`` bytes, ``count`` clamped to 0..8."""
+    return (1 << 8 * max(0, min(count, 8))) - 1
+
+
+def _body_length(e: int, sig: int) -> int:
+    """Bytes of the significand's digits and dot, trailing zeros dropped, at exponent e with ``sig`` significant digits."""
+    dot = _DOT_AT[e - _E_MIN]
+    return sig if dot is None else sig + 1 if sig > dot else dot
+
+
+# [100 k + pair k of D]: the pair's two digits at bytes 2k.. of lo (k < 4) or 0.. of hi (k = 4), and D's significant
+# digits up to the pair's last nonzero digit, 0 for "00" (D = 0 has none)
+_PAIR_TEXT = np.array([_word(b"%02d" % p) << 16 * (k % 4) for k in range(5) for p in range(100)], np.uint64)
+_PAIR_SIG = np.array([2 * k + len((b"%02d" % p).rstrip(b"0")) if p else 0 for k in range(5) for p in range(100)], np.uint8)
+# [e - E_MIN]: C's %g at precision 10 writes -4 <= e <= 9 in fixed notation, "0." and -e - 1 zeros before the digits
+# when e < 0 and the dot after digit e when e >= 0, and other exponents as d.ddddddddd and e+XX, where the dot
+# follows the first digit
+_DOT_AT = [None if -4 <= e < 0 else e + 1 if 0 <= e <= 9 else 1 for e in _E_RANGE]
+_LEADING = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in _E_RANGE]
+_EXPONENT = [b"e%+03d" % e if not -4 <= e <= 9 else b"" for e in _E_RANGE]
+_KEEP_LO = np.array([_low_bytes(16 if p is None else p) for p in _DOT_AT], np.uint64)
+_KEEP_HI = np.array([_low_bytes(16 - 8 if p is None else p - 8) for p in _DOT_AT], np.uint64)
+_DOT_LO = np.array([_word(b".") << 8 * p if p is not None and p < 8 else 0 for p in _DOT_AT], np.uint64)
+_DOT_HI = np.array([_word(b".") << 8 * (p - 8) if p is not None and p >= 8 else 0 for p in _DOT_AT], np.uint64)
+_TAIL = np.array([_word(s) for s in _EXPONENT], np.uint64)
+_TAIL_LEN = np.array([len(s) for s in _EXPONENT], np.uint64)
+# [2 (e - E_MIN) + sign bit]: what goes before the significand, and its length in bits
+_HEAD = np.array([_word(b"-" * neg + lead) for lead in _LEADING for neg in (0, 1)], np.uint64)
+_HEAD_BITS = np.array([8 * (neg + len(lead)) for lead in _LEADING for neg in (0, 1)], np.uint64)
+# [11 (e - E_MIN) + significant digits]: the significand's length and the masks that cut it there
+_BODY = [_body_length(e, sig) for e in _E_RANGE for sig in range(11)]
+_BODY_LEN = np.array(_BODY, np.uint64)
+_CUT_LO = np.array([_low_bytes(b) for b in _BODY], np.uint64)
+_CUT_HI = np.array([_low_bytes(b - 8) for b in _BODY], np.uint64)
+
+
+def _reference_texts(values) -> np.ndarray:
+    """``_NUMBER % v`` for each value, one at a time, as NUL-padded bytes: the format itself, for what the kernel leaves."""
+    return np.array([_NUMBER % v for v in values], dtype="S")
+
+
+def _number_texts(x) -> np.ndarray:
+    """``_NUMBER % v`` for each float64 v of ``x``, byte for byte: a (len(x), W) uint8 array, each row NUL-padded.
+
+    A finite nonzero v with e = floor(log10|v|) is scaled to y = |v| * 10^(9 - e), rounded once: 10^k is an exact
+    double for |k| <= 22, and only one of the multiply and divide by it is not by 1. log10 can miss e by one next to
+    a power of ten; such a y falls outside [1e9, 1e10), and e moves by one. Then |y - exact| <= ulp(y) / 2 < 1e-6,
+    so D = rint(y) is the correctly rounded 10-digit significand unless y lies within 2e-6 of a half; D = 1e10
+    becomes 1e9 at e + 1. D's digits are laid out as C's %g lays them out. Near-ties, infinities, NaN and |9 - e| > 22
+    (which holds every 3-digit exponent) go to ``_reference_texts``; zero writes "0" or "-0".
+    """
+    x = np.asarray(x, dtype=np.float64)
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0, inf and NaN are clamped to some k, then fail the range
+        k = np.fmax(np.fmin(9 - np.floor(np.log10(a)), 22), -22).astype(np.intp) + 22
+        y = a * _SCALE_UP[k] / _SCALE_DOWN[k]
+    ok = (y >= 1e9) & (y < 1e10)
+    outside = np.flatnonzero(~ok)
+    if (miss := outside[(a[outside] > 0) & (a[outside] < np.inf)]).size:
+        k[miss] = np.clip(k[miss] + np.where(y[miss] < 1e9, 1, -1), 0, 44)
+        y[miss] = a[miss] * _SCALE_UP[k[miss]] / _SCALE_DOWN[k[miss]]
+        ok[miss] = (y[miss] >= 1e9) & (y[miss] < 1e10)
+    d = np.rint(y)
+    with np.errstate(invalid="ignore"):
+        ok &= np.abs(y - d) < 0.5 - 2e-6
+    e = 9 + 22 - k
+    d[~ok] = 0
+    zero = a == 0
+    e[zero] = 0
+    ok |= zero
+    carry = d == 1e10
+    d[carry] = 1e9
+    e[carry] += 1
+    e -= _E_MIN
+    pairs = np.floor(d / _PAIR_DIV)
+    pairs[1:] -= 100 * pairs[:-1]
+    pairs = pairs.astype(np.intp) + _PAIR_ROW
+    digits = _PAIR_TEXT[pairs]
+    lo, hi = digits[0] | digits[1] | digits[2] | digits[3], digits[4]
+    form = 11 * e + _PAIR_SIG[pairs].max(axis=0)
+    # the dot: bytes from its place on move up one
+    keep_lo, keep_hi = lo & _KEEP_LO[e], hi & _KEEP_HI[e]
+    lo ^= keep_lo
+    hi ^= keep_hi
+    hi = keep_hi | _DOT_HI[e] | (hi << _U8) | (lo >> np.uint64(56))
+    lo = keep_lo | _DOT_LO[e] | (lo << _U8)
+    lo &= _CUT_LO[form]
+    hi &= _CUT_HI[form]
+    # the sign and leading "0.000" in front; a shift of 64 bits or more gives 0
+    head = 2 * e + np.signbit(x)
+    bits = _HEAD_BITS[head]
+    hi <<= bits
+    hi |= lo >> (np.uint64(64) - bits)
+    lo <<= bits
+    lo |= _HEAD[head]
+    # the exponent after: it starts at byte 12 at most, so it ends within hi
+    at = (bits >> np.uint64(3)) + _BODY_LEN[form]
+    tail = _TAIL[e]
+    lo |= tail << (_U8 * at)
+    hi |= (tail << np.uint64(32)) >> (np.uint64(96) - _U8 * at)
+    words = np.empty((len(x), 2), dtype="<u8")
+    words[:, 0], words[:, 1] = lo, hi
+    texts, width = words.view(np.uint8), at + _TAIL_LEN[e]
+    if (rest := np.flatnonzero(~ok)).size:
+        reference = _reference_texts(x[rest].tolist())
+        texts = np.pad(texts, ((0, 0), (0, max(reference.itemsize - 16, 0))))
+        texts[rest] = reference.astype(f"S{texts.shape[1]}").view(np.uint8).reshape(rest.size, -1)
+        width[rest] = texts.shape[1]
+    return texts[:, : width.max(initial=0)]
+
+
+def _format_column(column) -> np.ndarray:
+    """The UTF-8 text of each value of a column slice, one NUL-padded row of bytes each: text as it is, numbers in
+    ``_NUMBER`` by ``_number_texts``, values of other kinds (Python objects) by ``_reference_texts``."""
+    if column.dtype.kind in "biuf":
+        return _number_texts(column)
+    texts = np.strings.encode(column, "utf-8") if column.dtype.kind == "U" else _reference_texts(column.tolist())
+    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
 def _format_block(layout, columns) -> tuple:
-    """One block of rows of each table: every column slice formatted once, table i's rows joined from ``layout[i]``."""
+    """One block of rows of each table as bytes: every column slice formatted once, table i's rows joined from
+    ``layout[i]`` with commas and CRLF, then the NUL padding dropped."""
     texts = [_format_column(c) for c in columns]
-    return tuple("\r\n".join(map(",".join, zip(*(texts[j] for j in table)))) + "\r\n" for table in layout)
+    rows = len(texts[0])
+    comma = np.broadcast_to(np.frombuffer(b",", np.uint8), (rows, 1))
+    crlf = np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (rows, 2))
+    joined = []
+    for table in layout:
+        parts = [part for j in table for part in (comma, texts[j])][1:] + [crlf]
+        joined.append(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))
+    return tuple(joined)
 
 
 def _checked_columns(header: list, columns) -> list:
@@ -347,8 +483,8 @@ def _checked_columns(header: list, columns) -> list:
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
     labels = [*header, *itertools.chain.from_iterable(c.tolist() for c in columns if c.dtype.kind == "U")]
-    if quoted := [s for s in labels if any(ch in s for ch in ',"\r\n')]:
-        raise ValueError(f"labels {quoted} would need CSV quoting")
+    if quoted := [s for s in labels if any(ch in s for ch in ',"\r\n\0')]:
+        raise ValueError(f"labels {quoted} would need CSV quoting or hold a NUL, which the writer drops as padding")
     return columns
 
 
@@ -358,16 +494,18 @@ def write_table_csv(*tables):
     ``columns`` holds one 1-D array per header name, all of one length, and
     every table has that many rows, or ValueError is raised before any file
     is opened. Text columns (dtype kind ``U`` or ``S``) are written as they
-    are, other values in ``_NUMBER``; a name or text that ``csv.writer``
-    would quote (holding ``,``, ``"``, CR or LF) raises ValueError. Lines
-    end in CRLF, as in ``csv.writer``. The rows go in blocks of
-    ``_BLOCK_ROWS``: a block formats each distinct column object once,
-    whichever tables share it, by one printf-style %, and joins every
-    table's rows from those texts. The blocks run through one
-    ``_fork_map`` and each is written as it comes. Each table goes to
-    ``<name>.partial``; all are moved onto their paths after the last
-    block and removed on an exception, so no truncated table is left; the
-    exception reaches the caller. Missing parent directories are made first.
+    are, in UTF-8 whatever the locale, and numbers as ``_NUMBER`` gives
+    them; a name or text that ``csv.writer`` would quote (holding ``,``,
+    ``"``, CR or LF) or that holds a NUL raises ValueError. Lines end in
+    CRLF, as in ``csv.writer``. The rows go in blocks of ``_BLOCK_ROWS``: a
+    block formats each distinct column object once, whichever tables share
+    it, numbers by the ``_number_texts`` kernel, into NUL-padded rows of
+    bytes, and joins every table's rows from those bytes. The blocks run
+    through one ``_fork_map`` and each is written as it comes. Each table
+    goes to ``<name>.partial``; all are moved onto their paths after the
+    last block and removed on an exception, so no truncated table is left;
+    the exception reaches the caller. Missing parent directories are made
+    first.
     """
     columns = [_checked_columns(header, table_columns) for _, header, table_columns in tables]
     if len(rows := sorted({len(table[0]) if table else 0 for table in columns})) > 1:
@@ -381,9 +519,9 @@ def write_table_csv(*tables):
         path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with contextlib.ExitStack() as stack:
-            files = [stack.enter_context(open(partial, "w", newline="")) for partial in partials]
+            files = [stack.enter_context(open(partial, "wb")) for partial in partials]
             for fh, (_, header, _) in zip(files, tables):
-                fh.write(",".join(header) + "\r\n")
+                fh.write((",".join(header) + "\r\n").encode())
             for texts in _fork_map(functools.partial(_format_block, layout), blocks):
                 for fh, text in zip(files, texts):
                     fh.write(text)

@@ -511,6 +511,69 @@ def per_value_csv(header, columns) -> bytes:
     return buf.getvalue().encode()
 
 
+def kernel_texts(values) -> np.ndarray:
+    """``experiment._number_texts`` of float64 ``values``, a block of ``_BLOCK_ROWS`` at a time, as a bytes array."""
+    x, block = np.asarray(values, dtype=np.float64), experiment._BLOCK_ROWS
+    texts = [np.ascontiguousarray(experiment._number_texts(x[start : start + block])) for start in range(0, len(x), block)]
+    return np.concatenate([t.view(f"S{t.shape[1]}")[:, 0].astype("S17") for t in texts])
+
+
+def reference_texts(values) -> np.ndarray:
+    return np.array([experiment._NUMBER % v for v in np.asarray(values, dtype=np.float64).tolist()], dtype="S17")
+
+
+def neighbours(values) -> np.ndarray:
+    """Each value with the doubles just below and just above it."""
+    x = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+class TestNumberKernel:
+    """The vectorized kernel writes ``_NUMBER % x`` byte for byte, for every float64 x."""
+
+    def cases(self):
+        rng = np.random.default_rng(43)
+        bits = rng.integers(0, 2**64, 2**20, dtype=np.uint64).view(np.float64)  # both signs, NaNs
+        # random bits seldom land where the kernel works: magnitudes spread evenly over its exponents and past them
+        spread = 10.0 ** rng.uniform(-16, 35, 2**18) * rng.choice([-1.0, 1.0], 2**18)
+        subnormal = rng.integers(1, 2**52, 4096, dtype=np.uint64).view(np.float64) * rng.choice([-1.0, 1.0], 4096)
+        powers = neighbours([float(f"{sign}1e{k}") for k in range(-30, 31) for sign in "+-"])
+        carries = neighbours([float(f"{sign}9.9999999995e{k}") for k in range(-30, 31) for sign in "+-"])
+        ties = self.ties(rng)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e100, -1e-100, 1.5e-300, -2e305, 5e-324, -5e-324, 1.7976931348623157e308]
+        return np.concatenate([bits, spread, subnormal,np.arange(-10**4, 10**4 + 1.0), powers, carries, neighbours(ties), special])
+
+    @staticmethod
+    def ties(rng) -> np.ndarray:
+        """The doubles nearest 11-digit decimals ending in 5: half-way between two 10-digit significands."""
+        digits = rng.integers(10**9, 10**10, 2000) * 10 + 5
+        exponents = rng.integers(-14, 33, 2000)
+        return np.array([float(f"{m}e{k - 10}") for m, k in zip(digits.tolist(), exponents.tolist())])
+
+    def test_matches_reference_format(self):
+        # the failing values are shown with both texts
+        x = self.cases()
+        got, want = kernel_texts(x), reference_texts(x)
+        wrong = np.flatnonzero(got != want)
+        assert not wrong.size, f"{wrong.size} values differ: {list(zip(x[wrong[:3]], got[wrong[:3]], want[wrong[:3]]))}"
+
+    def test_near_ties_take_the_reference(self, monkeypatch):
+        # a double next to a tie can round either way at 10 digits: the kernel leaves it to the format itself
+        left, reference = [], experiment._reference_texts
+        monkeypatch.setattr(experiment, "_reference_texts", lambda values: left.extend(values) or reference(values))
+        ties = self.ties(np.random.default_rng(7))
+        kernel_texts(np.concatenate([ties, np.arange(1.0, 4097.0)]))
+        assert sorted(left) == sorted(ties.tolist())
+
+    def test_integer_and_narrow_columns(self):
+        # integer, unsigned, bool and float32 columns are written as the float64 they convert to, as % converts them
+        columns = [np.array([-7, 0, 2**53 + 1, 98765432101 * 4096], np.int64), np.array([0, 2**64 - 1], np.uint64),
+                   np.array([True, False]), np.array([0.1, -3.4028235e38, 1e-45], np.float32)]
+        for column in columns:
+            got = experiment._format_column(column)
+            assert [bytes(row).rstrip(b"\0") for row in got] == [(experiment._NUMBER % v).encode() for v in column.tolist()]
+
+
 class TestWriteTableCsv:
     EDGE_VALUES = [-0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324, 3.0, -42.0, 12345678901.0, 1.5e-7, 123456.789012345,
                    2.0**53 + 1, np.pi, -np.e * 1e-12, np.inf, -np.inf, np.nan]
@@ -603,14 +666,21 @@ class TestWriteTableCsv:
         write_table_csv((path, ["n", "mode", "tag", "frac", "x"], columns))
         assert path.read_bytes() == b"n,mode,tag,frac,x\r\n0,doppler,a,0.1230,0.5\r\n1,group-delay,b,1.000,0\r\n"
 
-    @pytest.mark.parametrize("label", ["a,b", 'say "x"', "cr\r", "lf\n"])
+    @pytest.mark.parametrize("label", ["a,b", 'say "x"', "cr\r", "lf\n", "n\0l"])
     def test_label_needing_quotes_rejected(self, tmp_path, label):
-        # csv.writer would quote such a label; the writer's rows are never quoted, so it refuses them
+        # csv.writer would quote such a label; the writer's rows are never quoted, so it refuses them; a NUL is
+        # refused too, since the writer drops NUL bytes as padding
         with pytest.raises(ValueError, match="CSV quoting"):
             write_table_csv((tmp_path / "t.csv", ["x", label], [np.arange(2.0), np.arange(2.0)]))
         with pytest.raises(ValueError, match="CSV quoting"):
             write_table_csv((tmp_path / "t.csv", ["x", "mode"], [np.arange(2.0), ["doppler", label]]))
         assert list(tmp_path.iterdir()) == []
+
+    def test_text_written_as_utf8(self, tmp_path):
+        # the files are bytes: names and text go out in UTF-8, whatever the locale's encoding
+        path = tmp_path / "t.csv"
+        write_table_csv((path, ["t_µs", "unit"], [np.array([1.5, -2.0]), ["µs", "s"]]))
+        assert path.read_bytes() == "t_µs,unit\r\n1.5,µs\r\n-2,s\r\n".encode("utf-8")
 
     def test_columns_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"length: \[3, 5\]"):
